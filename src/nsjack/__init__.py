@@ -30,7 +30,7 @@ from .combinat import (
 )
 from .operators import Operators, divided_difference, divide_by_difference
 from .jack import JackBasis
-from .hermite_laguerre import HermiteBasis, LaguerreBasis
+from .hermite_laguerre import DeformedBasis, HermiteBasis, LaguerreBasis
 
 __all__ = [
     "Fraction",
@@ -58,6 +58,7 @@ __all__ = [
     "divided_difference",
     "divide_by_difference",
     "JackBasis",
+    "DeformedBasis",
     "HermiteBasis",
     "LaguerreBasis",
 ]

@@ -189,6 +189,8 @@ def _dispatch(args):
         n = args.n or 2
         jb = JackBasis(n, alpha)
         D = args.degree
+        if D < 0:
+            raise UsageError("--degree must be non-negative")
         fam = args.family
         if fam == "A":
             K = kernels.kernel_KA(jb, D)
@@ -237,6 +239,8 @@ def _dispatch(args):
     if args.command == "norm":
         if args.family == "ct":
             k = args.k
+            if k < 1:
+                raise UsageError("--k must be a positive integer")
             alpha_ct = Fraction(1, k)
             if args.alpha != "1" and alpha != alpha_ct:
                 raise UsageError("constant-term norm needs alpha = 1/k")

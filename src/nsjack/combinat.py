@@ -9,7 +9,6 @@ factorials built from them.  Everything returns exact Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .poly import rising
 
@@ -240,7 +239,3 @@ def add_to_all(eta, p):
 
 def reversed_eta(eta):
     return tuple(reversed(eta))
-
-
-def n_factorial(n):
-    return factorial(n)

@@ -1,9 +1,11 @@
 """Non-symmetric Hermite and Laguerre polynomials.
 
 Both families are images of the Jack basis under a terminating
-exponential of (a quarter of) the relevant Laplacian.  The Laguerre
-family lives natively in the squared variables y_i = x_i^2; exponent
-doubling recovers the x-form on demand.
+exponential of (a quarter of) the relevant Laplacian, so one class,
+``DeformedBasis``, holds the construction, the pairing and the harmonic
+decomposition; ``HermiteBasis`` and ``LaguerreBasis`` add their ladders
+and closed forms.  The Laguerre family lives natively in the squared
+variables y_i = x_i^2; exponent doubling recovers the x-form on demand.
 """
 
 from __future__ import annotations
@@ -37,40 +39,37 @@ def laguerre_1d_coeffs(m, a):
             / (factorial(m - k) * factorial(k)) for k in range(m + 1)]
 
 
-class HermiteBasis:
-    """Gaussian-deformed family attached to a Jack basis."""
+class DeformedBasis:
+    """The images exp(-lap/4) E_eta of a Jack basis under a degree-lowering
+    Laplacian, with their pairing and harmonic decomposition.
 
-    def __init__(self, jack):
+    A family is fixed by its Laplacian ``laplacian(p)``, the word operator
+    ``word(p, i)`` that stands in for the i-th variable in the pairing, the
+    degree ``radius_degree`` of the radius sum_i x_i^radius_degree in the
+    family's own variables, and the constant ``gamma`` of its harmonic
+    projector.  A native degree d counts as x-degree (2 / radius_degree) * d.
+    """
+
+    def __init__(self, jack, ops, laplacian, word, radius_degree, gamma):
         self.jack = jack
         self.n = jack.n
         self.alpha = jack.alpha
-        self.ops = jack.ops
+        self.ops = ops
+        self.laplacian = laplacian
+        self.word = word
+        self.radius_degree = radius_degree
+        self.gamma = gamma
         self._cache = {}
 
     def E(self, eta):
         eta = tuple(eta)
         got = self._cache.get(eta)
         if got is None:
-            got = _exp_minus_quarter(self.ops.laplacian_A, self.jack.E(eta))
+            got = _exp_minus_quarter(self.laplacian, self.jack.E(eta))
             self._cache[eta] = got
         return got
 
-    def norm_ratio(self, eta):
-        """Norm divided by the ground-state normalization: exact rational."""
-        eta = tuple(eta)
-        al = self.alpha
-        return (comb.d_prime_const(eta, al) * comb.e_const(eta, al)
-                / comb.d_const(eta, al) / (2 * al) ** sum(eta))
-
     # -- ladder -----------------------------------------------------------
-
-    def raise_op(self, eta):
-        """Operator-applied raising; equals 2 * E(phi eta)."""
-        return self.ops.phi_hat_star(self.E(eta))
-
-    def lower_op(self, eta):
-        """Operator-applied lowering; annihilates when the last part is 0."""
-        return self.ops.phi_hat(self.E(eta))
 
     def lower_constant(self, eta):
         """Proportionality constant of the lowering action (0 if last part 0)."""
@@ -78,13 +77,19 @@ class HermiteBasis:
         if eta[-1] == 0:
             return Fraction(0)
         down = comb.phi_hat_map(eta)
-        return (comb.d_prime_const(eta, self.alpha)
-                / comb.d_prime_const(down, self.alpha) / self.alpha)
+        al = self.alpha
+        return (self._lower_factor(eta, down) * comb.d_prime_const(eta, al)
+                / comb.d_prime_const(down, al) / al)
+
+    def _lower_factor(self, eta, down):
+        """Family-specific factor of the lowering constant."""
+        return 1
 
     # -- pairing ----------------------------------------------------------
 
     def pairing(self, p, q):
-        """Bilinear pairing replacing the variables of p by Dunkl operators.
+        """Bilinear pairing replacing each variable of p by the word
+        operator acting on q.
 
         Both arguments must be homogeneous; different degrees pair to 0.
         """
@@ -98,105 +103,121 @@ class HermiteBasis:
         return sum((c * row[e] for e, c in p.terms.items()), Fraction(0))
 
     def pairing_row(self, q):
-        """Constants of all Dunkl words of length deg(q) applied to q.
+        """Constants of all words of length deg(q) applied to q.
 
         Shared-prefix memoization; lets a whole Gram row reuse one pass.
         """
         memo = {(0,) * self.n: q}
 
-        def word(e):
+        def applied(e):
             got = memo.get(e)
             if got is None:
                 i = next(idx for idx, k in enumerate(e) if k)
                 prev = list(e)
                 prev[i] -= 1
-                got = self.ops.dunkl(word(tuple(prev)), i)
+                got = self.word(applied(tuple(prev)), i)
                 memo[e] = got
             return got
 
-        from .combinat import compositions
-
-        return {e: word(e).constant_term()
-                for e in compositions(self.n, q.total_degree())}
+        return {e: applied(e).constant_term()
+                for e in comb.compositions(self.n, q.total_degree())}
 
     # -- harmonic decomposition ---------------------------------------------
 
-    def _gamma(self):
-        n = self.n
-        return Fraction(n, 2) + Fraction(n * (n - 1), 2) / self.alpha
-
     def _projector(self, q, k):
         """Harmonic projector of degree k applied to a degree-k polynomial."""
-        gamma = self._gamma()
-        r2 = _radius_squared(self.n)
+        rho = self.radius_degree
+        r = _radius_squared(self.n, rho)
         out = SparsePoly.zero(self.n)
         img = q
-        for j in range(k // 2 + 1):
+        for j in range(k // rho + 1):
             if j > 0:
-                img = self.ops.laplacian_A(img)
-            denom = Fraction(4) ** j * factorial(j) * rising(-gamma - k + 2, j)
-            out = out + (r2 ** j) * img / denom
+                img = self.laplacian(img)
+            denom = (Fraction(4) ** j * factorial(j)
+                     * rising(-self.gamma - (2 // rho) * k + 2, j))
+            out = out + (r ** j) * img / denom
         return out
 
     def harmonic_components(self, eta):
-        """Decompose E_eta as sum over m of r^(2m) times a harmonic piece.
+        """Decompose E_eta (the Jack polynomial) as the sum over m of the
+        m-th power of the radius times a harmonic piece.
 
         Returns [(m, component)] with every component annihilated by the
-        type-A Laplacian.
+        family's Laplacian.
         """
         eta = tuple(eta)
         d = sum(eta)
-        gamma = self._gamma()
-        p = self.jack.E(eta)
+        rho = self.radius_degree
         out = []
-        img = p
-        for m in range(d // 2 + 1):
+        img = self.jack.E(eta)
+        for m in range(d // rho + 1):
             if m > 0:
-                img = self.ops.laplacian_A(img)
-            denom = Fraction(4) ** m * factorial(m) * rising(gamma + d - 2 * m, m)
-            out.append((m, self._projector(img, d - 2 * m) / denom))
+                img = self.laplacian(img)
+            denom = (Fraction(4) ** m * factorial(m)
+                     * rising(self.gamma + (2 // rho) * d - 2 * m, m))
+            out.append((m, self._projector(img, d - rho * m) / denom))
         return out
 
     def from_harmonics(self, eta, components=None):
-        """Rebuild the Hermite polynomial from the harmonic pieces and
-        classical one-variable Laguerre polynomials of the squared radius."""
+        """Rebuild the deformed polynomial from the harmonic pieces and
+        classical one-variable Laguerre polynomials of the radius."""
         eta = tuple(eta)
         d = sum(eta)
-        gamma = self._gamma()
-        r2 = _radius_squared(self.n)
+        rho = self.radius_degree
+        r = _radius_squared(self.n, rho)
         total = SparsePoly.zero(self.n)
         for m, component in (components or self.harmonic_components(eta)):
-            lag = laguerre_1d_coeffs(m, d - 2 * m + gamma - 1)
+            # parameter x-degree + gamma - 1 of the harmonic piece
+            lag = laguerre_1d_coeffs(m, (2 // rho) * (d - rho * m) + self.gamma - 1)
             lpoly = SparsePoly.zero(self.n)
             for k, c in enumerate(lag):
-                lpoly = lpoly + c * r2 ** k
+                lpoly = lpoly + c * r ** k
             total = total + Fraction((-1) ** m) * factorial(m) * (lpoly * component)
         return total
 
 
-class LaguerreBasis:
-    """Laguerre-type family in squared variables, attached to a Jack basis."""
+class HermiteBasis(DeformedBasis):
+    """Gaussian-deformed family: type-A Laplacian, Dunkl-operator pairing."""
+
+    def __init__(self, jack):
+        n, ops = jack.n, jack.ops
+        super().__init__(
+            jack, ops, ops.laplacian_A, ops.dunkl, radius_degree=2,
+            gamma=Fraction(n, 2) + Fraction(n * (n - 1), 2) / jack.alpha)
+
+    def norm_ratio(self, eta):
+        """Norm divided by the ground-state normalization: exact rational."""
+        eta = tuple(eta)
+        al = self.alpha
+        return (comb.d_prime_const(eta, al) * comb.e_const(eta, al)
+                / comb.d_const(eta, al) / (2 * al) ** sum(eta))
+
+    def raise_op(self, eta):
+        """Operator-applied raising; equals 2 * E(phi eta)."""
+        return self.ops.phi_hat_star(self.E(eta))
+
+    def lower_op(self, eta):
+        """Operator-applied lowering; annihilates when the last part is 0."""
+        return self.ops.phi_hat(self.E(eta))
+
+
+class LaguerreBasis(DeformedBasis):
+    """Laguerre-type family in squared variables: type-B Laplacian, pairing
+    through four times the B operators."""
 
     def __init__(self, jack, a):
-        self.jack = jack
-        self.n = jack.n
-        self.alpha = jack.alpha
+        n = jack.n
         self.a = Fraction(a)
-        self.ops = Operators(jack.n, jack.alpha, a)
-        self._cache = {}
+        ops = Operators(n, jack.alpha, a)
+        super().__init__(
+            jack, ops, ops.laplacian_B, lambda p, i: 4 * ops.b_op(p, i),
+            radius_degree=1,
+            gamma=n * (self.a + 1) + Fraction(n * (n - 1)) / jack.alpha)
 
     @property
     def shifted_a(self):
         """The combination a + 1 + (n-1)/alpha entering every formula."""
         return self.a + 1 + Fraction(self.n - 1) / self.alpha
-
-    def E(self, eta):
-        eta = tuple(eta)
-        got = self._cache.get(eta)
-        if got is None:
-            got = _exp_minus_quarter(self.ops.laplacian_B, self.jack.E(eta))
-            self._cache[eta] = got
-        return got
 
     def E_x_squared(self, eta):
         """The same polynomial written in the original variables."""
@@ -216,8 +237,6 @@ class LaguerreBasis:
         return (Fraction((-1) ** sum(eta)) * comb.gen_fact(self.shifted_a, eta, al)
                 * comb.e_const(eta, al) / comb.d_const(eta, al))
 
-    # -- ladder -----------------------------------------------------------
-
     def raise_op(self, eta):
         """Operator-applied raising; equals E(phi eta)."""
         return self.ops.psi_hat_star(self.E(eta))
@@ -225,98 +244,9 @@ class LaguerreBasis:
     def lower_op(self, eta):
         return self.ops.psi_hat(self.E(eta))
 
-    def lower_constant(self, eta):
-        eta = tuple(eta)
-        if eta[-1] == 0:
-            return Fraction(0)
-        down = comb.phi_hat_map(eta)
-        al = self.alpha
+    def _lower_factor(self, eta, down):
         c = self.shifted_a
-        return (comb.gen_fact(c, eta, al) / comb.gen_fact(c, down, al)
-                * comb.d_prime_const(eta, al) / comb.d_prime_const(down, al) / al)
-
-    # -- pairing ----------------------------------------------------------
-
-    def pairing(self, p, q):
-        """Type-B pairing on squared-variable polynomials.
-
-        Each squared variable of p becomes four times the corresponding
-        B operator acting on q.
-        """
-        if not (p.is_homogeneous() and q.is_homogeneous()):
-            raise ValueError("pairing is defined for homogeneous polynomials")
-        if p.is_zero or q.is_zero:
-            return Fraction(0)
-        if p.total_degree() != q.total_degree():
-            return Fraction(0)
-        row = self.pairing_row(q)
-        return sum((c * row[e] for e, c in p.terms.items()), Fraction(0))
-
-    def pairing_row(self, q):
-        """Constants of all scaled B words of length deg(q) applied to q."""
-        memo = {(0,) * self.n: q}
-
-        def word(e):
-            got = memo.get(e)
-            if got is None:
-                i = next(idx for idx, k in enumerate(e) if k)
-                prev = list(e)
-                prev[i] -= 1
-                got = 4 * self.ops.b_op(word(tuple(prev)), i)
-                memo[e] = got
-            return got
-
-        from .combinat import compositions
-
-        return {e: word(e).constant_term()
-                for e in compositions(self.n, q.total_degree())}
-
-    # -- harmonic decomposition ---------------------------------------------
-
-    def _gamma(self):
-        n = self.n
-        return n * (self.a + 1) + Fraction(n * (n - 1)) / self.alpha
-
-    def _projector(self, q, k):
-        gamma = self._gamma()
-        r2 = _radius_squared(self.n, degree=1)
-        out = SparsePoly.zero(self.n)
-        img = q
-        for j in range(k + 1):
-            if j > 0:
-                img = self.ops.laplacian_B(img)
-            denom = Fraction(4) ** j * factorial(j) * rising(-gamma - 2 * k + 2, j)
-            out = out + (r2 ** j) * img / denom
-        return out
-
-    def harmonic_components(self, eta):
-        """Decompose the Jack polynomial in y as sum_m (sum y)^m * harmonic."""
-        eta = tuple(eta)
-        d = sum(eta)
-        gamma = self._gamma()
-        out = []
-        img = self.jack.E(eta)
-        for m in range(d + 1):
-            if m > 0:
-                img = self.ops.laplacian_B(img)
-            denom = Fraction(4) ** m * factorial(m) * rising(gamma + 2 * d - 2 * m, m)
-            out.append((m, self._projector(img, d - m) / denom))
-        return out
-
-    def from_harmonics(self, eta, components=None):
-        eta = tuple(eta)
-        d = sum(eta)
-        gamma = self._gamma()
-        r2 = _radius_squared(self.n, degree=1)
-        total = SparsePoly.zero(self.n)
-        for m, component in (components or self.harmonic_components(eta)):
-            # parameter 2k + gamma - 1 with k = d - m the harmonic degree
-            lag = laguerre_1d_coeffs(m, 2 * (d - m) + gamma - 1)
-            lpoly = SparsePoly.zero(self.n)
-            for k, c in enumerate(lag):
-                lpoly = lpoly + c * r2 ** k
-            total = total + Fraction((-1) ** m) * factorial(m) * (lpoly * component)
-        return total
+        return comb.gen_fact(c, eta, self.alpha) / comb.gen_fact(c, down, self.alpha)
 
 
 def _radius_squared(n, degree=2):

@@ -8,12 +8,13 @@ the joint eigenproblem of the Cherednik operators directly on monomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from . import combinat as comb
 from .linalg import solve_exact
 from .operators import Operators
-from .poly import SparsePoly, symmetrize
+from .poly import SparsePoly
 
 
 _shared = {}
@@ -72,10 +73,6 @@ class JackBasis:
             poly = self.ops.s(e_nu, i) - e_nu / gap
         self._cache[eta] = poly
         return poly
-
-    def F(self, eta):
-        """The d-rescaled polynomial d_eta * E_eta."""
-        return comb.d_const(eta, self.alpha) * self.E(tuple(eta))
 
     # -- independent oracle ------------------------------------------------
 
@@ -150,11 +147,7 @@ class JackBasis:
         if got is not None:
             return got
         total = SparsePoly.zero(self.n)
-        seen = set()
-        for eta in _distinct_permutations(kappa):
-            if eta in seen:
-                continue
-            seen.add(eta)
+        for eta in set(permutations(kappa)):
             total = total + self.E(eta) / comb.d_prime_const(eta, self.alpha)
         out = comb.hook_norm_j(kappa, self.alpha) * total
         self._j_cache[kappa] = out
@@ -162,9 +155,6 @@ class JackBasis:
 
     def J_ones(self, kappa):
         return self.J(kappa).eval_exact([1] * self.n)
-
-    def sym_of_E(self, eta):
-        return symmetrize(self.E(tuple(eta)))
 
     # -- change of basis -------------------------------------------------------
 
@@ -186,9 +176,3 @@ class JackBasis:
             if eta in residual.terms:
                 raise ArithmeticError("peeling failed to clear the leading term")
         return out
-
-
-def _distinct_permutations(eta):
-    from itertools import permutations
-
-    return set(permutations(eta))

@@ -269,6 +269,17 @@ def _first_failure(diff, n):
             "coefficient": str(c)}
 
 
+def _verdict(identity, jack, D, params, diff, check=None):
+    """Report on lhs - rhs = ``diff``; a nonzero diff names its first term
+    (and ``check``, the part of the identity that failed)."""
+    if diff.is_zero:
+        return _report(identity, jack, D, params)
+    fail = _first_failure(diff, jack.n)
+    if check is not None:
+        fail["check"] = check
+    return _report(identity, jack, D, params, fail)
+
+
 def check_symmetry_and_multiplication(jack, D, **_):
     """Swap-equivariance of the kernel and the multiplication rule for the
     y-block Dunkl operators."""
@@ -276,21 +287,18 @@ def check_symmetry_and_multiplication(jack, D, **_):
     K = kernel_KA(jack, D)
     opx = Operators(n, jack.alpha, block=range(n))
     opy = Operators(n, jack.alpha, block=range(n, 2 * n))
+    name = "kernel-symmetry-multiplication"
     for i in range(n - 1):
         diff = opx.s(K, i) - opy.s(K, i)
         if not diff.is_zero:
-            fail = _first_failure(diff, n)
-            fail["check"] = "swap equivariance"
-            return _report("kernel-symmetry-multiplication", jack, D, {}, fail)
+            return _verdict(name, jack, D, {}, diff, "swap equivariance")
     for i in range(n):
         xi = SparsePoly.variable(2 * n, i)
         diff = (opy.dunkl(K, i) - xi * K).filter_terms(
             lambda e: xdeg(e, n) <= D)
         if not diff.is_zero:
-            fail = _first_failure(diff, n)
-            fail["check"] = "dunkl multiplication"
-            return _report("kernel-symmetry-multiplication", jack, D, {}, fail)
-    return _report("kernel-symmetry-multiplication", jack, D, {})
+            return _verdict(name, jack, D, {}, diff, "dunkl multiplication")
+    return _report(name, jack, D, {})
 
 
 def check_exp_shift(jack, D, **_):
@@ -302,9 +310,7 @@ def check_exp_shift(jack, D, **_):
     lhs = (expx * K).filter_terms(lambda e: xdeg(e, n) <= D)
     rhs = K.shift_by_one(only=range(n, 2 * n))
     diff = lhs - rhs
-    if not diff.is_zero:
-        return _report("kernel-exp-shift", jack, D, {}, _first_failure(diff, n))
-    return _report("kernel-exp-shift", jack, D, {})
+    return _verdict("kernel-exp-shift", jack, D, {}, diff)
 
 
 def check_hermite_gf(jack, D, hermite=None, **_):
@@ -324,10 +330,7 @@ def check_hermite_gf(jack, D, hermite=None, **_):
                          deg=lambda e: ydeg(e, n))
     rhs = (K2x * expz).filter_terms(lambda e: ydeg(e, n) <= D)
     diff = lhs - rhs
-    if not diff.is_zero:
-        return _report("hermite-generating-function", jack, D, {},
-                       _first_failure(diff, n))
-    return _report("hermite-generating-function", jack, D, {})
+    return _verdict("hermite-generating-function", jack, D, {}, diff)
 
 
 def check_symmetrization(jack, D, **_):
@@ -336,10 +339,7 @@ def check_symmetrization(jack, D, **_):
     lhs = symmetrize_block(kernel_KA(jack, D), range(n))
     rhs = factorial(n) * hyper_0F0(jack, D)
     diff = lhs - rhs
-    if not diff.is_zero:
-        return _report("kernel-symmetrization", jack, D, {},
-                       _first_failure(diff, n))
-    return _report("kernel-symmetrization", jack, D, {})
+    return _verdict("kernel-symmetrization", jack, D, {}, diff)
 
 
 def check_exp_expansion(jack, D, **_):
@@ -360,9 +360,8 @@ def check_exp_expansion(jack, D, **_):
                                      * b) * jack.E(nu)
             diff = lhs - rhs
             if not diff.is_zero:
-                return _report("exp-binomial-expansion", jack, D,
-                               {"eta": eta},
-                               {"exponents": list(min(diff.terms))})
+                return _verdict("exp-binomial-expansion", jack, D, {"eta": eta},
+                                diff)
     return _report("exp-binomial-expansion", jack, D, {})
 
 
@@ -381,8 +380,8 @@ def check_p1_action(jack, D, **_):
             rhs = al * comb.d_prime_const(eta, al) * rhs
             diff = lhs - rhs
             if not diff.is_zero:
-                return _report("p1-raising-action", jack, D, {"eta": eta},
-                               {"exponents": list(min(diff.terms))})
+                return _verdict("p1-raising-action", jack, D, {"eta": eta},
+                                diff)
     return _report("p1-raising-action", jack, D, {})
 
 
@@ -456,10 +455,7 @@ def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
            - (a + b - nm1) * opy.euler(F, 2) - comm / 2)
     rhs = a * b * p_power_sum(n, 2 * n, n, 1) * F
     diff = (lhs - rhs).filter_terms(lambda e: ydeg(e, n) <= D)
-    if not diff.is_zero:
-        return _report("2k1-pde", jack, D, {"a": a, "b": b, "c": c},
-                       _first_failure(diff, n))
-    return _report("2k1-pde", jack, D, {"a": a, "b": b, "c": c})
+    return _verdict("2k1-pde", jack, D, {"a": a, "b": b, "c": c}, diff)
 
 
 def check_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
@@ -481,10 +477,8 @@ def check_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
                          deg=lambda e: ydeg(e, n))
     rhs = (KB * expz).filter_terms(lambda e: ydeg(e, n) <= D)
     diff = lhs - rhs
-    if not diff.is_zero:
-        return _report("laguerre-generating-function", jack, D, {"a": lb.a},
-                       _first_failure(diff, n))
-    return _report("laguerre-generating-function", jack, D, {"a": lb.a})
+    return _verdict("laguerre-generating-function", jack, D, {"a": lb.a},
+                    diff)
 
 
 def _binomial_prefactor_series(jack, exponent, D):
@@ -538,10 +532,7 @@ def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, laguerre=None, **_):
     rhs = _gf_rhs(jack, lb, weights, D)
     diff = lhs - rhs
     params = {"a": lb.a, "c": c}
-    if not diff.is_zero:
-        return _report("1k1-generating-function", jack, D, params,
-                       _first_failure(diff, n))
-    return _report("1k1-generating-function", jack, D, params)
+    return _verdict("1k1-generating-function", jack, D, params, diff)
 
 
 def check_ka_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
@@ -564,10 +555,8 @@ def check_ka_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
 
     rhs = _gf_rhs(jack, lb, weights, D)
     diff = lhs - rhs
-    if not diff.is_zero:
-        return _report("ka-laguerre-generating-function", jack, D, {"a": lb.a},
-                       _first_failure(diff, n))
-    return _report("ka-laguerre-generating-function", jack, D, {"a": lb.a})
+    return _verdict("ka-laguerre-generating-function", jack, D,
+                    {"a": lb.a}, diff)
 
 
 def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), laguerre=None, **_):
@@ -691,10 +680,7 @@ def check_hermite_summation(jack, D=None, T=4, hermite=None, **_):
     rhs = (pref * expf).filter_terms(lambda e: tdeg(e) <= T)
     rhs = (rhs * kern).filter_terms(lambda e: tdeg(e) <= T)
     diff = lhs - rhs
-    if not diff.is_zero:
-        return _report("hermite-summation", jack, T, {},
-                       {"exponents": list(min(diff.terms))})
-    return _report("hermite-summation", jack, T, {})
+    return _verdict("hermite-summation", jack, T, {}, diff)
 
 
 def check_laguerre_summation(jack, D=None, T=4, a=Fraction(1, 2), laguerre=None, **_):
@@ -730,10 +716,7 @@ def check_laguerre_summation(jack, D=None, T=4, a=Fraction(1, 2), laguerre=None,
     rhs = (pref * expf).filter_terms(lambda e: tdeg(e) <= T)
     rhs = (rhs * kern).filter_terms(lambda e: tdeg(e) <= T)
     diff = lhs - rhs
-    if not diff.is_zero:
-        return _report("laguerre-summation", jack, T, {"a": lb.a},
-                       {"exponents": list(min(diff.terms))})
-    return _report("laguerre-summation", jack, T, {"a": lb.a})
+    return _verdict("laguerre-summation", jack, T, {"a": lb.a}, diff)
 
 
 IDENTITY_CHECKS = {

@@ -15,7 +15,6 @@ operator is just the type-A one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 
 from .poly import SparsePoly, ZERO
 
@@ -79,15 +78,6 @@ def divide_by_difference(p, i, j):
     if rem:
         raise ArithmeticError("polynomial not divisible by (x_i - x_j)")
     return SparsePoly(p.n, quot)
-
-
-def compose(*ops):
-    """Compose operator callables; the rightmost acts first."""
-    return lambda p: reduce(lambda q, f: f(q), reversed(ops), p)
-
-
-def commutator(A, B):
-    return lambda p: A(B(p)) - B(A(p))
 
 
 class Operators:

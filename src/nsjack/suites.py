@@ -56,6 +56,58 @@ def _monomials(n, max_deg):
             for e in comb.compositions(n, w)]
 
 
+def _all_hold(check, items, holds, **info):
+    """Report whether ``holds`` is true on every item; a failing report
+    names the first item where it is not as ``witness``."""
+    for item in items:
+        if not holds(item):
+            return _ok(check, False, **info, witness=repr(item))
+    return _ok(check, True, **info)
+
+
+def _hecke(ops, op):
+    """Predicate: ``op`` and the simple transpositions satisfy the
+    Hecke-type relations on p."""
+    n = ops.n
+
+    def holds(p):
+        for i in range(n - 1):
+            if op(ops.s(p, i), i) - ops.s(op(p, i + 1), i) != p:
+                return False
+            if op(ops.s(p, i), i + 1) - ops.s(op(p, i), i) != -p:
+                return False
+        for i in range(n):
+            for j in range(n - 1):
+                if j in (i - 1, i):
+                    continue
+                if op(ops.s(p, j), i) != ops.s(op(p, i), j):
+                    return False
+        return True
+    return holds
+
+
+def _transposition_action(basis):
+    """Predicate: the simple transpositions act on basis.E(eta) by the
+    three-case rule (equal parts, descent, ascent)."""
+    E, s, al = basis.E, basis.ops.s, basis.alpha
+
+    def holds(eta):
+        p = E(eta)
+        for i in range(basis.n - 1):
+            if eta[i] == eta[i + 1]:
+                want = p
+            else:
+                gap = comb.delta_gap(eta, i, al)
+                if eta[i] > eta[i + 1]:
+                    want = p / gap + (1 - 1 / gap ** 2) * E(comb.si_map(eta, i))
+                else:
+                    want = p / gap + E(comb.si_map(eta, i))
+            if s(p, i) != want:
+                return False
+        return True
+    return holds
+
+
 # ---------------------------------------------------------------------------
 # operators
 
@@ -77,192 +129,130 @@ def suite_operators(alphas=DEFAULT_ALPHAS, max_weight=5, max_n=3,
 
 def _operator_identities(ops, basis, alpha, n):
     al = Fraction(alpha)
-    reps = []
-
-    def all_hold(name, fn):
-        for p in basis:
-            if not fn(p):
-                return _ok(name, False, n=n, alpha=str(al),
-                           witness=repr(p))
-        return _ok(name, True, n=n, alpha=str(al))
-
     x = [SparsePoly.variable(n, i) for i in range(n)]
 
     def comm_xi(p, i):
         return ops.dunkl(x[i] * p, i) - x[i] * ops.dunkl(p, i)
 
-    reps.append(all_hold(
-        "dunkl-position-commutator-diagonal",
-        lambda p: all(comm_xi(p, i) == p + sum(
-            (ops.swap(p, i, k) for k in range(n) if k != i),
-            SparsePoly.zero(n)) / al for i in range(n))))
-    reps.append(all_hold(
-        "dunkl-position-commutator-offdiagonal",
-        lambda p: all(ops.dunkl(x[j] * p, i) - x[j] * ops.dunkl(p, i)
-                      == -ops.swap(p, i, j) / al
-                      for i in range(n) for j in range(n) if i != j)))
-    reps.append(all_hold(
-        "dunkl-commutativity",
-        lambda p: all(ops.dunkl(ops.dunkl(p, j), i)
-                      == ops.dunkl(ops.dunkl(p, i), j)
-                      for i in range(n) for j in range(i + 1, n))))
-    reps.append(all_hold(
-        "cherednik-commutativity",
-        lambda p: all(ops.cherednik(ops.cherednik(p, j), i)
-                      == ops.cherednik(ops.cherednik(p, i), j)
-                      for i in range(n) for j in range(i + 1, n))))
-    reps.append(all_hold(
-        "cherednik-forms-agree",
-        lambda p: all(ops.cherednik(p, i) == ops.cherednik_direct(p, i)
-                      for i in range(n))))
-
-    def hecke(op):
-        def check(p):
-            for i in range(n - 1):
-                if op(ops.s(p, i), i) - ops.s(op(p, i + 1), i) != p:
-                    return False
-                if op(ops.s(p, i), i + 1) - ops.s(op(p, i), i) != -p:
-                    return False
-            for i in range(n):
-                for j in range(n - 1):
-                    if j in (i - 1, i):
-                        continue
-                    if op(ops.s(p, j), i) != ops.s(op(p, i), j):
-                        return False
-            return True
-        return check
-
-    reps.append(all_hold("hecke-relations", hecke(ops.cherednik)))
-    reps.append(all_hold("h-hecke-relations", hecke(ops.h_op)))
-    reps.append(all_hold(
-        "cherednik-dunkl-commutators",
-        lambda p: all(
-            (ops.cherednik(ops.dunkl(p, i), j) - ops.dunkl(ops.cherednik(p, j), i)
-             == ops.dunkl(ops.swap(p, i, j), min(i, j)))
-            for i in range(n) for j in range(n) if i != j)))
-    reps.append(all_hold(
-        "cherednik-dunkl-commutator-diagonal",
-        lambda p: all(
-            ops.cherednik(ops.dunkl(p, j), j) - ops.dunkl(ops.cherednik(p, j), j)
-            == -al * ops.dunkl(p, j)
-            - sum((ops.swap(ops.dunkl(p, j), j, k) for k in range(j)),
-                  SparsePoly.zero(n))
-            - sum((ops.dunkl(ops.swap(p, j, k), j) for k in range(j + 1, n)),
-                  SparsePoly.zero(n))
-            for j in range(n))))
-    reps.append(all_hold(
-        "lowering-intertwining",
-        lambda p: all(
-            ops.cherednik(ops.phi_hat(p), j) == ops.phi_hat(ops.cherednik(p, j - 1))
-            for j in range(1, n))
-        and ops.cherednik(ops.phi_hat(p), 0)
-        == ops.phi_hat(ops.cherednik(p, n - 1)) - al * ops.phi_hat(p)))
-    reps.append(all_hold(
-        "laplacian-commutators",
-        lambda p: all(
-            ops.cherednik(ops.laplacian_A(p), i) - ops.laplacian_A(ops.cherednik(p, i))
-            == -2 * al * ops.dunkl(ops.dunkl(p, i), i)
-            and ops.laplacian_A(x[i] * p) - x[i] * ops.laplacian_A(p)
-            == 2 * ops.dunkl(p, i)
-            for i in range(n))))
-    reps.append(all_hold(
-        "adjoint-raising-representation",
-        lambda p: ops.phi_hat_star(p)
-        == 2 * ops.phi(p) + (ops.phi(ops.laplacian_A(p))
-                             - ops.laplacian_A(ops.phi(p))) / 2))
-    reps.append(all_hold(
-        "gaussian-ladder-intertwining",
-        lambda p: all(
-            ops.h_op(ops.phi_hat_star(p), i) == ops.phi_hat_star(ops.h_op(p, i + 1))
-            for i in range(n - 1))
-        and ops.h_op(ops.phi_hat_star(p), n - 1)
-        == ops.phi_hat_star(ops.h_op(p, 0)) + al * ops.phi_hat_star(p)
-        and all(ops.h_op(ops.phi_hat(p), i) == ops.phi_hat(ops.h_op(p, i - 1))
-                for i in range(1, n))
-        and ops.h_op(ops.phi_hat(p), 0)
-        == ops.phi_hat(ops.h_op(p, n - 1)) - al * ops.phi_hat(p)))
-    reps.append(all_hold(
-        "euler-commutator-identity",
-        lambda p: ops.d1_tilde(p)
-        == (ops.euler(ops.d2_tilde(p), 0) - ops.d2_tilde(ops.euler(p, 0))) / 2))
-    return reps
+    checks = [
+        ("dunkl-position-commutator-diagonal",
+         lambda p: all(comm_xi(p, i) == p + sum(
+             (ops.swap(p, i, k) for k in range(n) if k != i),
+             SparsePoly.zero(n)) / al for i in range(n))),
+        ("dunkl-position-commutator-offdiagonal",
+         lambda p: all(ops.dunkl(x[j] * p, i) - x[j] * ops.dunkl(p, i)
+                       == -ops.swap(p, i, j) / al
+                       for i in range(n) for j in range(n) if i != j)),
+        ("dunkl-commutativity",
+         lambda p: all(ops.dunkl(ops.dunkl(p, j), i)
+                       == ops.dunkl(ops.dunkl(p, i), j)
+                       for i in range(n) for j in range(i + 1, n))),
+        ("cherednik-commutativity",
+         lambda p: all(ops.cherednik(ops.cherednik(p, j), i)
+                       == ops.cherednik(ops.cherednik(p, i), j)
+                       for i in range(n) for j in range(i + 1, n))),
+        ("cherednik-forms-agree",
+         lambda p: all(ops.cherednik(p, i) == ops.cherednik_direct(p, i)
+                       for i in range(n))),
+        ("hecke-relations", _hecke(ops, ops.cherednik)),
+        ("h-hecke-relations", _hecke(ops, ops.h_op)),
+        ("cherednik-dunkl-commutators",
+         lambda p: all(
+             (ops.cherednik(ops.dunkl(p, i), j) - ops.dunkl(ops.cherednik(p, j), i)
+              == ops.dunkl(ops.swap(p, i, j), min(i, j)))
+             for i in range(n) for j in range(n) if i != j)),
+        ("cherednik-dunkl-commutator-diagonal",
+         lambda p: all(
+             ops.cherednik(ops.dunkl(p, j), j) - ops.dunkl(ops.cherednik(p, j), j)
+             == -al * ops.dunkl(p, j)
+             - sum((ops.swap(ops.dunkl(p, j), j, k) for k in range(j)),
+                   SparsePoly.zero(n))
+             - sum((ops.dunkl(ops.swap(p, j, k), j) for k in range(j + 1, n)),
+                   SparsePoly.zero(n))
+             for j in range(n))),
+        ("lowering-intertwining",
+         lambda p: all(
+             ops.cherednik(ops.phi_hat(p), j) == ops.phi_hat(ops.cherednik(p, j - 1))
+             for j in range(1, n))
+         and ops.cherednik(ops.phi_hat(p), 0)
+         == ops.phi_hat(ops.cherednik(p, n - 1)) - al * ops.phi_hat(p)),
+        ("laplacian-commutators",
+         lambda p: all(
+             ops.cherednik(ops.laplacian_A(p), i) - ops.laplacian_A(ops.cherednik(p, i))
+             == -2 * al * ops.dunkl(ops.dunkl(p, i), i)
+             and ops.laplacian_A(x[i] * p) - x[i] * ops.laplacian_A(p)
+             == 2 * ops.dunkl(p, i)
+             for i in range(n))),
+        ("adjoint-raising-representation",
+         lambda p: ops.phi_hat_star(p)
+         == 2 * ops.phi(p) + (ops.phi(ops.laplacian_A(p))
+                              - ops.laplacian_A(ops.phi(p))) / 2),
+        ("gaussian-ladder-intertwining",
+         lambda p: all(
+             ops.h_op(ops.phi_hat_star(p), i) == ops.phi_hat_star(ops.h_op(p, i + 1))
+             for i in range(n - 1))
+         and ops.h_op(ops.phi_hat_star(p), n - 1)
+         == ops.phi_hat_star(ops.h_op(p, 0)) + al * ops.phi_hat_star(p)
+         and all(ops.h_op(ops.phi_hat(p), i) == ops.phi_hat(ops.h_op(p, i - 1))
+                 for i in range(1, n))
+         and ops.h_op(ops.phi_hat(p), 0)
+         == ops.phi_hat(ops.h_op(p, n - 1)) - al * ops.phi_hat(p)),
+        ("euler-commutator-identity",
+         lambda p: ops.d1_tilde(p)
+         == (ops.euler(ops.d2_tilde(p), 0) - ops.d2_tilde(ops.euler(p, 0))) / 2),
+    ]
+    return [_all_hold(name, basis, fn, n=n, alpha=str(al))
+            for name, fn in checks]
 
 
 def _type_b_identities(ops, basis, alpha, n, a):
     al = Fraction(alpha)
-    reps = []
-
-    def all_hold(name, fn):
-        for p in basis:
-            if not fn(p):
-                return _ok(name, False, n=n, alpha=str(al), a=str(a),
-                           witness=repr(p))
-        return _ok(name, True, n=n, alpha=str(al), a=str(a))
-
-    reps.append(all_hold(
-        "b-commutativity",
-        lambda p: all(ops.b_op(ops.b_op(p, j), i) == ops.b_op(ops.b_op(p, i), j)
-                      for i in range(n) for j in range(i + 1, n))))
-    reps.append(all_hold(
-        "l-commutativity",
-        lambda p: all(ops.l_op(ops.l_op(p, j), i) == ops.l_op(ops.l_op(p, i), j)
-                      for i in range(n) for j in range(i + 1, n))))
-    def hecke_l(p):
-        for i in range(n - 1):
-            if ops.l_op(ops.s(p, i), i) - ops.s(ops.l_op(p, i + 1), i) != p:
-                return False
-            if ops.l_op(ops.s(p, i), i + 1) - ops.s(ops.l_op(p, i), i) != -p:
-                return False
-        for i in range(n):
-            for j in range(n - 1):
-                if j in (i - 1, i):
-                    continue
-                if ops.l_op(ops.s(p, j), i) != ops.s(ops.l_op(p, i), j):
-                    return False
-        return True
-
-    reps.append(all_hold("l-hecke-relations", hecke_l))
-    reps.append(all_hold(
-        "cherednik-b-commutators",
-        lambda p: all(
-            (ops.cherednik(ops.b_op(p, i), j) - ops.b_op(ops.cherednik(p, j), i)
-             == ops.b_op(ops.swap(p, i, j), min(i, j)))
-            for i in range(n) for j in range(n) if i != j)))
-    reps.append(all_hold(
-        "cherednik-b-commutator-diagonal",
-        lambda p: all(
-            ops.cherednik(ops.b_op(p, j), j) - ops.b_op(ops.cherednik(p, j), j)
-            == -al * ops.b_op(p, j)
-            - sum((ops.swap(ops.b_op(p, j), j, k) for k in range(j)),
-                  SparsePoly.zero(n))
-            - sum((ops.b_op(ops.swap(p, j, k), j) for k in range(j + 1, n)),
-                  SparsePoly.zero(n))
-            for j in range(n))))
-    reps.append(all_hold(
-        "b-laplacian-commutator",
-        lambda p: all(
-            ops.cherednik(ops.laplacian_B(p), i) - ops.laplacian_B(ops.cherednik(p, i))
-            == -4 * al * ops.b_op(p, i)
-            for i in range(n))))
-    reps.append(all_hold(
-        "b-lowering-intertwining",
-        lambda p: all(
-            ops.cherednik(ops.psi_hat(p), j) == ops.psi_hat(ops.cherednik(p, j - 1))
-            for j in range(1, n))
-        and ops.cherednik(ops.psi_hat(p), 0)
-        == ops.psi_hat(ops.cherednik(p, n - 1)) - al * ops.psi_hat(p)))
-    reps.append(all_hold(
-        "laguerre-ladder-intertwining",
-        lambda p: all(
-            ops.l_op(ops.psi_hat_star(p), i) == ops.psi_hat_star(ops.l_op(p, i + 1))
-            for i in range(n - 1))
-        and ops.l_op(ops.psi_hat_star(p), n - 1)
-        == ops.psi_hat_star(ops.l_op(p, 0)) + al * ops.psi_hat_star(p)
-        and all(ops.l_op(ops.psi_hat(p), i) == ops.psi_hat(ops.l_op(p, i - 1))
-                for i in range(1, n))
-        and ops.l_op(ops.psi_hat(p), 0)
-        == ops.psi_hat(ops.l_op(p, n - 1)) - al * ops.psi_hat(p)))
-    return reps
+    checks = [
+        ("b-commutativity",
+         lambda p: all(ops.b_op(ops.b_op(p, j), i) == ops.b_op(ops.b_op(p, i), j)
+                       for i in range(n) for j in range(i + 1, n))),
+        ("l-commutativity",
+         lambda p: all(ops.l_op(ops.l_op(p, j), i) == ops.l_op(ops.l_op(p, i), j)
+                       for i in range(n) for j in range(i + 1, n))),
+        ("l-hecke-relations", _hecke(ops, ops.l_op)),
+        ("cherednik-b-commutators",
+         lambda p: all(
+             (ops.cherednik(ops.b_op(p, i), j) - ops.b_op(ops.cherednik(p, j), i)
+              == ops.b_op(ops.swap(p, i, j), min(i, j)))
+             for i in range(n) for j in range(n) if i != j)),
+        ("cherednik-b-commutator-diagonal",
+         lambda p: all(
+             ops.cherednik(ops.b_op(p, j), j) - ops.b_op(ops.cherednik(p, j), j)
+             == -al * ops.b_op(p, j)
+             - sum((ops.swap(ops.b_op(p, j), j, k) for k in range(j)),
+                   SparsePoly.zero(n))
+             - sum((ops.b_op(ops.swap(p, j, k), j) for k in range(j + 1, n)),
+                   SparsePoly.zero(n))
+             for j in range(n))),
+        ("b-laplacian-commutator",
+         lambda p: all(
+             ops.cherednik(ops.laplacian_B(p), i) - ops.laplacian_B(ops.cherednik(p, i))
+             == -4 * al * ops.b_op(p, i)
+             for i in range(n))),
+        ("b-lowering-intertwining",
+         lambda p: all(
+             ops.cherednik(ops.psi_hat(p), j) == ops.psi_hat(ops.cherednik(p, j - 1))
+             for j in range(1, n))
+         and ops.cherednik(ops.psi_hat(p), 0)
+         == ops.psi_hat(ops.cherednik(p, n - 1)) - al * ops.psi_hat(p)),
+        ("laguerre-ladder-intertwining",
+         lambda p: all(
+             ops.l_op(ops.psi_hat_star(p), i) == ops.psi_hat_star(ops.l_op(p, i + 1))
+             for i in range(n - 1))
+         and ops.l_op(ops.psi_hat_star(p), n - 1)
+         == ops.psi_hat_star(ops.l_op(p, 0)) + al * ops.psi_hat_star(p)
+         and all(ops.l_op(ops.psi_hat(p), i) == ops.psi_hat(ops.l_op(p, i - 1))
+                 for i in range(1, n))
+         and ops.l_op(ops.psi_hat(p), 0)
+         == ops.psi_hat(ops.l_op(p, n - 1)) - al * ops.psi_hat(p)),
+    ]
+    return [_all_hold(name, basis, fn, n=n, alpha=str(al), a=str(a))
+            for name, fn in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -279,156 +269,109 @@ def suite_jack(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
 
 def _jack_checks(jb, max_weight):
     n, al = jb.n, jb.alpha
-    reps = []
     etas = comb.compositions_up_to(n, max_weight)
 
-    def rep(check, ok, **info):
-        return _ok(check, ok, n=n, alpha=str(al), **info)
-
-    ok = True
-    for eta in etas:
+    def eigen_triangular_positive(eta):
         E = jb.E(eta)
         bars = comb.eta_bar_vec(eta, al)
-        if any(jb.ops.cherednik(E, i) != bars[i] * E for i in range(n)):
-            ok = False
-            break
-        lead = E.coeff(eta)
-        if lead != 1:
-            ok = False
-            break
-        if any(nu != eta and not comb.precedes(nu, eta) for nu in E.terms):
-            ok = False
-            break
-        if any(c <= 0 for c in E.terms.values()):
-            ok = False
-            break
-    reps.append(rep("jack-eigen-triangular-positive", ok,
-                    range=f"|eta|<={max_weight}"))
+        return (all(jb.ops.cherednik(E, i) == bars[i] * E for i in range(n))
+                and E.coeff(eta) == 1
+                and all(nu == eta or comb.precedes(nu, eta) for nu in E.terms)
+                and all(c > 0 for c in E.terms.values()))
 
-    reps.append(rep("jack-oracle-equivalence",
-                    all(jb.E(eta) == jb.E_oracle(eta) for eta in etas)))
+    def label_shift(eta):
+        """Multiplying by the full product of variables shifts the label."""
+        return all(SparsePoly.monomial(n, (p,) * n) * jb.E(eta)
+                   == jb.E(comb.add_to_all(eta, p)) for p in (1, 2))
 
-    reps.append(rep("jack-evaluation-all-ones",
-                    all(jb.E(eta).eval_exact([1] * n) == jb.eval_ones(eta)
-                        for eta in etas)))
-
-    # multiplying by the full product of variables shifts the label
-    ok = True
-    for eta in etas:
-        for p in (1, 2):
-            shifted = comb.add_to_all(eta, p)
-            xs = SparsePoly.monomial(n, (p,) * n)
-            if xs * jb.E(eta) != jb.E(shifted):
-                ok = False
-    reps.append(rep("jack-label-shift", ok))
-
-    # inversion: (x1...xn)^m E_eta(1/x) = E_(m - reversed eta)(reversed x)
-    ok = True
-    for eta in etas:
+    def inversion(eta):
+        """(x1...xn)^m E_eta(1/x) = E_(m - reversed eta)(reversed x)."""
         m = max(eta)
         lhs = SparsePoly.monomial(n, (m,) * n) * jb.E(eta).invert_vars()
         target = tuple(m - x for x in comb.reversed_eta(eta))
-        rhs = jb.E(target).permute_vars(tuple(range(n - 1, -1, -1)))
-        if lhs != rhs:
-            ok = False
-    reps.append(rep("jack-inversion", ok))
+        return lhs == jb.E(target).permute_vars(tuple(range(n - 1, -1, -1)))
 
-    # transposition action, all three cases
-    ok = True
-    for eta in etas:
-        E = jb.E(eta)
-        for i in range(n - 1):
-            got = jb.ops.s(E, i)
-            if eta[i] == eta[i + 1]:
-                want = E
-            else:
-                gap = comb.delta_gap(eta, i, al)
-                if eta[i] > eta[i + 1]:
-                    want = E / gap + (1 - 1 / gap ** 2) * jb.E(comb.si_map(eta, i))
-                else:
-                    want = E / gap + jb.E(comb.si_map(eta, i))
-            if got != want:
-                ok = False
-    reps.append(rep("jack-transposition-action", ok))
-
-    # raising and lowering constants on the plain basis
-    ok = True
-    for eta in etas:
+    def ladder_constants(eta):
+        """Raising and lowering constants on the plain basis."""
         if jb.ops.phi(jb.E(eta)) != jb.E(comb.phi_map(eta)):
-            ok = False
+            return False
         low = jb.ops.phi_hat(jb.E(eta))
         if eta[-1] == 0:
-            if not low.is_zero:
-                ok = False
-        else:
-            down = comb.phi_hat_map(eta)
-            c = (comb.d_prime_const(eta, al)
-                 / comb.d_prime_const(down, al) / al)
-            if low != c * jb.E(down):
-                ok = False
-    reps.append(rep("jack-ladder-constants", ok))
+            return low.is_zero
+        down = comb.phi_hat_map(eta)
+        c = comb.d_prime_const(eta, al) / comb.d_prime_const(down, al) / al
+        return low == c * jb.E(down)
 
-    # constants recursions along the ladder and transpositions
-    ok = True
-    for eta in etas:
+    def constant_recursions(eta):
+        """Recursions of the constants along the ladder and transpositions."""
         up = comb.phi_map(eta)
         bar1 = comb.eta_bar(eta, 0, al)
         if comb.d_const(up, al) / comb.d_const(eta, al) != bar1 + al + n:
-            ok = False
+            return False
         if comb.e_const(up, al) / comb.e_const(eta, al) != bar1 + al + n:
-            ok = False
+            return False
         if comb.d_prime_const(up, al) / comb.d_prime_const(eta, al) != bar1 + al + n - 1:
-            ok = False
+            return False
         if comb.eta_bar_vec(up, al) != tuple(
                 list(comb.eta_bar_vec(eta, al)[1:]) + [bar1 + al]):
-            ok = False
+            return False
         if eta[-1] >= 1:
             down = comb.phi_hat_map(eta)
             if (comb.d_prime_const(eta, al) / comb.d_prime_const(down, al)
                     != comb.eta_bar(eta, n - 1, al) + n - 1):
-                ok = False
+                return False
         for i in range(n - 1):
             if eta[i] > eta[i + 1]:
                 gap = comb.delta_gap(eta, i, al)
                 sw = comb.si_map(eta, i)
                 if comb.e_const(sw, al) != comb.e_const(eta, al):
-                    ok = False
+                    return False
                 if comb.d_const(sw, al) / comb.d_const(eta, al) != (gap + 1) / gap:
-                    ok = False
+                    return False
                 if comb.d_prime_const(sw, al) / comb.d_prime_const(eta, al) != gap / (gap - 1):
-                    ok = False
+                    return False
         # generalized factorial recursions at a generic parameter
         c = Fraction(5, 3)
         if comb.gen_fact(c, comb.si_map(eta, 0) if n > 1 else eta, al) != comb.gen_fact(c, eta, al):
-            ok = False
+            return False
         if comb.gen_fact(c, up, al) / comb.gen_fact(c, eta, al) != c + bar1 / al:
-            ok = False
+            return False
         if eta[-1] >= 1:
             down = comb.phi_hat_map(eta)
             if (comb.gen_fact(c, eta, al) / comb.gen_fact(c, down, al)
                     != c - 1 + comb.eta_bar(eta, n - 1, al) / al):
-                ok = False
-        if comb.e_const(eta, al) != al ** sum(eta) * comb.gen_fact(
-                Fraction(n) / al + 1, eta, al):
-            ok = False
-    reps.append(rep("jack-constant-recursions", ok))
+                return False
+        return comb.e_const(eta, al) == al ** sum(eta) * comb.gen_fact(
+            Fraction(n) / al + 1, eta, al)
 
-    # symmetric basis consistency
-    ok = True
-    for w in range(min(max_weight, 4) + 1):
-        for kappa in comb.partitions(w, n):
-            kpad = tuple(kappa) + (0,) * (n - len(kappa))
+    def symmetric_basis(eta):
+        """Sym E_eta against J; a partition label of weight <= 4 also
+        checks J itself."""
+        kappa = comb.eta_plus(eta)
+        if eta == kappa and sum(eta) <= 4:
             J = jb.J(kappa)
             if symmetrize(J) != factorial(n) * J:
-                ok = False
-            jk = comb.hook_norm_j(kpad, al)
-            if J.coeff(kpad) != jk / comb.d_prime_const(kpad, al):
-                ok = False
-    for eta in etas:
-        if symmetrize(jb.E(eta)) != jb.a_sym_const(eta) * jb.J(comb.eta_plus(eta)):
-            ok = False
-    reps.append(rep("jack-symmetric-basis", ok))
-    return reps
+                return False
+            if J.coeff(kappa) != comb.hook_norm_j(kappa, al) / comb.d_prime_const(kappa, al):
+                return False
+        return symmetrize(jb.E(eta)) == jb.a_sym_const(eta) * jb.J(kappa)
+
+    checks = [
+        ("jack-eigen-triangular-positive", eigen_triangular_positive,
+         {"range": f"|eta|<={max_weight}"}),
+        ("jack-oracle-equivalence",
+         lambda eta: jb.E(eta) == jb.E_oracle(eta), {}),
+        ("jack-evaluation-all-ones",
+         lambda eta: jb.E(eta).eval_exact([1] * n) == jb.eval_ones(eta), {}),
+        ("jack-label-shift", label_shift, {}),
+        ("jack-inversion", inversion, {}),
+        ("jack-transposition-action", _transposition_action(jb), {}),
+        ("jack-ladder-constants", ladder_constants, {}),
+        ("jack-constant-recursions", constant_recursions, {}),
+        ("jack-symmetric-basis", symmetric_basis, {}),
+    ]
+    return [_all_hold(name, etas, holds, n=n, alpha=str(al), **extra)
+            for name, holds, extra in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -439,98 +382,26 @@ def suite_hermite(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
     reps = []
     for alpha in alphas:
         for n in range(1, max_n + 1):
-            reps.extend(_hermite_checks(shared_hermite(n, alpha), max_weight))
+            hb = shared_hermite(n, alpha)
+            reps.extend(_family_checks(
+                "hermite", hb, max_weight, hb.ops.h_op, raise_scale=2,
+                pairing_value=_hermite_pairing_value,
+                ladder_extra=_hermite_norm_step))
     return reps
 
 
-def _hermite_checks(hb, max_weight):
-    jb = hb.jack
-    n, al = jb.n, jb.alpha
-    etas = comb.compositions_up_to(n, max_weight)
-    reps = []
+def _hermite_pairing_value(hb, eta):
+    al = hb.alpha
+    return (comb.d_prime_const(eta, al) * comb.e_const(eta, al)
+            / comb.d_const(eta, al) / al ** sum(eta))
 
-    def rep(check, ok, **info):
-        return _ok(check, ok, n=n, alpha=str(al), **info)
 
-    ok = True
-    for eta in etas:
-        E = hb.E(eta)
-        bars = comb.eta_bar_vec(eta, al)
-        if any(hb.ops.h_op(E, i) != bars[i] * E for i in range(n)):
-            ok = False
-        ham = hb.ops.laplacian_A(E) - 2 * hb.ops.euler(E, 1)
-        if ham != -2 * sum(eta) * E:
-            ok = False
-    reps.append(rep("hermite-eigen", ok))
-
-    ok = True
-    for eta in etas:
-        E = hb.E(eta)
-        for i in range(n - 1):
-            got = hb.ops.s(E, i)
-            if eta[i] == eta[i + 1]:
-                want = E
-            else:
-                gap = comb.delta_gap(eta, i, al)
-                if eta[i] > eta[i + 1]:
-                    want = E / gap + (1 - 1 / gap ** 2) * hb.E(comb.si_map(eta, i))
-                else:
-                    want = E / gap + hb.E(comb.si_map(eta, i))
-            if got != want:
-                ok = False
-    reps.append(rep("hermite-transposition-action", ok))
-
-    ok = True
-    for eta in etas:
-        if hb.raise_op(eta) != 2 * hb.E(comb.phi_map(eta)):
-            ok = False
-        low = hb.lower_op(eta)
-        c = hb.lower_constant(eta)
-        if eta[-1] == 0:
-            if not low.is_zero or c != 0:
-                ok = False
-        elif low != c * hb.E(comb.phi_hat_map(eta)):
-            ok = False
-        up = comb.phi_map(eta)
-        if (hb.norm_ratio(up) / hb.norm_ratio(eta)
-                != comb.d_prime_const(up, al)
-                / (2 * al * comb.d_prime_const(eta, al))):
-            ok = False
-    reps.append(rep("hermite-ladder", ok))
-
-    ok = True
-    same_weight = {}
-    for eta in etas:
-        same_weight.setdefault(sum(eta), []).append(eta)
-    for group in same_weight.values():
-        for eta in group:
-            row = hb.pairing_row(jb.E(eta))
-            for nu in group:
-                got = sum((c * row[e] for e, c in jb.E(nu).terms.items()),
-                          Fraction(0))
-                want = (comb.d_prime_const(eta, al) * comb.e_const(eta, al)
-                        / comb.d_const(eta, al) / al ** sum(eta)
-                        if nu == eta else Fraction(0))
-                if got != want:
-                    ok = False
-    reps.append(rep("hermite-pairing-values", ok,
-                    range=f"|eta|<={max_weight}"))
-
-    ok = True
-    r2 = _radius_squared(n)
-    for eta in etas:
-        comps = hb.harmonic_components(eta)
-        rebuilt = SparsePoly.zero(n)
-        for m, c in comps:
-            if not hb.ops.laplacian_A(c).is_zero:
-                ok = False
-            rebuilt = rebuilt + r2 ** m * c
-        if rebuilt != jb.E(eta):
-            ok = False
-        if hb.from_harmonics(eta, comps) != hb.E(eta):
-            ok = False
-    reps.append(rep("hermite-harmonic-decomposition", ok))
-    return reps
+def _hermite_norm_step(hb, eta):
+    """Raising multiplies the norm ratio by d'(phi eta) / (2 alpha d'(eta))."""
+    al = hb.alpha
+    up = comb.phi_map(eta)
+    return (hb.norm_ratio(up) / hb.norm_ratio(eta)
+            == comb.d_prime_const(up, al) / (2 * al * comb.d_prime_const(eta, al)))
 
 
 def suite_laguerre(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3,
@@ -539,99 +410,97 @@ def suite_laguerre(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3,
     for alpha in alphas:
         for n in range(1, max_n + 1):
             for a in a_set:
-                reps.extend(_laguerre_checks(shared_laguerre(n, alpha, a),
-                                             max_weight))
+                lb = shared_laguerre(n, alpha, a)
+                reps.extend(_family_checks(
+                    "laguerre", lb, max_weight, lb.ops.l_op, raise_scale=1,
+                    pairing_value=_laguerre_pairing_value,
+                    extra=(("value-at-origin", _laguerre_at_origin),),
+                    a=str(lb.a)))
     return reps
 
 
-def _laguerre_checks(lb, max_weight):
-    jb = lb.jack
-    n, al = jb.n, jb.alpha
+def _laguerre_pairing_value(lb, eta):
+    al = lb.alpha
+    return (Fraction(4) ** sum(eta) * comb.gen_fact(lb.shifted_a, eta, al)
+            * comb.d_prime_const(eta, al) * comb.e_const(eta, al)
+            / comb.d_const(eta, al) / al ** sum(eta))
+
+
+def _laguerre_at_origin(lb, eta):
+    return lb.at_zero(eta) == lb.E(eta).eval_exact([0] * lb.n)
+
+
+def _family_checks(family, fb, max_weight, eigen, raise_scale, pairing_value,
+                   ladder_extra=None, extra=(), **info):
+    """The checks every deformed family passes, on all labels of weight at
+    most ``max_weight``.
+
+    ``eigen`` is the family's Cherednik-type operator, ``raise_scale`` the
+    factor in raise_op(eta) = raise_scale * E(phi eta) and
+    ``pairing_value(fb, eta)`` the closed-form pairing diagonal.  The
+    predicate ``ladder_extra(fb, eta)`` joins the ladder report, and each
+    (name, predicate) in ``extra`` files its own report after it.
+    """
+    jb = fb.jack
+    n, al = fb.n, fb.alpha
     etas = comb.compositions_up_to(n, max_weight)
-    reps = []
+    info = dict(n=n, alpha=str(al), **info)
+    # the Hamiltonian lap - scale * euler has eigenvalue -scale * |eta|,
+    # scale being twice the x-degree of one native degree
+    scale = 2 * (2 // fb.radius_degree)
 
-    def rep(check, ok, **info):
-        return _ok(check, ok, n=n, alpha=str(al), a=str(lb.a), **info)
-
-    ok = True
-    for eta in etas:
-        E = lb.E(eta)
+    def eigen_ok(eta):
+        E = fb.E(eta)
         bars = comb.eta_bar_vec(eta, al)
-        if any(lb.ops.l_op(E, i) != bars[i] * E for i in range(n)):
-            ok = False
-        ham = lb.ops.laplacian_B(E) - 4 * lb.ops.euler(E, 1)
-        if ham != -4 * sum(eta) * E:
-            ok = False
-    reps.append(rep("laguerre-eigen", ok))
+        return (all(eigen(E, i) == bars[i] * E for i in range(n))
+                and fb.laplacian(E) - scale * fb.ops.euler(E, 1)
+                == -scale * sum(eta) * E)
 
-    ok = True
-    for eta in etas:
-        E = lb.E(eta)
-        for i in range(n - 1):
-            got = lb.ops.s(E, i)
-            if eta[i] == eta[i + 1]:
-                want = E
-            else:
-                gap = comb.delta_gap(eta, i, al)
-                if eta[i] > eta[i + 1]:
-                    want = E / gap + (1 - 1 / gap ** 2) * lb.E(comb.si_map(eta, i))
-                else:
-                    want = E / gap + lb.E(comb.si_map(eta, i))
-            if got != want:
-                ok = False
-    reps.append(rep("laguerre-transposition-action", ok))
-
-    ok = True
-    for eta in etas:
-        if lb.raise_op(eta) != lb.E(comb.phi_map(eta)):
-            ok = False
-        low = lb.lower_op(eta)
-        c = lb.lower_constant(eta)
+    def ladder_ok(eta):
+        if fb.raise_op(eta) != raise_scale * fb.E(comb.phi_map(eta)):
+            return False
+        low = fb.lower_op(eta)
+        c = fb.lower_constant(eta)
         if eta[-1] == 0:
             if not low.is_zero or c != 0:
-                ok = False
-        elif low != c * lb.E(comb.phi_hat_map(eta)):
-            ok = False
-    reps.append(rep("laguerre-ladder", ok))
+                return False
+        elif low != c * fb.E(comb.phi_hat_map(eta)):
+            return False
+        return ladder_extra is None or ladder_extra(fb, eta)
 
-    ok = all(lb.at_zero(eta) == lb.E(eta).eval_exact([0] * n) for eta in etas)
-    reps.append(rep("laguerre-value-at-origin", ok))
-
-    ok = True
     same_weight = {}
     for eta in etas:
         same_weight.setdefault(sum(eta), []).append(eta)
-    aq = lb.shifted_a
-    for group in same_weight.values():
-        for eta in group:
-            row = lb.pairing_row(jb.E(eta))
-            for nu in group:
-                got = sum((c * row[e] for e, c in jb.E(nu).terms.items()),
-                          Fraction(0))
-                want = (Fraction(4) ** sum(eta) * comb.gen_fact(aq, eta, al)
-                        * comb.d_prime_const(eta, al) * comb.e_const(eta, al)
-                        / comb.d_const(eta, al) / al ** sum(eta)
-                        if nu == eta else Fraction(0))
-                if got != want:
-                    ok = False
-    reps.append(rep("laguerre-pairing-values", ok,
-                    range=f"|eta|<={max_weight}"))
 
-    ok = True
-    r2 = _radius_squared(n, degree=1)
-    for eta in etas:
-        comps = lb.harmonic_components(eta)
+    def pairing_ok(eta):
+        row = fb.pairing_row(jb.E(eta))
+        for nu in same_weight[sum(eta)]:
+            got = sum((c * row[e] for e, c in jb.E(nu).terms.items()),
+                      Fraction(0))
+            if got != (pairing_value(fb, eta) if nu == eta else 0):
+                return False
+        return True
+
+    r = _radius_squared(n, fb.radius_degree)
+
+    def harmonic_ok(eta):
+        comps = fb.harmonic_components(eta)
         rebuilt = SparsePoly.zero(n)
         for m, c in comps:
-            if not lb.ops.laplacian_B(c).is_zero:
-                ok = False
-            rebuilt = rebuilt + r2 ** m * c
-        if rebuilt != jb.E(eta):
-            ok = False
-        if lb.from_harmonics(eta, comps) != lb.E(eta):
-            ok = False
-    reps.append(rep("laguerre-harmonic-decomposition", ok))
-    return reps
+            if not fb.laplacian(c).is_zero:
+                return False
+            rebuilt = rebuilt + r ** m * c
+        return rebuilt == jb.E(eta) and fb.from_harmonics(eta, comps) == fb.E(eta)
+
+    checks = [("eigen", eigen_ok, {}),
+              ("transposition-action", _transposition_action(fb), {}),
+              ("ladder", ladder_ok, {})]
+    checks += [(name, lambda eta, holds=holds: holds(fb, eta), {})
+               for name, holds in extra]
+    checks += [("pairing-values", pairing_ok, {"range": f"|eta|<={max_weight}"}),
+               ("harmonic-decomposition", harmonic_ok, {})]
+    return [_all_hold(f"{family}-{name}", etas, holds, **info, **more)
+            for name, holds, more in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -818,17 +687,31 @@ SUITES = {
 
 
 def run_suite(name, **kwargs):
-    """Run one suite (or 'all'); returns (all_passed, reports)."""
+    """Run one suite (or 'all'); returns (all_passed, reports).
+
+    'all' passes each suite the keywords it takes.  A named suite rejects
+    a keyword it does not take, a negative ``max_weight`` is rejected, and
+    a run that files no report is an error: it checked nothing.
+    """
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    if kwargs.get("max_weight", 0) < 0:
+        raise ValueError("max_weight must be non-negative")
     if name == "all":
-        reports = []
-        for fn in SUITES.values():
-            reports.extend(fn(**_accepted(fn, kwargs)))
+        fns = list(SUITES.values())
     else:
         try:
-            fn = SUITES[name]
+            fns = [SUITES[name]]
         except KeyError:
             raise ValueError(f"unknown suite {name!r}") from None
-        reports = fn(**_accepted(fn, kwargs))
+        dropped = set(kwargs) - set(_accepted(fns[0], kwargs))
+        if dropped:
+            raise ValueError(f"suite {name!r} does not take "
+                             f"{', '.join(sorted(dropped))}")
+    reports = []
+    for fn in fns:
+        reports.extend(fn(**_accepted(fn, kwargs)))
+    if not reports:
+        raise ValueError(f"suite {name!r} checks nothing at these sizes")
     return all(r["status"] == "pass" for r in reports), reports
 
 
@@ -836,4 +719,4 @@ def _accepted(fn, kwargs):
     import inspect
 
     sig = inspect.signature(fn)
-    return {k: v for k, v in kwargs.items() if k in sig.parameters and v is not None}
+    return {k: v for k, v in kwargs.items() if k in sig.parameters}

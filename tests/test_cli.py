@@ -101,3 +101,29 @@ def test_cache_dir(tmp_path):
     assert files, "cache file should have been written"
     r2 = run_cli("jack", "--eta", "2,1", "--n", "2", "--alpha", "1/2", env=env)
     assert r1.stdout == r2.stdout
+
+
+def _assert_usage_error(*args):
+    r = run_cli(*args)
+    assert r.returncode == 2, (r.returncode, r.stdout[:200], r.stderr[-300:])
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+def test_negative_kernel_degree_is_usage_error():
+    _assert_usage_error("kernel", "--family", "A", "--degree", "-1")
+
+
+def test_zero_ct_coupling_is_usage_error():
+    _assert_usage_error("norm", "--family", "ct", "--k", "0", "--eta", "1,0")
+
+
+def test_suite_that_checks_nothing_is_usage_error():
+    _assert_usage_error("verify", "--suite", "operators", "--max-n", "1")
+
+
+def test_negative_max_weight_is_usage_error():
+    _assert_usage_error("verify", "--suite", "jack", "--max-weight", "-1")
+
+
+def test_flag_a_named_suite_does_not_take_is_usage_error():
+    _assert_usage_error("verify", "--suite", "kernels", "--max-n", "0")

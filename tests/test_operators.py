@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nsjack.operators import (Operators, commutator, compose,
-                              divide_by_difference, divided_difference)
+from nsjack.operators import (Operators, divide_by_difference,
+                              divided_difference)
 from nsjack.poly import SparsePoly
 from nsjack.suites import suite_operators
 
@@ -129,16 +129,6 @@ def test_h_l_on_constants():
     for i in range(3):
         assert ops.h_op(one, i) == -i * one
         assert ops.l_op(one, i) == -i * one
-
-
-def test_compose_and_commutator_helpers():
-    ops = Operators(2, 1)
-    first = compose(lambda p: ops.s(p, 0), lambda p: p * x0)
-    # rightmost acts first: multiply by x0, then swap variables
-    assert first(x1) == x0 * x1
-    assert first(x0) == x1 * x1
-    com = commutator(lambda p: x0 * p, lambda p: p.diff(0))
-    assert com(x0) == -x0
 
 
 def test_operator_identity_suite():
