@@ -92,20 +92,40 @@ def _cache_path(kind, n, alpha, a=None):
     return os.path.join(root, tag + ".json")
 
 
+def _read_cache(path):
+    """The table in a cache file; a missing, unreadable or corrupt file
+    reads as empty, so it costs a recomputation, never a failed run."""
+    try:
+        with open(path) as fh:
+            table = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return {}
+    return table if isinstance(table, dict) else {}
+
+
+def _write_cache(path, table):
+    """Replace the cache file in one step: readers see the old table or the
+    new one, never a partial write."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(table, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _with_cache(path, key, compute):
     """Look up a polynomial in an optional JSON cache file."""
     if path is None:
         return compute()
-    table = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            table = json.load(fh)
+    table = _read_cache(path)
     if key in table:
         return SparsePoly.from_json_dict(table[key])
     poly = compute()
     table[key] = poly.to_json_dict()
-    with open(path, "w") as fh:
-        json.dump(table, fh)
+    _write_cache(path, table)
     return poly
 
 
@@ -113,7 +133,7 @@ def _add_common(sub, need_eta=True):
     if need_eta:
         sub.add_argument("--eta", required=True, help="composition, e.g. 2,0,1")
     sub.add_argument("--n", type=int, help="number of variables")
-    sub.add_argument("--alpha", default="1", help="coupling, e.g. 2 or 1/2")
+    sub.add_argument("--alpha", help="coupling, e.g. 2 or 1/2 (default 1)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", help="write output to a file")
 
@@ -184,7 +204,7 @@ def _dispatch(args):
         _emit(reports, args.format, args.out)
         return 0 if ok else 1
 
-    alpha = parse_fraction(args.alpha)
+    alpha = parse_fraction("1" if args.alpha is None else args.alpha)
     if args.command == "kernel":
         n = args.n or 2
         jb = JackBasis(n, alpha)
@@ -242,7 +262,7 @@ def _dispatch(args):
             if k < 1:
                 raise UsageError("--k must be a positive integer")
             alpha_ct = Fraction(1, k)
-            if args.alpha != "1" and alpha != alpha_ct:
+            if args.alpha is not None and alpha != alpha_ct:
                 raise UsageError("constant-term norm needs alpha = 1/k")
             jb_ct = JackBasis(n, alpha_ct)
             value = ct_norm_formula(eta, k)

@@ -80,7 +80,10 @@ class JackBasis:
         """Solve the joint Cherednik eigenproblem directly on monomials.
 
         Uses only the divided-difference form of the operators and exact
-        linear algebra, independently of the recursion above.
+        linear algebra, independently of the recursion above.  Column s of
+        the i-th block is the image of x^basis[s] under
+        ``cherednik_direct(., i)``, read from the operators' image cache,
+        so labels of one weight share their columns.
         """
         eta = tuple(eta)
         w = sum(eta)
@@ -98,23 +101,20 @@ class JackBasis:
         rows.append(row)
         rhs.append(Fraction(1))
         for i in range(self.n):
-            # action of the i-th operator on each basis monomial
-            cols = []
-            for nu in basis:
+            # (Y_i - eta_bar_i) p = 0, one row per basis monomial
+            block = [[Fraction(0)] * m for _ in range(m)]
+            for s, nu in enumerate(basis):
                 img = self.ops.cherednik_direct(SparsePoly.monomial(self.n, nu), i)
-                col = [Fraction(0)] * m
                 for e, c in img.terms.items():
                     t = index.get(e)
                     if t is None:
                         raise ArithmeticError(
                             "operator image left the triangular span; operator bug")
-                    col[t] = c
-                cols.append(col)
+                    block[t][s] = c
             for t in range(m):
-                row = [cols[s][t] for s in range(m)]
-                row[t] -= evec[i]
-                rows.append(row)
-                rhs.append(Fraction(0))
+                block[t][t] -= evec[i]
+            rows.extend(block)
+            rhs.extend([Fraction(0)] * m)
         sol = solve_exact(rows, rhs)
         return SparsePoly(self.n, {nu: sol[index[nu]] for nu in basis})
 

@@ -16,7 +16,38 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import SparsePoly, ZERO
+from .poly import ONE, SparsePoly, ZERO
+
+
+def _linear(formula):
+    """Turn ``formula(self, p, *idx)``, a linear operator, into a method
+    that applies it term by term through the instance's image cache.
+
+    The image of each monomial x^e is computed once per instance, keyed by
+    (operator name, index arguments, e); a call then costs one dict merge
+    per term of p.  The name keeps operators with equal arguments apart
+    (``cherednik`` and ``cherednik_direct`` never share images).
+    """
+    name = formula.__name__
+
+    def apply(self, p, *idx):
+        images = self._images
+        out = {}
+        for e, c in p.terms.items():
+            key = (name, idx, e)
+            img = images.get(key)
+            if img is None:
+                img = formula(self, SparsePoly(p.n, {e: ONE}), *idx).terms
+                images[key] = img
+            for f, d in img.items():
+                s = out.get(f)
+                out[f] = c * d if s is None else s + c * d
+        return SparsePoly(p.n, out)
+
+    apply.__name__ = name
+    apply.__qualname__ = formula.__qualname__
+    apply.__doc__ = formula.__doc__
+    return apply
 
 
 def divided_difference(p, i, j):
@@ -85,7 +116,9 @@ class Operators:
 
     ``block`` selects which ambient variables the n logical variables map
     to.  The optional parameter ``a`` enters only the type-B operators.
-    Instances are immutable and safe to share.
+    Instances are immutable apart from an append-only image cache (the
+    image of each monomial under each operator, see ``_linear``) and are
+    safe to share.
     """
 
     def __init__(self, n, alpha, a=None, block=None):
@@ -98,6 +131,7 @@ class Operators:
         self.vars = tuple(block) if block is not None else tuple(range(n))
         if len(self.vars) != n:
             raise ValueError("block size must equal the logical variable count")
+        self._images = {}
 
     def _require_a(self):
         if self.a is None:
@@ -138,6 +172,7 @@ class Operators:
 
     # -- type A --------------------------------------------------------
 
+    @_linear
     def dunkl(self, p, i):
         """Type-A Dunkl operator: d/dx_i plus exchange-divided-differences."""
         out = p.diff(self.vars[i])
@@ -147,6 +182,7 @@ class Operators:
                 acc = acc + self.dd(p, i, k)
         return out + acc / self.alpha
 
+    @_linear
     def cherednik(self, p, i):
         """Cherednik operator in composed form: alpha x_i T_i + 1 - n + sum s_ip."""
         out = self.alpha * (self._x(p, i) * self.dunkl(p, i)) + (1 - self.n) * p
@@ -154,6 +190,7 @@ class Operators:
             out = out + self.swap(p, i, k)
         return out
 
+    @_linear
     def cherednik_direct(self, p, i):
         """Cherednik operator from its divided-difference definition.
 
@@ -168,6 +205,7 @@ class Operators:
             out = out + self._x(p, k) * self.dd(p, i, k)
         return out
 
+    @_linear
     def laplacian_A(self, p):
         out = SparsePoly.zero(p.n)
         for i in range(self.n):
@@ -179,22 +217,26 @@ class Operators:
         q = self._chain_up(p, self.s)
         return self._x(p, self.n - 1) * q
 
+    @_linear
     def phi_hat(self, p):
         """Lowering operator: T_0 after the reverse swap cycle."""
         q = self._chain_down(p, self.s)
         return self.dunkl(q, 0)
 
+    @_linear
     def phi_hat_star(self, p):
         """Adjoint of the lowering operator for the Gaussian pairing."""
         q = 2 * (self._x(p, 0) * p) - self.dunkl(p, 0)
         return self._chain_up(q, self.s)
 
+    @_linear
     def h_op(self, p, i):
         """Eigenoperator of the Gaussian-deformed family."""
         return self.cherednik(p, i) - (self.alpha / 2) * self.dunkl(self.dunkl(p, i), i)
 
     # -- Euler-type and second-order operators --------------------------
 
+    @_linear
     def euler(self, p, k):
         """sum_i x_i^k d/dx_i (degree operator for k = 1)."""
         out = SparsePoly.zero(p.n)
@@ -205,6 +247,7 @@ class Operators:
                 out = out + self._x(p, i, k) * p.diff(self.vars[i])
         return out
 
+    @_linear
     def d2_tilde(self, p):
         """Degree-preserving second-order eigenoperator of the E basis.
 
@@ -224,6 +267,7 @@ class Operators:
                 acc = acc + divide_by_difference(num, self.vars[j], self.vars[k])
         return out + 2 * acc / self.alpha
 
+    @_linear
     def d1_tilde(self, p):
         """Degree-lowering companion of ``d2_tilde`` (half its commutator
         with sum d_j)."""
@@ -242,6 +286,7 @@ class Operators:
 
     # -- type B (squared variables) -------------------------------------
 
+    @_linear
     def b_op(self, p, i):
         """Squared-variable building block of the type-B Laplacian:
 
@@ -260,6 +305,7 @@ class Operators:
     # substitution, so the y-space version is the same callable
     cherednik_hat = cherednik
 
+    @_linear
     def dunkl_B_even(self, p, i):
         """Type-B Dunkl operator applied to an even polynomial.
 
@@ -273,6 +319,7 @@ class Operators:
         e[self.vars[i]] = 1
         return 2 * (SparsePoly.monomial(p.n, tuple(e)) * ti)
 
+    @_linear
     def laplacian_B(self, p):
         """Type-B Laplacian on squared-variable polynomials (equals 4 sum B_i)."""
         out = SparsePoly.zero(p.n)
@@ -280,6 +327,7 @@ class Operators:
             out = out + self.b_op(p, i)
         return 4 * out
 
+    @_linear
     def l_op(self, p, i):
         """Eigenoperator of the Laguerre-type family."""
         return self.cherednik(p, i) - self.alpha * self.b_op(p, i)
@@ -290,11 +338,13 @@ class Operators:
         q = self._chain_up(p, self.s)
         return self._x(p, self.n - 1) * q
 
+    @_linear
     def psi_hat(self, p):
         """Type-B lowering operator: B_0 after the reverse swap cycle."""
         q = self._chain_down(p, self.s)
         return self.b_op(q, 0)
 
+    @_linear
     def psi_hat_star(self, p):
         """Adjoint of the type-B lowering operator for the Laguerre pairing:
 

@@ -13,7 +13,6 @@ from math import factorial
 
 from . import combinat as comb
 from . import kernels
-from . import quadrature as quad
 from .cterm import (SahiInner, ct_inner, ct_norm_formula, kadell_ratio_check,
                     norm_relation_check)
 from .hermite_laguerre import HermiteBasis, LaguerreBasis, _radius_squared
@@ -643,6 +642,10 @@ def suite_sahi(alphas=(Fraction(1), Fraction(2), Fraction(7, 5)), max_weight=3,
 
 def suite_numeric(alphas=(Fraction(1), Fraction(2)), a_set=DEFAULT_A_SET,
                   max_weight=3, D=6):
+    # numpy and scipy load only here, so the exact suites and the CLI
+    # start without them
+    from . import quadrature as quad
+
     reps = list(quad.check_classical_reductions())
     for alpha in alphas:
         for n in (1, 2):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, env=None):
     import os
@@ -127,3 +129,83 @@ def test_negative_max_weight_is_usage_error():
 
 def test_flag_a_named_suite_does_not_take_is_usage_error():
     _assert_usage_error("verify", "--suite", "kernels", "--max-n", "0")
+
+
+def test_ct_norm_rejects_explicit_alpha_one_for_k_two():
+    r = run_cli("norm", "--family", "ct", "--eta", "1,0", "--k", "2",
+                "--alpha", "1")
+    assert r.returncode == 2, (r.returncode, r.stdout)
+    assert r.stderr.strip() == "error: constant-term norm needs alpha = 1/k"
+
+
+def test_ct_norm_accepts_matching_or_omitted_alpha():
+    r = run_cli("norm", "--family", "ct", "--eta", "1,0", "--k", "1",
+                "--alpha", "1")
+    assert r.returncode == 0 and r.stdout.strip() == '"3/2"'
+    omitted = run_cli("norm", "--family", "ct", "--eta", "1,0", "--k", "2")
+    explicit = run_cli("norm", "--family", "ct", "--eta", "1,0", "--k", "2",
+                       "--alpha", "1/2")
+    assert omitted.returncode == explicit.returncode == 0
+    assert omitted.stdout == explicit.stdout == '"10/3"\n'
+
+
+def test_corrupt_cache_file_is_a_miss(tmp_path):
+    uncached = run_cli("jack", "--eta", "2,1", "--alpha", "1/2")
+    env = {"NSJACK_CACHE_DIR": str(tmp_path)}
+    first = run_cli("jack", "--eta", "2,1", "--alpha", "1/2", env=env)
+    [cache_file] = list(tmp_path.iterdir())
+    cache_file.write_text("{bad")
+    r = run_cli("jack", "--eta", "2,1", "--alpha", "1/2", env=env)
+    assert r.returncode == 0, r.stderr[-300:]
+    assert r.stdout == first.stdout == uncached.stdout
+    # the file was rewritten as a valid table holding the entry
+    table = json.loads(cache_file.read_text())
+    assert table == {"(2, 1)": json.loads(uncached.stdout)}
+    assert list(tmp_path.iterdir()) == [cache_file]
+
+
+def test_cache_writes_leave_no_temp_files(tmp_path):
+    env = {"NSJACK_CACHE_DIR": str(tmp_path)}
+    for eta in ("1,0", "0,1", "2,1"):
+        assert run_cli("jack", "--eta", eta, env=env).returncode == 0
+    assert run_cli("hermite", "--eta", "1,0", env=env).returncode == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["hermite_n2_alpha1.json", "jack_n2_alpha1.json"]
+    assert len(json.loads((tmp_path / "jack_n2_alpha1.json").read_text())) == 3
+
+
+def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
+    from nsjack import cli
+
+    monkeypatch.setenv("NSJACK_CACHE_DIR", str(tmp_path))
+    assert cli.main(["jack", "--eta", "1,0"]) == 0
+    [cache_file] = list(tmp_path.iterdir())
+    before = cache_file.read_bytes()
+
+    def dump_then_fail(obj, fh):
+        fh.write('{"partial')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        cli.main(["jack", "--eta", "0,1"])
+    assert cache_file.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [cache_file]
+
+
+def test_concurrent_cache_writers_leave_a_valid_file(tmp_path):
+    import os
+
+    env = dict(os.environ, NSJACK_CACHE_DIR=str(tmp_path))
+    etas = ("1,0,0", "0,1,0", "0,0,1", "1,1,0", "2,0,1", "0,2,1")
+    procs = [subprocess.Popen([sys.executable, "-m", "nsjack.cli", "jack",
+                               "--eta", eta], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for eta in etas]
+    for p in procs:
+        p.communicate(timeout=120)
+        assert p.returncode == 0
+    [cache_file] = list(tmp_path.iterdir())
+    table = json.loads(cache_file.read_text())
+    assert table and set(table) <= {str(tuple(map(int, e.split(","))))
+                                    for e in etas}

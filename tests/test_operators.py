@@ -135,3 +135,94 @@ def test_operator_identity_suite():
     reports = suite_operators(alphas=(F(7, 5), F(1, 2)), max_weight=5, max_n=3)
     bad = [r for r in reports if r["status"] != "pass"]
     assert not bad, bad[:3]
+
+
+# -- the per-instance image cache ---------------------------------------
+
+MEMOIZED = {
+    # operator name: index arguments it is applied with
+    "dunkl": [(0,), (1,), (2,)],
+    "cherednik": [(0,), (2,)],
+    "cherednik_direct": [(0,), (2,)],
+    "laplacian_A": [()],
+    "phi_hat": [()],
+    "phi_hat_star": [()],
+    "h_op": [(0,), (1,)],
+    "euler": [(0,), (1,), (2,)],
+    "d1_tilde": [()],
+    "d2_tilde": [()],
+    "b_op": [(0,), (2,)],
+    "dunkl_B_even": [(1,)],
+    "laplacian_B": [()],
+    "l_op": [(0,), (1,)],
+    "psi_hat": [()],
+    "psi_hat_star": [()],
+}
+
+
+def _mixed_polys():
+    def mono(*e):
+        return SparsePoly.monomial(3, e)
+
+    return [
+        mono(2, 1, 0) - F(3, 7) * mono(0, 1, 1) + 5,
+        F(1, 2) * mono(1, 0, 2) + mono(2, 1, 0) + mono(0, 0, 3),
+        mono(1, 1, 1) - mono(2, 0, 0) + F(2, 3) * mono(0, 2, 1),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_warmed_instance_matches_fresh_instance(name):
+    polys = _mixed_polys()
+    warm = Operators(3, F(7, 5), a=F(1, 2))
+    # warm the cache with every monomial of every test polynomial, and with
+    # the polynomials themselves, so that later calls are pure cache hits
+    for idx in MEMOIZED[name]:
+        for p in polys:
+            for e in p.terms:
+                getattr(warm, name)(SparsePoly.monomial(3, e), *idx)
+            getattr(warm, name)(p, *idx)
+    for idx in MEMOIZED[name]:
+        for p in polys:
+            fresh = Operators(3, F(7, 5), a=F(1, 2))
+            assert getattr(warm, name)(p, *idx) == getattr(fresh, name)(p, *idx)
+
+
+def test_images_do_not_leak_between_instances():
+    p = SparsePoly.monomial(3, (2, 0, 1))
+    q = SparsePoly.monomial(6, (2, 0, 1, 1, 0, 2))
+    instances = [Operators(3, F(7, 5), a=F(1, 2)), Operators(3, 2, a=F(1, 2)),
+                 Operators(3, F(7, 5), a=1)]
+    got = [(ops.b_op(p, 0), ops.l_op(p, 1), ops.dunkl(p, 0)) for ops in instances]
+    for ops, want in zip(instances, got):
+        # a fresh instance with the same parameters agrees with the one
+        # used amid the others
+        twin = Operators(ops.n, ops.alpha, a=ops.a)
+        assert (twin.b_op(p, 0), twin.l_op(p, 1), twin.dunkl(p, 0)) == want
+    # alpha changes the Dunkl image, a changes the B image
+    assert got[0][2] != got[1][2]
+    assert got[0][0] != got[2][0]
+    # the same exponent vector under two blocks of one ambient space
+    left = Operators(3, F(7, 5), block=range(3))
+    right = Operators(3, F(7, 5), block=range(3, 6))
+    assert left.dunkl(q, 0) != right.dunkl(q, 0)
+    assert right.dunkl(q, 0) == Operators(3, F(7, 5), block=range(3, 6)).dunkl(q, 0)
+    assert left.dunkl(q, 0) == Operators(3, F(7, 5), block=range(3)).dunkl(q, 0)
+
+
+def test_cherednik_forms_do_not_share_images(monkeypatch):
+    """A wrong direct form must fail the cross-check even when it goes
+    through the same image cache as the composed form."""
+    from nsjack.operators import _linear
+
+    right = Operators.cherednik_direct
+
+    @_linear
+    def cherednik_direct(self, p, i):
+        return right(self, p, i) + self._x(p, i)
+
+    monkeypatch.setattr(Operators, "cherednik_direct", cherednik_direct)
+    reports = suite_operators(alphas=(F(7, 5),), max_weight=1, max_n=3)
+    forms = [r for r in reports if r["check"] == "cherednik-forms-agree"]
+    assert forms and all(r["status"] == "fail" and "witness" in r
+                         for r in forms)
