@@ -1,6 +1,7 @@
 """Command-line front end: compute objects, emit tables, run verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (an ``OSError``, such as an unwritable ``NSJACK_CACHE_DIR``).  Output is
 deterministic byte-for-byte for fixed flags (canonical term ordering).
 """
 
@@ -299,6 +300,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ class JackBasis:
         self.n = n
         self.alpha = alpha
         self.ops = Operators(n, alpha)
-        self._cache = {}
+        self._cache = {(0,) * n: SparsePoly.one(n)}
         self._j_cache = {}
 
     # -- the recursion ---------------------------------------------------
@@ -55,24 +55,35 @@ class JackBasis:
             raise ValueError("composition length must equal the variable count")
         if any(x < 0 for x in eta):
             raise ValueError("composition parts must be non-negative")
-        got = self._cache.get(eta)
+        cache = self._cache
+        got = cache.get(eta)
         if got is not None:
             return got
-        if sum(eta) == 0:
-            poly = SparsePoly.one(self.n)
-        elif eta[-1] >= 1:
-            # undo the raising map: eta = phi(lowered)
-            lowered = comb.phi_hat_map(eta)
-            poly = self.ops.phi(self.E(lowered))
-        else:
-            # swap at the last descent; the swapped label is strictly smaller
-            i = max(i for i in range(self.n - 1) if eta[i] > eta[i + 1])
-            nu = comb.si_map(eta, i)
-            gap = comb.delta_gap(nu, i, self.alpha)
-            e_nu = self.E(nu)
-            poly = self.ops.s(e_nu, i) - e_nu / gap
-        self._cache[eta] = poly
-        return poly
+        # Each label is built from one strictly smaller label.  Walk down
+        # that chain to a cached label (at the latest the constant, cached
+        # from the start), then build back up, so long chains need no
+        # recursion.
+        chain = []
+        label = eta
+        while label not in cache:
+            if label[-1] >= 1:
+                # undo the raising map: label = phi(lowered)
+                source, i = comb.phi_hat_map(label), None
+            else:
+                # swap at the last descent; the swapped label is smaller
+                i = max(i for i in range(self.n - 1) if label[i] > label[i + 1])
+                source = comb.si_map(label, i)
+            chain.append((label, source, i))
+            label = source
+        for label, source, i in reversed(chain):
+            e_src = cache[source]
+            if i is None:
+                poly = self.ops.phi(e_src)
+            else:
+                gap = comb.delta_gap(source, i, self.alpha)
+                poly = self.ops.s(e_src, i) - e_src / gap
+            cache[label] = poly
+        return cache[eta]
 
     # -- independent oracle ------------------------------------------------
 

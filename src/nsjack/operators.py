@@ -15,8 +15,9 @@ operator is just the type-A one.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .poly import ONE, SparsePoly, ZERO
+from .poly import SparsePoly, _from_num
 
 
 def _linear(formula):
@@ -24,25 +25,32 @@ def _linear(formula):
     that applies it term by term through the instance's image cache.
 
     The image of each monomial x^e is computed once per instance, keyed by
-    (operator name, index arguments, e); a call then costs one dict merge
-    per term of p.  The name keeps operators with equal arguments apart
-    (``cherednik`` and ``cherednik_direct`` never share images).
+    (operator name, index arguments, e), and kept as its (numerators,
+    denominator) pair; a call then brings the images it needs over one
+    common denominator (a single lcm) and merges them on integers.  The
+    name keeps operators with equal arguments apart (``cherednik`` and
+    ``cherednik_direct`` never share images).
     """
     name = formula.__name__
 
     def apply(self, p, *idx):
         images = self._images
-        out = {}
-        for e, c in p.terms.items():
+        hits = []
+        for e, c in p.num.items():
             key = (name, idx, e)
             img = images.get(key)
             if img is None:
-                img = formula(self, SparsePoly(p.n, {e: ONE}), *idx).terms
-                images[key] = img
-            for f, d in img.items():
+                q = formula(self, SparsePoly.monomial(p.n, e), *idx)
+                img = images[key] = (q.num, q.den)
+            hits.append((c, img))
+        den = lcm(*[d for _, (_, d) in hits])
+        out = {}
+        for c, (num, d) in hits:
+            c *= den // d
+            for f, v in num.items():
                 s = out.get(f)
-                out[f] = c * d if s is None else s + c * d
-        return SparsePoly(p.n, out)
+                out[f] = c * v if s is None else s + c * v
+        return _from_num(p.n, {f: v for f, v in out.items() if v}, den * p.den)
 
     apply.__name__ = name
     apply.__qualname__ = formula.__qualname__
@@ -53,7 +61,7 @@ def _linear(formula):
 def divided_difference(p, i, j):
     """(p - s_ij p) / (x_i - x_j), computed exactly term by term."""
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p.num.items():
         a, b = e[i], e[j]
         if a == b:
             continue
@@ -66,12 +74,12 @@ def divided_difference(p, i, j):
             ne[i] = a - 1 - t
             ne[j] = b + t
             key = tuple(ne)
-            s = out.get(key, ZERO) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-    return SparsePoly(p.n, out)
+    return _from_num(p.n, out, p.den)
 
 
 def divide_by_difference(p, i, j):
@@ -82,7 +90,7 @@ def divide_by_difference(p, i, j):
     """
     quot = {}
     rem = {}
-    for e, c in p.terms.items():
+    for e, c in p.num.items():
         k = e[i]
         if k < 0:
             raise ValueError("division needs non-negative exponent in x_i")
@@ -92,7 +100,7 @@ def divide_by_difference(p, i, j):
             ne[i] = k - 1 - t
             ne[j] = e[j] + t
             key = tuple(ne)
-            s = quot.get(key, ZERO) + c
+            s = quot.get(key, 0) + c
             if s:
                 quot[key] = s
             else:
@@ -101,14 +109,14 @@ def divide_by_difference(p, i, j):
         ne[i] = 0
         ne[j] = e[j] + k
         key = tuple(ne)
-        s = rem.get(key, ZERO) + c
+        s = rem.get(key, 0) + c
         if s:
             rem[key] = s
         else:
             rem.pop(key, None)
     if rem:
         raise ArithmeticError("polynomial not divisible by (x_i - x_j)")
-    return SparsePoly(p.n, quot)
+    return _from_num(p.n, quot, p.den)
 
 
 class Operators:

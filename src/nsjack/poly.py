@@ -1,35 +1,127 @@
 """Exact sparse multivariate Laurent polynomials over the rationals.
 
-Polynomials are stored as a map from integer exponent vectors (length-n
-tuples, negative entries allowed) to nonzero ``Fraction`` coefficients.
-Everything here is pure and exact; floats never appear.
+A polynomial is stored as integer numerators over one shared positive
+denominator: ``num`` maps integer exponent vectors (length-n tuples,
+negative entries allowed) to non-zero ints, and ``den`` is a positive int
+with ``gcd(den, *num.values()) == 1``.  That form is canonical, so equal
+polynomials have equal ``(n, den, num)``, and ring operations run on
+Python ints instead of ``Fraction`` objects.  ``Fraction`` stays at the
+boundary: constructors and scalars take it, and ``terms``, ``coeff`` and
+the serializers hand it out.  Everything here is pure and exact; floats
+never appear.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, gcd, lcm
+from operator import add, itemgetter
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _raw(n, num, den):
+    """Wrap numerators over a denominator that are already in canonical form."""
+    p = object.__new__(SparsePoly)
+    p.n = n
+    p.num = num
+    p.den = den
+    return p
+
+
+def _from_num(n, num, den=1):
+    """The polynomial ``num / den``, reduced to canonical form.
+
+    ``num`` must hold no zero numerator and ``den`` must be positive; the
+    dict is taken over, not copied.
+    """
+    if den != 1:
+        g = gcd(den, *num.values()) if num else den
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    return _raw(n, num, den)
+
+
+class _Terms:
+    """Read-only view of a polynomial's coefficients as ``Fraction`` values.
+
+    It reads like a dict from exponent tuples to non-zero ``Fraction``
+    coefficients: ``len``, ``in``, iteration over exponents, ``[e]``,
+    ``get``, ``keys``, ``values``, ``items`` and ``==`` with a dict.  Each
+    value is built on access from the shared numerators, so the view costs
+    no memory of its own; ``values`` and ``items`` are one-pass iterators.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __len__(self):
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __contains__(self, e):
+        return e in self._num
+
+    def __getitem__(self, e):
+        return Fraction(self._num[e], self._den)
+
+    def get(self, e, default=None):
+        c = self._num.get(e)
+        return default if c is None else Fraction(c, self._den)
+
+    def keys(self):
+        return self._num.keys()
+
+    def values(self):
+        den = self._den
+        return (Fraction(c, den) for c in self._num.values())
+
+    def items(self):
+        den = self._den
+        return ((e, Fraction(c, den)) for e, c in self._num.items())
+
+    def __eq__(self, other):
+        if isinstance(other, _Terms):
+            return self._den == other._den and self._num == other._num
+        if isinstance(other, dict):
+            return len(other) == len(self._num) and all(
+                e in self._num and self[e] == c for e, c in other.items())
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class SparsePoly:
     """A sparse Laurent polynomial in a fixed number of variables.
 
     Instances are treated as immutable: all operations return new
-    polynomials and never mutate their arguments, so values can be
-    cached and shared freely.
+    polynomials and never mutate their arguments (or the ``num`` dicts
+    they share), so values can be cached and shared freely.
+    ``SparsePoly(n, terms)`` takes a map from exponent vectors to rational
+    coefficients; zero coefficients are dropped.  The value is held as
+    ``num`` (exponents to non-zero int numerators) over ``den`` in the
+    canonical form described in the module docstring; ``terms`` reads it
+    back as a read-only dict-like view of ``Fraction`` coefficients.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n, terms=None):
         if n < 1:
             raise ValueError("need at least one variable")
-        self.n = n
         clean = {}
+        den = 1
         if terms:
             for exps, c in terms.items():
                 if not isinstance(c, Fraction):
@@ -39,7 +131,12 @@ class SparsePoly:
                         raise ValueError(
                             f"exponent vector {exps} has length {len(exps)}, expected {n}")
                     clean[tuple(exps)] = c
-        self.terms = clean
+                    den = lcm(den, c.denominator)
+        self.n = n
+        # over the lcm of reduced denominators the numerators have no
+        # common factor with it, so this is already canonical
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
@@ -49,51 +146,58 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, n, c):
-        return cls(n, {(0,) * n: Fraction(c)})
+        return cls.monomial(n, (0,) * n, c)
 
     @classmethod
     def one(cls, n):
-        return cls.constant(n, 1)
+        return _raw(n, {(0,) * n: 1}, 1)
 
     @classmethod
     def variable(cls, n, i):
         """The monomial x_i (0-based index)."""
         e = [0] * n
         e[i] = 1
-        return cls(n, {tuple(e): ONE})
+        return _raw(n, {tuple(e): 1}, 1)
 
     @classmethod
     def monomial(cls, n, exps, coeff=1):
-        return cls(n, {tuple(exps): Fraction(coeff)})
+        return cls(n, {tuple(exps): coeff})
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def terms(self):
+        """The coefficients as a read-only dict-like view of Fractions."""
+        return _Terms(self.num, self.den)
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
+        c = self.num.get(tuple(exps))
+        return ZERO if c is None else Fraction(c, self.den)
 
     def constant_term(self):
         """Coefficient of the zero exponent vector (0 if absent)."""
-        return self.terms.get((0,) * self.n, ZERO)
+        return self.coeff((0,) * self.n)
 
     def total_degree(self):
         """Maximum exponent sum over terms (0 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     def is_homogeneous(self):
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self.num}
         return len(degrees) <= 1
 
     def is_laurent_free(self):
         """True if no exponent is negative (a genuine polynomial)."""
-        return all(min(e) >= 0 for e in self.terms) if self.terms else True
+        return all(min(e) >= 0 for e in self.num) if self.num else True
 
     def sorted_terms(self):
         """Terms in canonical order: descending lexicographic exponents."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        num, den = self.num, self.den
+        return [(e, Fraction(num[e], den)) for e in sorted(num, reverse=True)]
 
     # -- ring operations ----------------------------------------------
 
@@ -101,54 +205,83 @@ class SparsePoly:
         if self.n != other.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other, over the lcm of the two denominators.
+
+        Subtraction is this call with sign -1, so every sum or difference
+        of polynomials is one ``__add__`` call.
+        """
         if not isinstance(other, SparsePoly):
             other = SparsePoly.constant(self.n, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, m2 = d1, sign
+            out = dict(self.num)
+        else:
+            den = lcm(d1, d2)
+            m1, m2 = den // d1, sign * (den // d2)
+            out = {e: c * m1 for e, c in self.num.items()}
+        for e, c in other.num.items():
+            s = out.get(e, 0) + c * m2
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return SparsePoly(self.n, out)
+        return _from_num(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.n, {e: -c for e, c in self.terms.items()})
+        return _raw(self.n, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.n, other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, c):
+        """self * c for a rational c, reduced without a pass over the result.
+
+        With gcd(den, content) = 1 and gcd(a, b) = 1, the common factor of
+        (a * num) / (den * b) is gcd(a, den) * gcd(b, content).
+        """
+        if isinstance(c, int):
+            a, b = c, 1
+        else:
+            c = Fraction(c)
+            a, b = c.numerator, c.denominator
+        if a == 0:
+            return SparsePoly.zero(self.n)
+        g = gcd(a, self.den)
+        h = gcd(b, *self.num.values()) if b != 1 else 1
+        a //= g
+        if h == 1:
+            num = {e: v * a for e, v in self.num.items()}
+        else:
+            num = {e: v // h * a for e, v in self.num.items()}
+        return _raw(self.n, num, self.den // g * (b // h))
+
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            c = Fraction(other)
-            if c == 0:
-                return SparsePoly.zero(self.n)
-            return SparsePoly(self.n, {e: v * c for e, v in self.terms.items()})
+            return self._scale(other)
         self._check(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return SparsePoly(self.n, out)
+        return _from_num(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self * (ONE / Fraction(scalar))
+        return self._scale(ONE / Fraction(scalar))
 
     def __pow__(self, m):
         if not isinstance(m, int) or m < 0:
@@ -165,61 +298,70 @@ class SparsePoly:
 
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
-            return self.n == other.n and self.terms == other.terms
+            return self.n == other.n and self.den == other.den and self.num == other.num
         return self.is_zero if other == 0 else self == SparsePoly.constant(self.n, other)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self.num.items())))
 
     # -- substitutions and reindexings ----------------------------------
+    # A relabeling of exponents that is one-to-one keeps the numerators
+    # and the denominator as they are, so the result stays canonical.
+
+    def _reorder(self, order):
+        """Exponent vector e becomes (e[order[0]], ..., e[order[n-1]]); n >= 2."""
+        relabel = itemgetter(*order)
+        return _raw(self.n, {relabel(e): c for e, c in self.num.items()}, self.den)
 
     def swap_vars(self, i, j):
         """Exchange variables i and j."""
         if i == j:
             return self
-        out = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            le[i], le[j] = le[j], le[i]
-            out[tuple(le)] = c
-        return SparsePoly(self.n, out)
+        order = list(range(self.n))
+        order[i], order[j] = j, i
+        return self._reorder(order)
 
     def permute_vars(self, sigma):
         """Substitute x_i -> x_{sigma[i]} for every variable simultaneously."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.n
-            for i, ei in enumerate(e):
-                ne[sigma[i]] = ei
-            key = tuple(ne)
-            out[key] = out.get(key, ZERO) + c
-        return SparsePoly(self.n, out)
+        if sorted(sigma) != list(range(self.n)):
+            raise ValueError(f"{sigma} is not a permutation of the variables")
+        if self.n == 1:
+            return self
+        order = [0] * self.n
+        for i, target in enumerate(sigma):
+            order[target] = i
+        return self._reorder(order)
 
     def negate_var(self, i):
         """Substitute x_i -> -x_i."""
-        return SparsePoly(
-            self.n, {e: (c if e[i] % 2 == 0 else -c) for e, c in self.terms.items()})
+        return _raw(
+            self.n, {e: (c if e[i] % 2 == 0 else -c) for e, c in self.num.items()},
+            self.den)
 
     def negate_all_vars(self):
         """Substitute x_i -> -x_i for every i."""
-        return SparsePoly(
-            self.n,
-            {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()})
+        return _raw(
+            self.n, {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.num.items()},
+            self.den)
 
     def invert_vars(self):
         """Substitute x_i -> 1/x_i (exponent negation)."""
-        return SparsePoly(self.n, {tuple(-x for x in e): c for e, c in self.terms.items()})
+        return _raw(
+            self.n, {tuple(-x for x in e): c for e, c in self.num.items()}, self.den)
 
     def scale_exponents(self, m):
         """Substitute x_i -> x_i^m (used to write y-variable results in x^2)."""
-        return SparsePoly(self.n, {tuple(m * x for x in e): c for e, c in self.terms.items()})
+        if m == 0:
+            raise ValueError("scale_exponents needs a non-zero power")
+        return _raw(
+            self.n, {tuple(m * x for x in e): c for e, c in self.num.items()}, self.den)
 
     def shift_by_one(self, only=None):
         """Substitute x_i -> x_i + 1 (for every variable, or a chosen subset)."""
         p = self
         for i in (range(self.n) if only is None else only):
             out = {}
-            for e, c in p.terms.items():
+            for e, c in p.num.items():
                 k = e[i]
                 if k < 0:
                     raise ValueError("shift by one needs non-negative exponents")
@@ -227,24 +369,25 @@ class SparsePoly:
                     ne = list(e)
                     ne[i] = j
                     key = tuple(ne)
-                    s = out.get(key, ZERO) + c * comb(k, j)
+                    s = out.get(key, 0) + c * comb(k, j)
                     if s:
                         out[key] = s
                     else:
                         out.pop(key, None)
-            p = SparsePoly(self.n, out)
+            p = _from_num(self.n, out, p.den)
         return p
 
     def diff(self, i):
         """Partial derivative with respect to x_i."""
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
+        for e, c in self.num.items():
+            k = e[i]
+            if k == 0:
                 continue
             ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
-        return SparsePoly(self.n, out)
+            ne[i] = k - 1
+            out[tuple(ne)] = c * k
+        return _from_num(self.n, out, self.den)
 
     def eval_exact(self, point):
         """Evaluate at a point of rationals, exactly.
@@ -255,7 +398,7 @@ class SparsePoly:
             raise ValueError("point has wrong length")
         point = [Fraction(x) for x in point]
         total = ZERO
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             v = c
             for x, k in zip(point, e):
                 if k == 0:
@@ -263,15 +406,16 @@ class SparsePoly:
                 if x == 0:
                     if k < 0:
                         raise ValueError("pole: evaluation at 0 with negative exponent")
-                    v = ZERO
+                    v = 0
                     break
                 v *= x ** k
             total += v
-        return total
+        return total / self.den
 
     def filter_terms(self, keep):
         """Sub-polynomial of the terms whose exponent vector satisfies ``keep``."""
-        return SparsePoly(self.n, {e: c for e, c in self.terms.items() if keep(e)})
+        return _from_num(
+            self.n, {e: c for e, c in self.num.items() if keep(e)}, self.den)
 
     # -- serialization --------------------------------------------------
 
@@ -361,12 +505,12 @@ def geometric_substitution(p, var_indices, cap, deg=None):
     out = p
     for v in var_indices:
         acc = {}
-        for e, c in out.terms.items():
+        for e, c in out.num.items():
             k = e[v]
             if k < 0:
                 raise ValueError("geometric substitution needs non-negative exponents")
             if k == 0:
-                acc[e] = acc.get(e, ZERO) + c
+                acc[e] = c
                 continue
             # x^k/(1-x)^k = sum_m C(k-1+m, m) x^(k+m); the grading must
             # count variable v, so m <= cap - k bounds the expansion
@@ -376,10 +520,10 @@ def geometric_substitution(p, var_indices, cap, deg=None):
                 key = tuple(ne)
                 if deg(key) > cap:
                     continue
-                s = acc.get(key, ZERO) + c * comb(k - 1 + m, m)
+                s = acc.get(key, 0) + c * comb(k - 1 + m, m)
                 if s:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        out = SparsePoly(p.n, acc).filter_terms(lambda e: deg(e) <= cap)
+        out = _from_num(p.n, acc, out.den).filter_terms(lambda e: deg(e) <= cap)
     return out

@@ -4,8 +4,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 
 def run_cli(*args, env=None):
     import os
@@ -187,10 +185,19 @@ def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.json, "dump", dump_then_fail)
-    with pytest.raises(OSError):
-        cli.main(["jack", "--eta", "0,1"])
+    assert cli.main(["jack", "--eta", "0,1"]) == 3
     assert cache_file.read_bytes() == before
     assert list(tmp_path.iterdir()) == [cache_file]
+
+
+def test_uncreatable_cache_dir_is_internal_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    r = run_cli("jack", "--eta", "1,0",
+                env={"NSJACK_CACHE_DIR": str(blocker / "cache")})
+    assert r.returncode == 3, (r.returncode, r.stdout, r.stderr[-300:])
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_concurrent_cache_writers_leave_a_valid_file(tmp_path):

@@ -131,3 +131,39 @@ def test_eigenvector_check_four_variables():
             E = jb.E(eta)
             for i in range(4):
                 assert jb.ops.cherednik(E, i) == comb.eta_bar(eta, i, alpha) * E
+
+
+def test_long_lowering_chain_needs_no_recursion():
+    """E((0, 0, 60)) sits 180 labels above the constant; building it must
+    not depend on the interpreter's recursion limit."""
+    import os
+    import subprocess
+    import sys
+
+    import nsjack
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsjack.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "from nsjack.jack import JackBasis\n"
+            "sys.setrecursionlimit(150)\n"
+            "print(len(JackBasis(3, 1).E((0, 0, 60)).terms))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr[-500:]
+    assert r.stdout.strip() == "1830"
+
+
+def test_work_list_fills_the_cache_bottom_up():
+    jb = JackBasis(3, F(7, 5))
+    top = jb.E((0, 0, 2))
+    # each label is built from the one before it, from the constant up
+    assert list(jb._cache) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
+                               (0, 0, 2)]
+    assert jb.E((0, 0, 2)) is top
+    assert jb.ops.phi(jb.E((1, 0, 0))) == top
+    # a second label reuses the cached part of its chain
+    jb.E((0, 2, 0))
+    assert list(jb._cache)[-1] == (0, 2, 0) and len(jb._cache) == 6

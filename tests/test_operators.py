@@ -31,6 +31,10 @@ def test_divide_by_difference():
     assert divide_by_difference(p, 0, 1) == x0 ** 2 + 3 * x1
     with pytest.raises(ArithmeticError):
         divide_by_difference(x0, 0, 1)
+    q = x0 / 3 + F(1, 2) * x1 ** 2
+    assert divide_by_difference((x0 - x1) * q, 0, 1) == q
+    with pytest.raises(ArithmeticError):
+        divide_by_difference((x0 - x1) * q + F(1, 6), 0, 1)
 
 
 def test_dunkl_examples():

@@ -1,6 +1,7 @@
 """Exact polynomial core: ring laws, substitutions, serialization."""
 
 from fractions import Fraction as F
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -147,3 +148,153 @@ def test_constant_term_swap_symmetry(f, g):
 def test_symmetrize_idempotent_up_to_factorial(p):
     s = symmetrize(p)
     assert symmetrize(s) == 2 * s
+
+
+# -- the integer-numerator representation against a plain Fraction dict ----
+
+mixed_coeff = st.fractions(min_value=-50, max_value=50, max_denominator=36)
+exps3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+terms3 = st.dictionaries(exps3, mixed_coeff, max_size=6)
+scalars = mixed_coeff.filter(lambda c: c != 0)
+
+
+def canonical(p):
+    """Assert the stored form is canonical; returns p."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+    return p
+
+
+def nonzero(d):
+    return {e: F(c) for e, c in d.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return nonzero(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return nonzero(out)
+
+
+def ref_map(a, relabel, sign=lambda e: 1):
+    out = {}
+    for e, c in a.items():
+        key = relabel(e)
+        out[key] = out.get(key, 0) + sign(e) * c
+    return nonzero(out)
+
+
+def ref_diff(a, i):
+    return nonzero({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                    for e, c in a.items() if e[i]})
+
+
+def ref_shift(a, variables):
+    for i in variables:
+        out = {}
+        for e, c in a.items():
+            for j in range(e[i] + 1):
+                key = e[:i] + (j,) + e[i + 1:]
+                out[key] = out.get(key, 0) + c * comb(e[i], j)
+        a = nonzero(out)
+    return a
+
+
+def agrees(p, expected):
+    canonical(p)
+    assert p.terms == nonzero(expected)
+    assert dict(p.terms.items()) == nonzero(expected)
+    assert p == SparsePoly(p.n, expected)
+    assert hash(p) == hash(SparsePoly(p.n, expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms3, terms3, scalars)
+def test_ring_operations_match_fraction_reference(a, b, c):
+    p, q = canonical(SparsePoly(3, a)), canonical(SparsePoly(3, b))
+    a, b = nonzero(a), nonzero(b)
+    agrees(p, a)
+    agrees(p + q, ref_add(a, b))
+    agrees(p - q, ref_add(a, b, -1))
+    agrees(-p, ref_add({}, a, -1))
+    agrees(p * q, ref_mul(a, b))
+    agrees(p ** 2, ref_mul(a, a))
+    agrees(p * c, {e: v * c for e, v in a.items()})
+    agrees(c * p, {e: v * c for e, v in a.items()})
+    agrees(p * 6, {e: v * 6 for e, v in a.items()})
+    agrees(p / c, {e: v / c for e, v in a.items()})
+    agrees(p + c, ref_add(a, {(0, 0, 0): c}))
+    agrees(c - p, ref_add({(0, 0, 0): c}, a, -1))
+    agrees(p * 0, {})
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms3, st.permutations(range(3)), st.integers(0, 2), st.integers(0, 2))
+def test_substitutions_match_fraction_reference(a, sigma, i, j):
+    p = canonical(SparsePoly(3, a))
+    a = nonzero(a)
+
+    def swap(e):
+        le = list(e)
+        le[i], le[j] = le[j], le[i]
+        return tuple(le)
+
+    def permute(e):
+        ne = [0] * 3
+        for k, x in enumerate(e):
+            ne[sigma[k]] = x
+        return tuple(ne)
+
+    agrees(p.swap_vars(i, j), ref_map(a, swap))
+    agrees(p.permute_vars(sigma), ref_map(a, permute))
+    agrees(p.negate_var(i), ref_map(a, tuple, lambda e: (-1) ** e[i]))
+    agrees(p.negate_all_vars(), ref_map(a, tuple, lambda e: (-1) ** sum(e)))
+    agrees(p.invert_vars(), ref_map(a, lambda e: tuple(-x for x in e)))
+    agrees(p.scale_exponents(2), ref_map(a, lambda e: tuple(2 * x for x in e)))
+    agrees(p.diff(i), ref_diff(a, i))
+    agrees(p.filter_terms(lambda e: sum(e) % 2 == 0),
+           {e: c for e, c in a.items() if sum(e) % 2 == 0})
+    agrees(p.shift_by_one(), ref_shift(a, range(3)))
+    agrees(p.shift_by_one(only=[i]), ref_shift(a, [i]))
+    assert p.eval_exact([1, 1, 1]) == sum(a.values(), F(0))
+    assert p.sorted_terms() == sorted(a.items(), reverse=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms3)
+def test_scaling_round_trip_and_cancellation(a):
+    p = SparsePoly(3, a)
+    back = canonical(p * 3 / 3)
+    assert back == p and hash(back) == hash(p)
+    assert (back.den, back.num) == (p.den, p.num)
+    assert (p - p).terms == {}
+    assert canonical(p - p) == SparsePoly.zero(3)
+
+
+def test_terms_view_reads_like_a_dict():
+    p = SparsePoly(2, {(1, 0): F(1, 2), (0, 1): F(2, 3)})
+    assert (p.num, p.den) == ({(1, 0): 3, (0, 1): 4}, 6)
+    view = p.terms
+    assert len(view) == 2 and (1, 0) in view and (2, 2) not in view
+    assert view[(0, 1)] == F(2, 3) and view.get((2, 2)) is None
+    assert view.get((2, 2), F(0)) == 0
+    assert set(view) == set(view.keys()) == {(1, 0), (0, 1)}
+    assert sorted(view.values()) == [F(1, 2), F(2, 3)]
+    assert dict(view.items()) == {(1, 0): F(1, 2), (0, 1): F(2, 3)}
+    assert view == {(1, 0): F(1, 2), (0, 1): F(2, 3)}
+    assert view != {(1, 0): F(1, 2)}
+    assert view != {(1, 0): F(1, 2), (0, 1): F(2, 3), (1, 1): 0}
+    with pytest.raises(TypeError):
+        view[(1, 0)] = 1
