@@ -1,7 +1,8 @@
 """Command-line front end: compute objects, emit tables, run verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error (an ``OSError``, such as an unwritable ``NSJACK_CACHE_DIR``).  Output is
+error (an ``OSError``, such as an unwritable ``NSJACK_CACHE_DIR``, or any
+other unexpected exception, such as a ``MemoryError``).  Output is
 deterministic byte-for-byte for fixed flags (canonical term ordering).
 """
 
@@ -44,11 +45,6 @@ def parse_composition(text):
     if any(x < 0 for x in parts):
         raise UsageError("composition parts must be non-negative")
     return parts
-
-
-def _poly_rows(p):
-    return [[",".join(map(str, e)), str(c.numerator), str(c.denominator)]
-            for e, c in p.sorted_terms()]
 
 
 def _emit(payload, fmt, out):
@@ -302,6 +298,12 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # MemoryError, RecursionError or a bug: an internal error, never
+        # the verification-failure code
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -173,17 +173,25 @@ class JackBasis:
         """Expand a polynomial in the E basis; returns {eta: coefficient}.
 
         Peels the triangular leading terms degree by degree in descending
-        order, so only exact subtraction is needed.
+        order, so only exact subtraction is needed.  The leading label must
+        strictly decrease in ``order_key``; if it does not, E is not
+        triangular (a bug) and the peeling would never end, so it raises
+        ``ArithmeticError`` instead.
         """
         if not p.is_laurent_free():
             raise ValueError("can only expand genuine polynomials")
         out = {}
         residual = p
+        last = None
         while not residual.is_zero:
             eta = max(residual.terms, key=comb.order_key)
+            key = comb.order_key(eta)
+            if last is not None and key >= last:
+                raise ArithmeticError(
+                    f"peeling E{last[2]} left the leading label {eta}; "
+                    "E is not triangular")
+            last = key
             c = residual.terms[eta]
             out[eta] = c
             residual = residual - c * self.E(eta)
-            if eta in residual.terms:
-                raise ArithmeticError("peeling failed to clear the leading term")
         return out

@@ -6,6 +6,22 @@ the last n the y block.  Its bidegree-(d,d) slice is the weight-d part of
 the bilinear sum over labels, so an identity involving multiplication by
 an exponential or a binomial series is compared only on the degree range
 where both sides are complete; each check states its own range.
+
+Every bilinear sum here, the kernels and the sides of the generating-
+function and summation checks alike, is one call of ``_bilinear_sum``,
+and the kernels weigh a label by ``_weight`` = alpha^|eta| d/(d' e).  A
+deformed family (a ``DeformedBasis``) plugs into the checks through:
+
+- its generating function: the bilinear sum of E^family_eta(x) E_eta(z)
+  with the kernel weight times a family factor (2^|eta| for Hermite,
+  (-1)^|eta| / [a + q]_eta for Laguerre), against a transformed kernel;
+- its summation formula (``_summation``): the norm-weighted bilinear sum
+  of E^family_eta(x) E^family_eta(y) t^|eta| against
+  (1 - t^rho)^(-gamma) exp(-u (p_rho(x) + p_rho(y))) times the kernel
+  slices, slice d scaled by t^d (1 - t^rho)^(-(2/rho) d) and its x block
+  by the x-scale.  Here rho is the family's ``radius_degree``, gamma its
+  ``gamma`` and u = t^rho / (1 - t^rho); the kernel is K_A with x-scale 2
+  for Hermite and K_B(a) with x-scale 1 for Laguerre.
 """
 
 from __future__ import annotations
@@ -54,14 +70,8 @@ def scale_block(p, block, factor):
         {e: c * factor ** sum(e[i] for i in block) for e, c in p.terms.items()})
 
 
-def negate_block(p, block):
-    return scale_block(p, block, -1)
-
-
 def symmetrize_block(p, block):
     """Sum of p over all permutations of the block variables."""
-    from itertools import permutations
-
     total = SparsePoly.zero(p.n)
     idx = list(block)
     for perm in permutations(idx):
@@ -82,8 +92,37 @@ def p_power_sum(n, total, offset, k):
     return SparsePoly(total, out)
 
 
+def _series(total, var, c, step, cap):
+    """(1 - v^step)^(-c) in the variable ``var`` of ``total``, through
+    v-degree ``cap``."""
+    out = {}
+    for k, ck in enumerate(series_binomial(c, cap // step)):
+        e = [0] * total
+        e[var] = step * k
+        out[tuple(e)] = ck
+    return SparsePoly(total, out)
+
+
 # ---------------------------------------------------------------------------
 # kernels
+
+
+def _weight(jack, eta):
+    """The kernel weight alpha^|eta| d_eta / (d'_eta e_eta) of a label."""
+    al = jack.alpha
+    return al ** sum(eta) * comb.d_const(eta, al) / (
+        comb.d_prime_const(eta, al) * comb.e_const(eta, al))
+
+
+def _bilinear_sum(jack, F, G, weight, D, extra=0):
+    """sum_{|eta| <= D} weight(eta) F(eta)(x) G(eta)(y) in 2n + ``extra``
+    variables; ``weight`` may return a scalar or a polynomial in them."""
+    n = jack.n
+    total = SparsePoly.zero(2 * n + extra)
+    for w in range(D + 1):
+        for eta in comb.compositions(n, w):
+            total = total + weight(eta) * bilinear(F(eta), G(eta), n, extra)
+    return total
 
 
 def kernel_series(jack, up, down, D, extra=0):
@@ -93,23 +132,20 @@ def kernel_series(jack, up, down, D, extra=0):
 
     Raises if a denominator factor vanishes, naming the offending label.
     """
-    n, al = jack.n, jack.alpha
-    total = SparsePoly.zero(2 * n + extra)
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            coeff = al ** w * comb.d_const(eta, al) / (
-                comb.d_prime_const(eta, al) * comb.e_const(eta, al))
-            for u in up:
-                coeff *= comb.gen_fact(u, eta, al)
-            for v in down:
-                gv = comb.gen_fact(v, eta, al)
-                if gv == 0:
-                    raise ValueError(
-                        f"singular kernel parameter {v} at label {eta}")
-                coeff /= gv
-            E = jack.E(eta)
-            total = total + coeff * bilinear(E, E, n, extra)
-    return total
+    al = jack.alpha
+
+    def weight(eta):
+        coeff = _weight(jack, eta)
+        for u in up:
+            coeff *= comb.gen_fact(u, eta, al)
+        for v in down:
+            gv = comb.gen_fact(v, eta, al)
+            if gv == 0:
+                raise ValueError(f"singular kernel parameter {v} at label {eta}")
+            coeff /= gv
+        return coeff
+
+    return _bilinear_sum(jack, jack.E, jack.E, weight, D, extra)
 
 
 def kernel_KA(jack, D, extra=0):
@@ -317,14 +353,10 @@ def check_hermite_gf(jack, D, hermite=None, **_):
     """Generating function of the Gaussian-deformed family."""
     from .hermite_laguerre import HermiteBasis
 
-    n, al = jack.n, jack.alpha
+    n = jack.n
     hb = hermite or HermiteBasis(jack)
-    lhs = SparsePoly.zero(2 * n)
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            coeff = (2 * al) ** w * comb.d_const(eta, al) / (
-                comb.e_const(eta, al) * comb.d_prime_const(eta, al))
-            lhs = lhs + coeff * bilinear(hb.E(eta), jack.E(eta), n)
+    lhs = _bilinear_sum(jack, hb.E, jack.E,
+                        lambda eta: 2 ** sum(eta) * _weight(jack, eta), D)
     K2x = scale_block(kernel_KA(jack, D), range(n), 2)
     expz = exp_truncated(-p_power_sum(n, 2 * n, n, 2), D,
                          deg=lambda e: ydeg(e, n))
@@ -465,14 +497,10 @@ def check_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
     n, al = jack.n, jack.alpha
     lb = laguerre or LaguerreBasis(jack, a)
     aq = lb.shifted_a
-    lhs = SparsePoly.zero(2 * n)
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            coeff = ((-al) ** w / comb.gen_fact(aq, eta, al)
-                     * comb.d_const(eta, al)
-                     / (comb.d_prime_const(eta, al) * comb.e_const(eta, al)))
-            lhs = lhs + coeff * bilinear(lb.E(eta), jack.E(eta), n)
-    KB = negate_block(kernel_KB(jack, lb.a, D), range(n, 2 * n))
+    lhs = _bilinear_sum(
+        jack, lb.E, jack.E, lambda eta: (-1) ** sum(eta) * _weight(jack, eta)
+        / comb.gen_fact(aq, eta, al), D)
+    KB = scale_block(kernel_KB(jack, lb.a, D), range(n, 2 * n), -1)
     expz = exp_truncated(p_power_sum(n, 2 * n, n, 1), D,
                          deg=lambda e: ydeg(e, n))
     rhs = (KB * expz).filter_terms(lambda e: ydeg(e, n) <= D)
@@ -481,29 +509,25 @@ def check_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
                     diff)
 
 
-def _binomial_prefactor_series(jack, exponent, D):
-    """prod_i (1 - z_i)^(-exponent) truncated at y-degree D, in 2n vars."""
+def _geometric_gf(jack, lb, K, exponent, factor, D):
+    """lhs - rhs of a Laguerre generating function through the kernel K.
+
+    The left side is prod_i (1 - z_i)^(-exponent) K(-x, z/(1-z)), the
+    right side the bilinear sum of E^L_eta(x) E_eta(z) weighted by
+    (-1)^|eta| factor(eta) times the kernel weight, both through z-degree D.
+    """
     n = jack.n
-    coeffs = series_binomial(exponent, D)
-    out = SparsePoly.one(2 * n)
+    in_range = lambda e: ydeg(e, n) <= D
+    K = geometric_substitution(scale_block(K, range(n), -1), range(n, 2 * n), D,
+                               deg=lambda e: ydeg(e, n))
+    pref = SparsePoly.one(2 * n)
     for i in range(n):
-        uni = SparsePoly.zero(2 * n)
-        for k, ck in enumerate(coeffs):
-            e = [0] * (2 * n)
-            e[n + i] = k
-            uni = uni + SparsePoly.monomial(2 * n, tuple(e), ck)
-        out = (out * uni).filter_terms(lambda e: ydeg(e, n) <= D)
-    return out
-
-
-def _gf_rhs(jack, lag, weights, D):
-    """Bilinear sum of weights(eta) * E^L_eta(x) E_eta(z) up to weight D."""
-    n = jack.n
-    out = SparsePoly.zero(2 * n)
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            out = out + weights(eta) * bilinear(lag.E(eta), jack.E(eta), n)
-    return out
+        pref = (pref * _series(2 * n, n + i, exponent, 1, D)).filter_terms(in_range)
+    lhs = (pref * K).filter_terms(in_range)
+    rhs = _bilinear_sum(
+        jack, lb.E, jack.E,
+        lambda eta: (-1) ** sum(eta) * factor(eta) * _weight(jack, eta), D)
+    return lhs - rhs
 
 
 def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, laguerre=None, **_):
@@ -516,45 +540,20 @@ def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, laguerre=None, **_):
     aq = lb.shifted_a
     c = Fraction(c if c is not None else Fraction(3, 2))
     cq = c + 1 + Fraction(n - 1) / al
-    K = kernel_1K1(jack, cq, aq, D)
-    K = negate_block(K, range(n))
-    K = geometric_substitution(K, range(n, 2 * n), D,
-                               deg=lambda e: ydeg(e, n))
-    lhs = (_binomial_prefactor_series(jack, cq, D) * K).filter_terms(
-        lambda e: ydeg(e, n) <= D)
-
-    def weights(eta):
-        w = sum(eta)
-        return ((-al) ** w * comb.gen_fact(cq, eta, al)
-                / comb.gen_fact(aq, eta, al) * comb.d_const(eta, al)
-                / (comb.d_prime_const(eta, al) * comb.e_const(eta, al)))
-
-    rhs = _gf_rhs(jack, lb, weights, D)
-    diff = lhs - rhs
-    params = {"a": lb.a, "c": c}
-    return _verdict("1k1-generating-function", jack, D, params, diff)
+    diff = _geometric_gf(
+        jack, lb, kernel_1K1(jack, cq, aq, D), cq,
+        lambda eta: comb.gen_fact(cq, eta, al) / comb.gen_fact(aq, eta, al), D)
+    return _verdict("1k1-generating-function", jack, D, {"a": lb.a, "c": c},
+                    diff)
 
 
 def check_ka_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
     """Laguerre generating function through the type-A kernel."""
     from .hermite_laguerre import LaguerreBasis
 
-    n, al = jack.n, jack.alpha
     lb = laguerre or LaguerreBasis(jack, a)
-    aq = lb.shifted_a
-    K = negate_block(kernel_KA(jack, D), range(n))
-    K = geometric_substitution(K, range(n, 2 * n), D,
-                               deg=lambda e: ydeg(e, n))
-    lhs = (_binomial_prefactor_series(jack, aq, D) * K).filter_terms(
-        lambda e: ydeg(e, n) <= D)
-
-    def weights(eta):
-        w = sum(eta)
-        return ((-al) ** w * comb.d_const(eta, al)
-                / (comb.d_prime_const(eta, al) * comb.e_const(eta, al)))
-
-    rhs = _gf_rhs(jack, lb, weights, D)
-    diff = lhs - rhs
+    diff = _geometric_gf(jack, lb, kernel_KA(jack, D), lb.shifted_a,
+                         lambda eta: 1, D)
     return _verdict("ka-laguerre-generating-function", jack, D,
                     {"a": lb.a}, diff)
 
@@ -630,93 +629,52 @@ def check_binomial_sum_rules(jack, D, **_):
     return _report("binomial-sum-rules", jack, D, {})
 
 
-def _t_series(c, tvar, total, T):
-    """(1 - t^2)^(-c) type series: coefficients in powers of t^step."""
-    def build(step):
-        coeffs = series_binomial(c, T // step)
-        out = SparsePoly.zero(total)
-        for k, ck in enumerate(coeffs):
-            if step * k > T:
-                break
-            e = [0] * total
-            e[tvar] = step * k
-            out = out + SparsePoly.monomial(total, tuple(e), ck)
-        return out
-    return build
+def _summation(identity, jack, fb, T, kernel, x_scale, params):
+    """Closed form of the norm-weighted bilinear sum of the deformed family
+    ``fb``, as a formal series in an extra variable t through degree T; see
+    the module docstring for the parts a family supplies."""
+    n = jack.n
+    total = 2 * n + 1
+    tvar = 2 * n
+    tdeg = lambda e: e[tvar]
+    in_range = lambda e: e[tvar] <= T
+    t = SparsePoly.variable(total, tvar)
+    rho = fb.radius_degree
+
+    lhs = _bilinear_sum(jack, fb.E, fb.E,
+                        lambda eta: t ** sum(eta) / fb.norm_ratio(eta), T,
+                        extra=1)
+
+    # exp(-u (p_rho(x) + p_rho(y))) with u = t^rho / (1 - t^rho) truncated
+    u = _series(total, tvar, 1, rho, T) - 1
+    s = p_power_sum(n, total, 0, rho) + p_power_sum(n, total, n, rho)
+    expf = exp_truncated(-(u * s).filter_terms(in_range), T, deg=tdeg)
+    kern = SparsePoly.zero(total)
+    for d, sl in enumerate(kernel_slices(kernel, n, T)):
+        geom = _series(total, tvar, Fraction(2 * d, rho), rho, T)
+        kern = kern + (scale_block(sl, range(n), x_scale) * t ** d
+                       * geom).filter_terms(in_range)
+    rhs = (_series(total, tvar, fb.gamma, rho, T) * expf).filter_terms(in_range)
+    rhs = (rhs * kern).filter_terms(in_range)
+    return _verdict(identity, jack, T, params, lhs - rhs)
 
 
 def check_hermite_summation(jack, D=None, T=4, hermite=None, **_):
-    """Closed form of the norm-weighted bilinear Hermite sum, as a formal
-    series in an extra variable t through degree T."""
+    """Closed form of the norm-weighted bilinear Hermite sum."""
     from .hermite_laguerre import HermiteBasis
 
-    n, al = jack.n, jack.alpha
     hb = hermite or HermiteBasis(jack)
-    total = 2 * n + 1
-    tvar = 2 * n
-    tdeg = lambda e: e[tvar]
-    t = SparsePoly.variable(total, tvar)
-
-    lhs = SparsePoly.zero(total)
-    for w in range(T + 1):
-        for eta in comb.compositions(n, w):
-            coeff = 1 / hb.norm_ratio(eta)
-            lhs = lhs + coeff * bilinear(hb.E(eta), hb.E(eta), n, extra=1) * t ** w
-
-    q = 1 + Fraction(n - 1) / al
-    pref = _t_series(Fraction(n) * q / 2, tvar, total, T)(2)
-    # exp(-u * (p2(z) + p2(w))) with u = t^2/(1-t^2) truncated
-    u = SparsePoly.zero(total)
-    for m in range(1, T // 2 + 1):
-        u = u + t ** (2 * m)
-    s2 = p_power_sum(n, total, 0, 2) + p_power_sum(n, total, n, 2)
-    expf = exp_truncated(-(u * s2).filter_terms(lambda e: tdeg(e) <= T), T, deg=tdeg)
-    kern = SparsePoly.zero(total)
-    K = kernel_KA(jack, T, extra=1)
-    for d, sl in enumerate(kernel_slices(K, n, T)):
-        geom = _t_series(Fraction(d), tvar, total, T)(2)
-        kern = kern + (scale_block(sl, range(n), 2) * t ** d * geom).filter_terms(
-            lambda e: tdeg(e) <= T)
-    rhs = (pref * expf).filter_terms(lambda e: tdeg(e) <= T)
-    rhs = (rhs * kern).filter_terms(lambda e: tdeg(e) <= T)
-    diff = lhs - rhs
-    return _verdict("hermite-summation", jack, T, {}, diff)
+    return _summation("hermite-summation", jack, hb, T,
+                      kernel_KA(jack, T, extra=1), 2, {})
 
 
 def check_laguerre_summation(jack, D=None, T=4, a=Fraction(1, 2), laguerre=None, **_):
-    """Closed form of the norm-weighted bilinear Laguerre sum, as a formal
-    series in an extra variable t through degree T."""
+    """Closed form of the norm-weighted bilinear Laguerre sum."""
     from .hermite_laguerre import LaguerreBasis
 
-    n, al = jack.n, jack.alpha
     lb = laguerre or LaguerreBasis(jack, a)
-    total = 2 * n + 1
-    tvar = 2 * n
-    tdeg = lambda e: e[tvar]
-    t = SparsePoly.variable(total, tvar)
-
-    lhs = SparsePoly.zero(total)
-    for w in range(T + 1):
-        for eta in comb.compositions(n, w):
-            coeff = 1 / lb.norm_ratio(eta)
-            lhs = lhs + coeff * bilinear(lb.E(eta), lb.E(eta), n, extra=1) * t ** w
-
-    aq = lb.shifted_a
-    pref = _t_series(Fraction(n) * aq, tvar, total, T)(1)
-    u = SparsePoly.zero(total)
-    for m in range(1, T + 1):
-        u = u + t ** m
-    s1 = p_power_sum(n, total, 0, 1) + p_power_sum(n, total, n, 1)
-    expf = exp_truncated(-(u * s1).filter_terms(lambda e: tdeg(e) <= T), T, deg=tdeg)
-    kern = SparsePoly.zero(total)
-    K = kernel_KB(jack, lb.a, T, extra=1)
-    for d, sl in enumerate(kernel_slices(K, n, T)):
-        geom = _t_series(Fraction(2 * d), tvar, total, T)(1)
-        kern = kern + (sl * t ** d * geom).filter_terms(lambda e: tdeg(e) <= T)
-    rhs = (pref * expf).filter_terms(lambda e: tdeg(e) <= T)
-    rhs = (rhs * kern).filter_terms(lambda e: tdeg(e) <= T)
-    diff = lhs - rhs
-    return _verdict("laguerre-summation", jack, T, {"a": lb.a}, diff)
+    return _summation("laguerre-summation", jack, lb, T,
+                      kernel_KB(jack, lb.a, T, extra=1), 1, {"a": lb.a})
 
 
 IDENTITY_CHECKS = {

@@ -160,9 +160,6 @@ class Operators:
         """Adjacent transposition s_i exchanging variables i, i+1."""
         return p.swap_vars(self.vars[i], self.vars[i + 1])
 
-    def sign_flip(self, p, i):
-        return p.negate_var(self.vars[i])
-
     def dd(self, p, i, j):
         return divided_difference(p, self.vars[i], self.vars[j])
 

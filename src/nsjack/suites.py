@@ -525,9 +525,9 @@ def suite_binomials(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
     for alpha in alphas:
         for n in range(2, max_n + 1):
             jb = JackBasis.shared(n, alpha)
-            ok = True
-            for eta in comb.compositions_up_to(n, max_weight):
-                shifted = jb.E(eta).shift_by_one()
+            etas = comb.compositions_up_to(n, max_weight)
+
+            def expands(eta):
                 total = SparsePoly.zero(n)
                 for w2 in range(sum(eta) + 1):
                     for nu in comb.compositions(n, w2):
@@ -535,20 +535,17 @@ def suite_binomials(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
                         if b:
                             total = total + (b * jb.eval_ones(eta)
                                              / jb.eval_ones(nu)) * jb.E(nu)
-                if total != shifted:
-                    ok = False
-            reps.append(_ok("binomial-defining-expansion", ok, n=n,
-                            alpha=str(alpha)))
-            ok = True
-            for eta in comb.compositions_up_to(n, max_weight):
-                for w2 in range(sum(eta) + 1):
-                    for nu in comb.compositions(n, w2):
-                        got = kernels.binomial_n_independence(
-                            eta, nu, alpha, n, n + 1)
-                        if got["status"] != "pass":
-                            ok = False
-            reps.append(_ok("binomial-n-independence", ok, n=n,
-                            alpha=str(alpha), n_pair=[n, n + 1]))
+                return total == jb.E(eta).shift_by_one()
+
+            pairs = [(eta, nu) for eta in etas for w2 in range(sum(eta) + 1)
+                     for nu in comb.compositions(n, w2)]
+            reps.append(_all_hold("binomial-defining-expansion", etas, expands,
+                                  n=n, alpha=str(alpha)))
+            reps.append(_all_hold(
+                "binomial-n-independence", pairs,
+                lambda pair: kernels.binomial_n_independence(
+                    *pair, alpha, n, n + 1)["status"] == "pass",
+                n=n, alpha=str(alpha), n_pair=[n, n + 1]))
             reps.append(kernels.check_binomial_sum_rules(jb, max_weight))
     return reps
 
@@ -564,33 +561,35 @@ def suite_ct(k_set=(1, 2), max_weight=3, max_n=3):
         for n in range(2, max_n + 1):
             jb = JackBasis.shared(n, alpha)
             etas = comb.compositions_up_to(n, max_weight)
-            ok = True
-            for i, eta in enumerate(etas):
+            later = {eta: etas[i + 1:] for i, eta in enumerate(etas)}
+
+            def norms(eta):
                 E = jb.E(eta)
-                if ct_inner(E, E, k) != ct_norm_formula(eta, k):
-                    ok = False
-                for nu in etas[i + 1:]:
-                    if ct_inner(E, jb.E(nu), k) != 0:
-                        ok = False
-            reps.append(_ok("ct-orthogonality-and-norms", ok, n=n, k=k,
-                            alpha=str(alpha)))
-            # isometry of the raising cycle and the transposition recursion
-            ok = True
-            for eta in comb.compositions_up_to(n, max_weight - 1):
+                return (ct_inner(E, E, k) == ct_norm_formula(eta, k)
+                        and all(ct_inner(E, jb.E(nu), k) == 0
+                                for nu in later[eta]))
+
+            def recursions(eta):
+                """Isometry of the raising cycle below the top weight, and
+                the transposition recursion."""
                 E = jb.E(eta)
-                up = jb.ops.phi(E)
-                if ct_inner(up, up, k) != ct_inner(E, E, k):
-                    ok = False
-            for eta in etas:
-                E = jb.E(eta)
+                if sum(eta) < max_weight:
+                    up = jb.ops.phi(E)
+                    if ct_inner(up, up, k) != ct_inner(E, E, k):
+                        return False
                 for i in range(n - 1):
                     if eta[i] < eta[i + 1]:
                         sw = comb.si_map(eta, i)
                         gap = comb.delta_gap(eta, i, alpha)
-                        lhs = ct_inner(jb.E(sw), jb.E(sw), k)
-                        if lhs != (1 - 1 / gap ** 2) * ct_inner(E, E, k):
-                            ok = False
-            reps.append(_ok("ct-recursions", ok, n=n, k=k, alpha=str(alpha)))
+                        if (ct_inner(jb.E(sw), jb.E(sw), k)
+                                != (1 - 1 / gap ** 2) * ct_inner(E, E, k)):
+                            return False
+                return True
+
+            reps.append(_all_hold("ct-orthogonality-and-norms", etas, norms,
+                                  n=n, k=k, alpha=str(alpha)))
+            reps.append(_all_hold("ct-recursions", etas, recursions, n=n, k=k,
+                                  alpha=str(alpha)))
             for eta in etas:
                 for a in (0, 1, 2):
                     for b in (0, 1, 2):
@@ -608,31 +607,29 @@ def suite_sahi(alphas=(Fraction(1), Fraction(2), Fraction(7, 5)), max_weight=3,
             hb = shared_hermite(n, alpha)
             si = SahiInner(n, alpha, max_weight)
             etas = comb.compositions_up_to(n, max_weight)
-            ok = True
-            for eta in etas:
-                for nu in etas:
-                    if sum(eta) != sum(nu):
-                        continue
-                    got = si.inner(jb.E(eta), jb.E(nu))
-                    want = (comb.d_prime_const(eta, alpha)
-                            / comb.d_const(eta, alpha)
-                            if eta == nu else Fraction(0))
-                    if got != want:
-                        ok = False
-            reps.append(_ok("sahi-inner-basis-values", ok, n=n,
-                            alpha=str(alpha)))
-            ok = True
-            for w in range(max_weight + 1):
-                for lam in comb.partitions(w, n):
-                    lam_pad = tuple(lam) + (0,) * (n - len(lam))
-                    orbit = sorted(set(permutations(lam_pad)))
-                    f = jb.E(orbit[0]) + 2 * jb.E(orbit[-1])
-                    g = jb.E(orbit[len(orbit) // 2]) - 3 * jb.E(orbit[0])
-                    fac = comb.gen_fact(Fraction(n) / alpha + 1, lam_pad, alpha)
-                    if hb.pairing(f, g) != fac * si.inner(f, g):
-                        ok = False
-            reps.append(_ok("sahi-pairing-proportionality", ok, n=n,
-                            alpha=str(alpha)))
+            pairs = [(eta, nu) for eta in etas for nu in etas
+                     if sum(eta) == sum(nu)]
+
+            def basis_value(pair):
+                eta, nu = pair
+                want = (comb.d_prime_const(eta, alpha) / comb.d_const(eta, alpha)
+                        if eta == nu else Fraction(0))
+                return si.inner(jb.E(eta), jb.E(nu)) == want
+
+            def proportional(lam):
+                lam_pad = tuple(lam) + (0,) * (n - len(lam))
+                orbit = sorted(set(permutations(lam_pad)))
+                f = jb.E(orbit[0]) + 2 * jb.E(orbit[-1])
+                g = jb.E(orbit[len(orbit) // 2]) - 3 * jb.E(orbit[0])
+                fac = comb.gen_fact(Fraction(n) / alpha + 1, lam_pad, alpha)
+                return hb.pairing(f, g) == fac * si.inner(f, g)
+
+            lams = [lam for w in range(max_weight + 1)
+                    for lam in comb.partitions(w, n)]
+            reps.append(_all_hold("sahi-inner-basis-values", pairs, basis_value,
+                                  n=n, alpha=str(alpha)))
+            reps.append(_all_hold("sahi-pairing-proportionality", lams,
+                                  proportional, n=n, alpha=str(alpha)))
     return reps
 
 

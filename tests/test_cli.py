@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, env=None):
     import os
@@ -216,3 +218,19 @@ def test_concurrent_cache_writers_leave_a_valid_file(tmp_path):
     table = json.loads(cache_file.read_text())
     assert table and set(table) <= {str(tuple(map(int, e.split(","))))
                                     for e in etas}
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_unexpected_error_is_internal_error(monkeypatch, capsys, exc):
+    from nsjack import cli
+    from nsjack.jack import JackBasis
+
+    def fail(self, eta):
+        raise exc("out of resources")
+
+    monkeypatch.delenv("NSJACK_CACHE_DIR", raising=False)
+    monkeypatch.setattr(JackBasis, "E", fail)
+    assert cli.main(["jack", "--eta", "1,0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and exc.__name__ in err
+    assert "Traceback" not in err

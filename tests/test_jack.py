@@ -77,6 +77,24 @@ def test_expand_in_E_round_trip():
     assert rebuilt == p
 
 
+def test_expand_in_E_rejects_a_basis_that_is_not_triangular():
+    """An E((1, 1)) with a wrong x_0^2 term sends the peeling back up to
+    (2, 0); the expansion must raise instead of cycling."""
+    jb = JackBasis(2, F(7, 5))
+    jb._cache[(1, 1)] = jb.E((1, 1)) + SparsePoly.monomial(2, (2, 0))
+    p = jb.E((2, 0)) + jb.E((1, 1))
+    right, calls = jb.E, []
+
+    def counted(eta):
+        calls.append(eta)
+        assert len(calls) < 100, "the peeling does not terminate"
+        return right(eta)
+
+    jb.E = counted
+    with pytest.raises(ArithmeticError, match="not triangular"):
+        jb.expand_in_E(p)
+
+
 def test_jack_suite_small():
     reports = suite_jack(alphas=(F(7, 5), F(3)), max_weight=4, max_n=3)
     bad = [r for r in reports if r["status"] != "pass"]

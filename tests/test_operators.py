@@ -13,10 +13,9 @@ x0 = SparsePoly.variable(2, 0)
 x1 = SparsePoly.variable(2, 1)
 
 
-def test_transposition_and_sign_flip():
+def test_transposition():
     ops = Operators(2, 1)
     assert ops.s(SparsePoly.monomial(2, (2, 1)), 0) == SparsePoly.monomial(2, (1, 2))
-    assert ops.sign_flip(x0 + x1, 0) == -x0 + x1
     assert ops.s(x0 + x1, 0) == x0 + x1
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from nsjack import suites
+from nsjack import kernels, suites
 from nsjack.hermite_laguerre import HermiteBasis, LaguerreBasis
+from nsjack.jack import JackBasis
 
 ALPHA = (F(7, 5),)
 A_SET = ("0", "1/2", "1")
@@ -39,6 +40,22 @@ LAGUERRE = [
     "laguerre-value-at-origin", "laguerre-pairing-values",
     "laguerre-harmonic-decomposition",
 ]
+KERNELS = [
+    "kernel-symmetry-multiplication", "kernel-exp-shift",
+    "hermite-generating-function", "kernel-symmetrization",
+    "exp-binomial-expansion", "p1-raising-action", "euler-actions", "2k1-pde",
+    "laguerre-generating-function", "1k1-generating-function",
+    "ka-laguerre-generating-function", "laguerre-jack-expansion",
+    "binomial-sum-rules", "hermite-summation", "laguerre-summation",
+]
+KERNEL_PARAMS = {
+    "2k1-pde": {"a": "1/2", "b": "4/3"},
+    "laguerre-generating-function": {"a": "1/2"},
+    "1k1-generating-function": {"a": "1/2", "c": "3/2"},
+    "ka-laguerre-generating-function": {"a": "1/2"},
+    "laguerre-jack-expansion": {"a": "1/2"},
+    "laguerre-summation": {"a": "1/2"},
+}
 
 
 def _shape(reports):
@@ -71,6 +88,36 @@ def test_report_shapes_are_pinned():
         assert rep["status"] == "pass" and "witness" not in rep
 
 
+def _kernel_params(name, n):
+    params = dict(KERNEL_PARAMS.get(name, {}))
+    if name == "2k1-pde":
+        params["c"] = str(n + 2)
+    return params
+
+
+def test_kernel_and_binomial_report_shapes_are_pinned():
+    reports = suites.suite_kernels(alphas=ALPHA, sizes=((2, 3), (3, 2)))
+    # the summation checks run at n = 2 only, always through t-degree 4
+    want = [(name, 2, 4 if name.endswith("summation") else 3,
+             _kernel_params(name, 2)) for name in KERNELS]
+    want += [(name, 3, 2, _kernel_params(name, 3)) for name in KERNELS
+             if not name.endswith("summation")]
+    assert [(r["identity"], r["n"], r["D"], r["params"])
+            for r in reports] == want
+    assert len(reports) == 28
+    assert all(r["alpha"] == "7/5" and r["status"] == "pass" for r in reports)
+
+    binomials = suites.suite_binomials(alphas=ALPHA, max_weight=2)
+    assert binomials == [
+        row for n in (2, 3) for row in (
+            {"check": "binomial-defining-expansion", "status": "pass", "n": n,
+             "alpha": "7/5"},
+            {"check": "binomial-n-independence", "status": "pass", "n": n,
+             "alpha": "7/5", "n_pair": [n, n + 1]},
+            {"identity": "binomial-sum-rules", "n": n, "alpha": "7/5", "D": 2,
+             "params": {}, "status": "pass"})]
+
+
 @pytest.mark.parametrize("cls, suite, kwargs", [
     (HermiteBasis, suites.suite_hermite, {}),
     (LaguerreBasis, suites.suite_laguerre, {"a_set": (F(1, 2),)}),
@@ -88,3 +135,37 @@ def test_failing_family_report_names_the_label(monkeypatch, cls, suite, kwargs):
     assert failed, "a wrong E((1, 0)) must fail a check"
     assert all(r["n"] == 2 and r["witness"] == repr((1, 0)) for r in failed)
     assert all("witness" not in r for r in reports if r["status"] == "pass")
+
+
+@pytest.mark.parametrize("cls, identity", [
+    (HermiteBasis, "hermite-summation"),
+    (LaguerreBasis, "laguerre-summation"),
+])
+def test_failing_summation_names_the_first_failure(monkeypatch, cls, identity):
+    right = cls.E
+
+    def wrong(self, eta):
+        p = right(self, eta)
+        return p + 1 if tuple(eta) == (1, 0) else p
+
+    monkeypatch.setattr(cls, "E", wrong)
+    rep = kernels.verify_kernel_identity(identity, JackBasis(2, ALPHA[0]), 4)
+    assert rep["status"] == "fail"
+    fail = rep["first_failure"]
+    assert set(fail) == {"bidegree", "exponents", "coefficient"}
+    # the wrong label has weight 1, so the first wrong term carries t^1
+    assert fail["exponents"][-1] == 1 and fail["coefficient"] != "0"
+
+
+def test_failing_ct_report_names_the_label(monkeypatch):
+    right = suites.ct_norm_formula
+
+    def wrong(eta, k):
+        value = right(eta, k)
+        return value + 1 if tuple(eta) == (0, 1) else value
+
+    monkeypatch.setattr(suites, "ct_norm_formula", wrong)
+    reports = suites.suite_ct(k_set=(1,), max_weight=1, max_n=2)
+    [failed] = [r for r in reports if r["status"] == "fail"]
+    assert failed["check"] == "ct-orthogonality-and-norms"
+    assert failed["witness"] == repr((0, 1))
