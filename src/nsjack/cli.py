@@ -9,6 +9,7 @@ deterministic byte-for-byte for fixed flags (canonical term ordering).
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -100,17 +101,31 @@ def _read_cache(path):
     return table if isinstance(table, dict) else {}
 
 
-def _write_cache(path, table):
-    """Replace the cache file in one step: readers see the old table or the
-    new one, never a partial write."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _write_cache(path, key, value):
+    """Add one entry to the cache file and replace the file in one step.
+
+    A writer holds an exclusive ``flock`` on the cache directory while it
+    re-reads the table, merges its entry and moves the new file into place,
+    so concurrent writers keep each other's entries.  Readers take no lock:
+    they see the old table or the new one, never a partial write.  The lock
+    is on the directory, not on a lock file, so the directory holds only
+    the tables.
+    """
+    lock = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
-        with open(tmp, "w") as fh:
-            json.dump(table, fh)
-        os.replace(tmp, path)
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        table = _read_cache(path)
+        table[key] = value
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(table, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.close(lock)
 
 
 def _with_cache(path, key, compute):
@@ -121,8 +136,7 @@ def _with_cache(path, key, compute):
     if key in table:
         return SparsePoly.from_json_dict(table[key])
     poly = compute()
-    table[key] = poly.to_json_dict()
-    _write_cache(path, table)
+    _write_cache(path, key, poly.to_json_dict())
     return poly
 
 

@@ -196,7 +196,6 @@ def power_sum_basis(n, alpha, D):
     alpha = Fraction(alpha)
     inv = 1 / alpha
     total = SparsePoly.one(2 * n)
-    ydeg = lambda e: sum(e[n:])
     for i in range(n):
         for j in range(n):
             expo = inv + 1 if i == j else inv
@@ -206,7 +205,7 @@ def power_sum_basis(n, alpha, D):
                 e = [0] * (2 * n)
                 e[i], e[n + j] = m, m
                 factor = factor + SparsePoly.monomial(2 * n, tuple(e), c)
-            total = (total * factor).filter_terms(lambda e: ydeg(e) <= D)
+            total = total.mul_truncated(factor, range(n, 2 * n), D)
     out = {}
     for e, c in total.terms.items():
         eta = e[n:]

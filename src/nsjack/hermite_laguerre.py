@@ -77,9 +77,9 @@ class DeformedBasis:
         if eta[-1] == 0:
             return Fraction(0)
         down = comb.phi_hat_map(eta)
-        al = self.alpha
-        return (self._lower_factor(eta, down) * comb.d_prime_const(eta, al)
-                / comb.d_prime_const(down, al) / al)
+        jack = self.jack
+        return (self._lower_factor(eta, down) * jack.d_prime_const(eta)
+                / jack.d_prime_const(down) / self.alpha)
 
     def _lower_factor(self, eta, down):
         """Family-specific factor of the lowering constant."""
@@ -187,10 +187,9 @@ class HermiteBasis(DeformedBasis):
 
     def norm_ratio(self, eta):
         """Norm divided by the ground-state normalization: exact rational."""
-        eta = tuple(eta)
-        al = self.alpha
-        return (comb.d_prime_const(eta, al) * comb.e_const(eta, al)
-                / comb.d_const(eta, al) / (2 * al) ** sum(eta))
+        jack = self.jack
+        return (jack.d_prime_const(eta) * jack.eval_ones(eta)
+                / (2 * self.alpha) ** sum(eta))
 
     def raise_op(self, eta):
         """Operator-applied raising; equals 2 * E(phi eta)."""
@@ -224,18 +223,14 @@ class LaguerreBasis(DeformedBasis):
         return self.E(eta).scale_exponents(2)
 
     def norm_ratio(self, eta):
-        eta = tuple(eta)
-        al = self.alpha
-        return (comb.gen_fact(self.shifted_a, eta, al)
-                * comb.d_prime_const(eta, al) * comb.e_const(eta, al)
-                / comb.d_const(eta, al) / al ** sum(eta))
+        jack = self.jack
+        return (jack.gen_fact(self.shifted_a, eta) * jack.d_prime_const(eta)
+                * jack.eval_ones(eta) / self.alpha ** sum(eta))
 
     def at_zero(self, eta):
         """Exact value at the origin."""
-        eta = tuple(eta)
-        al = self.alpha
-        return (Fraction((-1) ** sum(eta)) * comb.gen_fact(self.shifted_a, eta, al)
-                * comb.e_const(eta, al) / comb.d_const(eta, al))
+        return ((-1) ** sum(eta) * self.jack.gen_fact(self.shifted_a, eta)
+                * self.jack.eval_ones(eta))
 
     def raise_op(self, eta):
         """Operator-applied raising; equals E(phi eta)."""
@@ -246,7 +241,7 @@ class LaguerreBasis(DeformedBasis):
 
     def _lower_factor(self, eta, down):
         c = self.shifted_a
-        return comb.gen_fact(c, eta, self.alpha) / comb.gen_fact(c, down, self.alpha)
+        return self.jack.gen_fact(c, eta) / self.jack.gen_fact(c, down)
 
 
 def _radius_squared(n, degree=2):

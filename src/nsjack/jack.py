@@ -3,6 +3,9 @@
 The basis polynomials E_eta are built by the raising/transposition
 recursion; an independent oracle recovers the same polynomials by solving
 the joint eigenproblem of the Cherednik operators directly on monomials.
+The basis also memoizes the label constants (d, d', e, f, the generalized
+factorials, the hook norm j_kappa and J_kappa(1^n)) at its coupling, so
+the kernel and binomial layers compute each of them once per label.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class JackBasis:
         self.ops = Operators(n, alpha)
         self._cache = {(0,) * n: SparsePoly.one(n)}
         self._j_cache = {}
+        self._consts = {}
 
     # -- the recursion ---------------------------------------------------
 
@@ -129,19 +133,105 @@ class JackBasis:
         sol = solve_exact(rows, rhs)
         return SparsePoly(self.n, {nu: sol[index[nu]] for nu in basis})
 
-    # -- evaluations and constants -----------------------------------------
+    # -- label constants -----------------------------------------------------
+    # With alpha = p/q every node factor of d, d', e and j_kappa is an
+    # integer over q (over s p for [c]_eta with c = r/s), so each constant
+    # is an integer product over one power, made a Fraction once and kept
+    # in ``_consts`` under (kind, label) or (kind, c, label).  The
+    # ``combinat`` functions of the same names are the reference.
+
+    def _node_products(self, eta):
+        """Memoize d, d' and e of a label from one pass over its nodes."""
+        if len(eta) != self.n:
+            raise ValueError("composition length must equal the variable count")
+        p, q = self.alpha.numerator, self.alpha.denominator
+        n = self.n
+        d = dp = e = 1
+        for i, j in comb.nodes(eta):
+            arm1, leg = comb.arm(eta, i, j) + 1, comb.leg(eta, i, j)
+            d *= p * arm1 + q * (leg + 1)
+            dp *= p * arm1 + q * leg
+            e *= p * (comb.arm_co(eta, i, j) + 1) + q * (n - comb.leg_co(eta, i, j))
+        qw = q ** sum(eta)
+        consts = self._consts
+        consts["d", eta] = Fraction(d, qw)
+        consts["d'", eta] = Fraction(dp, qw)
+        consts["e", eta] = Fraction(e, qw)
+
+    def _node_const(self, kind, eta):
+        key = (kind, tuple(eta))
+        got = self._consts.get(key)
+        if got is None:
+            self._node_products(key[1])
+            got = self._consts[key]
+        return got
+
+    def d_const(self, eta):
+        """d_eta: product over nodes of alpha (arm + 1) + leg + 1."""
+        return self._node_const("d", eta)
+
+    def d_prime_const(self, eta):
+        """d'_eta: product over nodes of alpha (arm + 1) + leg."""
+        return self._node_const("d'", eta)
+
+    def e_const(self, eta):
+        """e_eta: product over nodes of alpha (arm colength + 1) + n - leg
+        colength."""
+        return self._node_const("e", eta)
+
+    def f_const(self, eta):
+        """f_eta = d_eta d'_eta."""
+        return self.d_const(eta) * self.d_prime_const(eta)
+
+    def gen_fact(self, c, eta):
+        """[c]_eta: product over nodes of c + arm colength - leg colength / alpha."""
+        c, eta = Fraction(c), tuple(eta)
+        key = ("gen_fact", c, eta)
+        got = self._consts.get(key)
+        if got is None:
+            p, q = self.alpha.numerator, self.alpha.denominator
+            r, s = c.numerator, c.denominator
+            out = 1
+            for i, j in comb.nodes(eta):
+                out *= (p * (r + s * comb.arm_co(eta, i, j))
+                        - s * q * comb.leg_co(eta, i, j))
+            got = self._consts[key] = Fraction(out, (s * p) ** sum(eta))
+        return got
+
+    def hook_norm_j(self, kappa):
+        """j_kappa: product over the nodes of the partition kappa of
+        (alpha arm + leg + 1)(alpha arm + leg + alpha)."""
+        kappa = tuple(x for x in kappa if x > 0)
+        key = ("j", kappa)
+        got = self._consts.get(key)
+        if got is None:
+            p, q = self.alpha.numerator, self.alpha.denominator
+            out = 1
+            for i, j in comb.nodes(kappa):
+                arm, leg = comb.arm(kappa, i, j), comb.leg(kappa, i, j)
+                out *= (p * arm + q * (leg + 1)) * (p * arm + q * leg + p)
+            got = self._consts[key] = Fraction(out, q ** (2 * sum(kappa)))
+        return got
+
+    def J_ones(self, kappa):
+        """J_kappa at the all-ones point."""
+        kappa = tuple(kappa)
+        key = ("J_ones", kappa + (0,) * (self.n - len(kappa)))
+        got = self._consts.get(key)
+        if got is None:
+            got = self._consts[key] = self.J(kappa).eval_exact([1] * self.n)
+        return got
+
+    # -- evaluations -----------------------------------------------------------
 
     def eval_ones(self, eta):
         """Exact value at the all-ones point: e_eta / d_eta."""
-        eta = tuple(eta)
-        return comb.e_const(eta, self.alpha) / comb.d_const(eta, self.alpha)
+        return self.e_const(eta) / self.d_const(eta)
 
     def a_sym_const(self, eta):
         """Constant relating Sym E_eta to the symmetric polynomial J."""
-        eta = tuple(eta)
-        kappa = comb.eta_plus(eta)
-        return (factorial(self.n) * comb.e_const(eta, self.alpha)
-                / comb.d_const(eta, self.alpha) / self.J_ones(kappa))
+        return (factorial(self.n) * self.eval_ones(eta)
+                / self.J_ones(comb.eta_plus(eta)))
 
     # -- symmetric basis -----------------------------------------------------
 
@@ -159,13 +249,10 @@ class JackBasis:
             return got
         total = SparsePoly.zero(self.n)
         for eta in set(permutations(kappa)):
-            total = total + self.E(eta) / comb.d_prime_const(eta, self.alpha)
-        out = comb.hook_norm_j(kappa, self.alpha) * total
+            total = total + self.E(eta) / self.d_prime_const(eta)
+        out = self.hook_norm_j(kappa) * total
         self._j_cache[kappa] = out
         return out
-
-    def J_ones(self, kappa):
-        return self.J(kappa).eval_exact([1] * self.n)
 
     # -- change of basis -------------------------------------------------------
 

@@ -9,7 +9,11 @@ where both sides are complete; each check states its own range.
 
 Every bilinear sum here, the kernels and the sides of the generating-
 function and summation checks alike, is one call of ``_bilinear_sum``,
-and the kernels weigh a label by ``_weight`` = alpha^|eta| d/(d' e).  A
+and the kernels weigh a label by ``_weight`` = alpha^|eta| d/(d' e).  The
+label constants (d, d', e, f, [c]_eta, j_kappa, J_kappa(1^n)) come from
+the basis memo (``JackBasis.d_const`` and its siblings), computed once per
+label, and every product that is truncated in a block of variables is a
+``SparsePoly.mul_truncated``, which never forms a pair beyond the cap.  A
 deformed family (a ``DeformedBasis``) plugs into the checks through:
 
 - its generating function: the bilinear sum of E^family_eta(x) E_eta(z)
@@ -109,9 +113,8 @@ def _series(total, var, c, step, cap):
 
 def _weight(jack, eta):
     """The kernel weight alpha^|eta| d_eta / (d'_eta e_eta) of a label."""
-    al = jack.alpha
-    return al ** sum(eta) * comb.d_const(eta, al) / (
-        comb.d_prime_const(eta, al) * comb.e_const(eta, al))
+    return jack.alpha ** sum(eta) * jack.d_const(eta) / (
+        jack.d_prime_const(eta) * jack.e_const(eta))
 
 
 def _bilinear_sum(jack, F, G, weight, D, extra=0):
@@ -132,14 +135,12 @@ def kernel_series(jack, up, down, D, extra=0):
 
     Raises if a denominator factor vanishes, naming the offending label.
     """
-    al = jack.alpha
-
     def weight(eta):
         coeff = _weight(jack, eta)
         for u in up:
-            coeff *= comb.gen_fact(u, eta, al)
+            coeff *= jack.gen_fact(u, eta)
         for v in down:
-            gv = comb.gen_fact(v, eta, al)
+            gv = jack.gen_fact(v, eta)
             if gv == 0:
                 raise ValueError(f"singular kernel parameter {v} at label {eta}")
             coeff /= gv
@@ -167,12 +168,12 @@ def kernel_1K1(jack, a, c, D):
 
 def hyper_0F0(jack, D):
     """Truncated symmetric hypergeometric kernel built from the J basis."""
-    n, al = jack.n, jack.alpha
+    n = jack.n
     total = SparsePoly.zero(2 * n)
     for w in range(D + 1):
         for kappa in comb.partitions(w, n):
             J = jack.J(kappa)
-            coeff = al ** w / (comb.hook_norm_j(kappa, al) * jack.J_ones(kappa))
+            coeff = jack.alpha ** w / (jack.hook_norm_j(kappa) * jack.J_ones(kappa))
             total = total + coeff * bilinear(J, J, n)
     return total
 
@@ -261,7 +262,7 @@ def sym_binomial(jack, kappa, sigma):
         for eta, c in e_coeffs.items():
             mu = comb.eta_plus(eta)
             # coefficient of J_mu is c * d'_eta / j_mu, constant over the orbit
-            b = c * comb.d_prime_const(eta, jack.alpha) / comb.hook_norm_j(mu, jack.alpha)
+            b = c * jack.d_prime_const(eta) / jack.hook_norm_j(mu)
             prev = row.get(mu)
             if prev is not None and prev != b:
                 raise ArithmeticError("J expansion inconsistent across an orbit")
@@ -341,9 +342,8 @@ def check_exp_shift(jack, D, **_):
     """Multiplying by exp(p1 of x) shifts the y argument by one."""
     n = jack.n
     K = kernel_KA(jack, D)
-    expx = exp_truncated(p_power_sum(n, 2 * n, 0, 1), D,
-                         deg=lambda e: xdeg(e, n))
-    lhs = (expx * K).filter_terms(lambda e: xdeg(e, n) <= D)
+    expx = exp_truncated(p_power_sum(n, 2 * n, 0, 1), D, block=range(n))
+    lhs = expx.mul_truncated(K, range(n), D)
     rhs = K.shift_by_one(only=range(n, 2 * n))
     diff = lhs - rhs
     return _verdict("kernel-exp-shift", jack, D, {}, diff)
@@ -358,9 +358,9 @@ def check_hermite_gf(jack, D, hermite=None, **_):
     lhs = _bilinear_sum(jack, hb.E, jack.E,
                         lambda eta: 2 ** sum(eta) * _weight(jack, eta), D)
     K2x = scale_block(kernel_KA(jack, D), range(n), 2)
-    expz = exp_truncated(-p_power_sum(n, 2 * n, n, 2), D,
-                         deg=lambda e: ydeg(e, n))
-    rhs = (K2x * expz).filter_terms(lambda e: ydeg(e, n) <= D)
+    ys = range(n, 2 * n)
+    expz = exp_truncated(-p_power_sum(n, 2 * n, n, 2), D, block=ys)
+    rhs = K2x.mul_truncated(expz, ys, D)
     diff = lhs - rhs
     return _verdict("hermite-generating-function", jack, D, {}, diff)
 
@@ -377,18 +377,17 @@ def check_symmetrization(jack, D, **_):
 def check_exp_expansion(jack, D, **_):
     """exp(p1) E_eta expands over the basis with binomial coefficients."""
     n, al = jack.n, jack.alpha
-    p1 = p_power_sum(n, n, 0, 1)
+    exp_p1 = exp_truncated(p_power_sum(n, n, 0, 1), D)
     for w in range(D + 1):
         for eta in comb.compositions(n, w):
-            lhs = (exp_truncated(p1, D) * jack.E(eta)).filter_terms(
-                lambda e: sum(e) <= D)
-            lhs = al ** w / comb.d_prime_const(eta, al) * lhs
+            lhs = exp_p1.mul_truncated(jack.E(eta), None, D)
+            lhs = al ** w / jack.d_prime_const(eta) * lhs
             rhs = SparsePoly.zero(n)
             for w2 in range(w, D + 1):
                 for nu in comb.compositions(n, w2):
                     b = binomial_coeff(jack, nu, eta)
                     if b:
-                        rhs = rhs + (al ** w2 / comb.d_prime_const(nu, al)
+                        rhs = rhs + (al ** w2 / jack.d_prime_const(nu)
                                      * b) * jack.E(nu)
             diff = lhs - rhs
             if not diff.is_zero:
@@ -408,8 +407,8 @@ def check_p1_action(jack, D, **_):
             for nu in comb.compositions(n, w + 1):
                 b = binomial_coeff(jack, nu, eta)
                 if b:
-                    rhs = rhs + b / comb.d_prime_const(nu, al) * jack.E(nu)
-            rhs = al * comb.d_prime_const(eta, al) * rhs
+                    rhs = rhs + b / jack.d_prime_const(nu) * jack.E(nu)
+            rhs = al * jack.d_prime_const(eta) * rhs
             diff = lhs - rhs
             if not diff.is_zero:
                 return _verdict("p1-raising-action", jack, D, {"eta": eta},
@@ -464,8 +463,8 @@ def check_euler_actions(jack, D, **_):
                     if b:
                         fac = (eps_eigenvalue(nu, al) - eps_eta
                                - 2 * Fraction(n - 1) / al)
-                        rhs2 = rhs2 + b * fac / comb.d_prime_const(nu, al) * jack.E(nu)
-                rhs2 = al / 2 * comb.d_prime_const(eta, al) * rhs2
+                        rhs2 = rhs2 + b * fac / jack.d_prime_const(nu) * jack.E(nu)
+                rhs2 = al / 2 * jack.d_prime_const(eta) * rhs2
                 if lhs2 != rhs2:
                     return _report("euler-actions", jack, D, {"eta": eta},
                                    {"check": "squared-Euler raising"})
@@ -494,16 +493,16 @@ def check_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
     """Principal Laguerre generating function via the type-B kernel."""
     from .hermite_laguerre import LaguerreBasis
 
-    n, al = jack.n, jack.alpha
+    n = jack.n
     lb = laguerre or LaguerreBasis(jack, a)
     aq = lb.shifted_a
     lhs = _bilinear_sum(
         jack, lb.E, jack.E, lambda eta: (-1) ** sum(eta) * _weight(jack, eta)
-        / comb.gen_fact(aq, eta, al), D)
+        / jack.gen_fact(aq, eta), D)
     KB = scale_block(kernel_KB(jack, lb.a, D), range(n, 2 * n), -1)
-    expz = exp_truncated(p_power_sum(n, 2 * n, n, 1), D,
-                         deg=lambda e: ydeg(e, n))
-    rhs = (KB * expz).filter_terms(lambda e: ydeg(e, n) <= D)
+    ys = range(n, 2 * n)
+    expz = exp_truncated(p_power_sum(n, 2 * n, n, 1), D, block=ys)
+    rhs = KB.mul_truncated(expz, ys, D)
     diff = lhs - rhs
     return _verdict("laguerre-generating-function", jack, D, {"a": lb.a},
                     diff)
@@ -517,13 +516,12 @@ def _geometric_gf(jack, lb, K, exponent, factor, D):
     (-1)^|eta| factor(eta) times the kernel weight, both through z-degree D.
     """
     n = jack.n
-    in_range = lambda e: ydeg(e, n) <= D
-    K = geometric_substitution(scale_block(K, range(n), -1), range(n, 2 * n), D,
-                               deg=lambda e: ydeg(e, n))
+    ys = range(n, 2 * n)
+    K = geometric_substitution(scale_block(K, range(n), -1), ys, D, block=ys)
     pref = SparsePoly.one(2 * n)
     for i in range(n):
-        pref = (pref * _series(2 * n, n + i, exponent, 1, D)).filter_terms(in_range)
-    lhs = (pref * K).filter_terms(in_range)
+        pref = pref.mul_truncated(_series(2 * n, n + i, exponent, 1, D), ys, D)
+    lhs = pref.mul_truncated(K, ys, D)
     rhs = _bilinear_sum(
         jack, lb.E, jack.E,
         lambda eta: (-1) ** sum(eta) * factor(eta) * _weight(jack, eta), D)
@@ -542,7 +540,7 @@ def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, laguerre=None, **_):
     cq = c + 1 + Fraction(n - 1) / al
     diff = _geometric_gf(
         jack, lb, kernel_1K1(jack, cq, aq, D), cq,
-        lambda eta: comb.gen_fact(cq, eta, al) / comb.gen_fact(aq, eta, al), D)
+        lambda eta: jack.gen_fact(cq, eta) / jack.gen_fact(aq, eta), D)
     return _verdict("1k1-generating-function", jack, D, {"a": lb.a, "c": c},
                     diff)
 
@@ -562,13 +560,12 @@ def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), laguerre=None, **_
     """Finite binomial expansions between the Laguerre and Jack bases."""
     from .hermite_laguerre import LaguerreBasis
 
-    n, al = jack.n, jack.alpha
+    n = jack.n
     lb = laguerre or LaguerreBasis(jack, a)
     aq = lb.shifted_a
     for w in range(D + 1):
         for eta in comb.compositions(n, w):
-            pref = (comb.gen_fact(aq, eta, al) * comb.e_const(eta, al)
-                    / comb.d_const(eta, al))
+            pref = jack.gen_fact(aq, eta) * jack.eval_ones(eta)
             to_jack = SparsePoly.zero(n)
             to_lag = SparsePoly.zero(n)
             for w2 in range(w + 1):
@@ -576,8 +573,7 @@ def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), laguerre=None, **_
                     bcf = binomial_coeff(jack, eta, nu)
                     if not bcf:
                         continue
-                    ratio = (comb.d_const(nu, al) / comb.e_const(nu, al)
-                             / comb.gen_fact(aq, nu, al) * bcf)
+                    ratio = bcf / (jack.eval_ones(nu) * jack.gen_fact(aq, nu))
                     to_jack = to_jack + Fraction((-1) ** w2) * ratio * jack.E(nu)
                     to_lag = to_lag + ratio * lb.E(nu)
             if lb.E(eta) != Fraction((-1) ** w) * pref * to_jack:
@@ -594,7 +590,7 @@ def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), laguerre=None, **_
 def check_binomial_sum_rules(jack, D, **_):
     """Orbit sums of the coefficients against their symmetric counterparts,
     including the weighted variant."""
-    n, al = jack.n, jack.alpha
+    n = jack.n
     for w in range(D + 1):
         for eta in comb.compositions(n, w):
             kappa = comb.eta_plus(eta)
@@ -616,11 +612,10 @@ def check_binomial_sum_rules(jack, D, **_):
                     total = Fraction(0)
                     for nu in set(permutations(mu_pad)):
                         total += (binomial_coeff(jack, nu, eta)
-                                  * comb.e_const(nu, al)
-                                  / comb.f_const(nu, al))
-                    lhs = (comb.f_const(eta, al) / comb.e_const(eta, al)
-                           * comb.hook_norm_j(mu, al) * jack.J_ones(kappa)
-                           / comb.hook_norm_j(kappa, al) / jack.J_ones(mu)
+                                  * jack.e_const(nu) / jack.f_const(nu))
+                    lhs = (jack.f_const(eta) / jack.e_const(eta)
+                           * jack.hook_norm_j(mu) * jack.J_ones(kappa)
+                           / jack.hook_norm_j(kappa) / jack.J_ones(mu)
                            * total)
                     if lhs != sym_binomial(jack, mu, kappa):
                         return _report("binomial-sum-rules", jack, D,
@@ -636,8 +631,7 @@ def _summation(identity, jack, fb, T, kernel, x_scale, params):
     n = jack.n
     total = 2 * n + 1
     tvar = 2 * n
-    tdeg = lambda e: e[tvar]
-    in_range = lambda e: e[tvar] <= T
+    ts = (tvar,)
     t = SparsePoly.variable(total, tvar)
     rho = fb.radius_degree
 
@@ -648,14 +642,14 @@ def _summation(identity, jack, fb, T, kernel, x_scale, params):
     # exp(-u (p_rho(x) + p_rho(y))) with u = t^rho / (1 - t^rho) truncated
     u = _series(total, tvar, 1, rho, T) - 1
     s = p_power_sum(n, total, 0, rho) + p_power_sum(n, total, n, rho)
-    expf = exp_truncated(-(u * s).filter_terms(in_range), T, deg=tdeg)
+    expf = exp_truncated(-u.mul_truncated(s, ts, T), T, block=ts)
     kern = SparsePoly.zero(total)
     for d, sl in enumerate(kernel_slices(kernel, n, T)):
         geom = _series(total, tvar, Fraction(2 * d, rho), rho, T)
         kern = kern + (scale_block(sl, range(n), x_scale) * t ** d
-                       * geom).filter_terms(in_range)
-    rhs = (_series(total, tvar, fb.gamma, rho, T) * expf).filter_terms(in_range)
-    rhs = (rhs * kern).filter_terms(in_range)
+                       ).mul_truncated(geom, ts, T)
+    rhs = _series(total, tvar, fb.gamma, rho, T).mul_truncated(expf, ts, T)
+    rhs = rhs.mul_truncated(kern, ts, T)
     return _verdict(identity, jack, T, params, lhs - rhs)
 
 

@@ -280,6 +280,34 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
+    def mul_truncated(self, other, block, cap):
+        """The terms of ``self * other`` of degree at most ``cap`` in the
+        variables ``block``.
+
+        ``other`` is bucketed by its degree in the block, so no pair of
+        terms beyond the cap is ever formed.
+        """
+        self._check(other)
+        bdeg = _block_degree(block, self.n)
+        levels = {}
+        for e2, c2 in other.num.items():
+            levels.setdefault(bdeg(e2), []).append((e2, c2))
+        levels = sorted(levels.items())
+        out = {}
+        for e1, c1 in self.num.items():
+            room = cap - bdeg(e1)
+            for k, terms in levels:
+                if k > room:
+                    break
+                for e2, c2 in terms:
+                    e = tuple(map(add, e1, e2))
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        out.pop(e, None)
+        return _from_num(self.n, out, self.den * other.den)
+
     def __truediv__(self, scalar):
         return self._scale(ONE / Fraction(scalar))
 
@@ -472,14 +500,25 @@ def series_binomial(c, degree):
     return out
 
 
-def exp_truncated(p, cap, deg=None):
-    """exp(p) truncated to terms with deg(exponents) <= cap.
+def _block_degree(block, n):
+    """The degree in the variables ``block`` (all n variables if None), as
+    a function of an exponent vector."""
+    if block is None or sorted(block) == list(range(n)):
+        return sum
+    block = tuple(block)
+    if len(block) == 1:
+        return itemgetter(block[0])
+    pick = itemgetter(*block)
+    return lambda e: sum(pick(e))
+
+
+def exp_truncated(p, cap, block=None):
+    """exp(p) truncated to degree ``cap`` in the variables ``block`` (all
+    variables if None).
 
     ``p`` must have no constant term and strictly positive degree in the
-    chosen grading, so truncation commutes with the series.
+    block, so truncation commutes with the series.
     """
-    if deg is None:
-        deg = sum
     if p.constant_term() != 0:
         raise ValueError("exp series needs a polynomial without constant term")
     result = SparsePoly.one(p.n)
@@ -487,21 +526,24 @@ def exp_truncated(p, cap, deg=None):
     m = 0
     while True:
         m += 1
-        term = (term * p).filter_terms(lambda e: deg(e) <= cap) / m
+        term = term.mul_truncated(p, block, cap) / m
         if term.is_zero:
             break
         result = result + term
     return result
 
 
-def geometric_substitution(p, var_indices, cap, deg=None):
-    """Substitute x_v -> x_v/(1-x_v) for each v in var_indices, truncated.
+def geometric_substitution(p, var_indices, cap, block=None):
+    """Substitute x_v -> x_v/(1-x_v) for each v in var_indices, truncated
+    to degree ``cap`` in the variables ``block`` (all variables if None).
 
-    Exponents of the substituted variables must be non-negative; truncation
-    keeps terms with deg(exponents) <= cap.
+    Exponents of the substituted variables must be non-negative, and the
+    block must contain them.
     """
-    if deg is None:
-        deg = sum
+    block = range(p.n) if block is None else block
+    if not set(var_indices) <= set(block):
+        raise ValueError("the truncation block must contain the substituted variables")
+    bdeg = _block_degree(block, p.n)
     out = p
     for v in var_indices:
         acc = {}
@@ -509,21 +551,22 @@ def geometric_substitution(p, var_indices, cap, deg=None):
             k = e[v]
             if k < 0:
                 raise ValueError("geometric substitution needs non-negative exponents")
+            room = cap - bdeg(e)
+            if room < 0:
+                continue
             if k == 0:
                 acc[e] = c
                 continue
-            # x^k/(1-x)^k = sum_m C(k-1+m, m) x^(k+m); the grading must
-            # count variable v, so m <= cap - k bounds the expansion
-            for m in range(max(0, cap - k) + 1):
+            # x^k/(1-x)^k = sum_m C(k-1+m, m) x^(k+m); each m raises the
+            # block degree by one
+            for m in range(room + 1):
                 ne = list(e)
                 ne[v] = k + m
                 key = tuple(ne)
-                if deg(key) > cap:
-                    continue
                 s = acc.get(key, 0) + c * comb(k - 1 + m, m)
                 if s:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        out = _from_num(p.n, acc, out.den).filter_terms(lambda e: deg(e) <= cap)
+        out = _from_num(p.n, acc, out.den)
     return out

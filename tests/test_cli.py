@@ -220,6 +220,48 @@ def test_concurrent_cache_writers_leave_a_valid_file(tmp_path):
                                     for e in etas}
 
 
+_WRITER = """
+import os, sys, time
+from nsjack import cli
+from nsjack.poly import SparsePoly
+
+path, key, ready, count = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+
+
+def compute():
+    # a barrier: every writer has read the table before any of them writes
+    open(os.path.join(ready, key), "w").close()
+    deadline = time.monotonic() + 60
+    while len(os.listdir(ready)) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return SparsePoly.variable(2, 0)
+
+
+cli._with_cache(path, key, compute)
+"""
+
+
+def test_concurrent_cache_writers_keep_every_entry(tmp_path):
+    """Four writers read the same empty table, then each adds its own key;
+    merging under the directory lock must keep all four."""
+    import os
+
+    cache, ready = tmp_path / "cache", tmp_path / "ready"
+    cache.mkdir()
+    ready.mkdir()
+    path = cache / "jack_n2_alpha1.json"
+    keys = [f"k{i}" for i in range(4)]
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path), key,
+                               str(ready), str(len(keys))],
+                              env=dict(os.environ), stderr=subprocess.PIPE)
+             for key in keys]
+    for p in procs:
+        _, err = p.communicate(timeout=120)
+        assert p.returncode == 0, err[-300:]
+    assert sorted(json.loads(path.read_text())) == keys
+    assert list(cache.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
 def test_unexpected_error_is_internal_error(monkeypatch, capsys, exc):
     from nsjack import cli

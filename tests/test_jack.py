@@ -185,3 +185,80 @@ def test_work_list_fills_the_cache_bottom_up():
     # a second label reuses the cached part of its chain
     jb.E((0, 2, 0))
     assert list(jb._cache)[-1] == (0, 2, 0) and len(jb._cache) == 6
+
+
+MEMO_ALPHAS = (F(1), F(7, 5), F(5, 7), F(1, 3))
+
+
+def _memo_values(jb, n, max_weight=5):
+    """Every memoized label constant of the basis on the labels of weight
+    at most ``max_weight``, keyed by its call."""
+    alpha = jb.alpha
+    out = {}
+    for eta in comb.compositions_up_to(n, max_weight):
+        kappa = comb.eta_plus(eta)
+        out["d", eta] = jb.d_const(eta)
+        out["d'", eta] = jb.d_prime_const(eta)
+        out["e", eta] = jb.e_const(eta)
+        out["f", eta] = jb.f_const(eta)
+        for c in (F(1, 2), 3, F(n) / alpha + 1):
+            out["gen_fact", c, eta] = jb.gen_fact(c, eta)
+        out["j", kappa] = jb.hook_norm_j(kappa)
+        out["J_ones", kappa] = jb.J_ones(kappa)
+        out["ones", eta] = jb.eval_ones(eta)
+    return out
+
+
+def _reference(key, alpha, n):
+    """The value of a memo key from the combinat functions; J(1^n) is
+    checked against alpha^|kappa| [n/alpha]_kappa."""
+    kind, eta = key[0], key[-1]
+    return {
+        "d": lambda: comb.d_const(eta, alpha),
+        "d'": lambda: comb.d_prime_const(eta, alpha),
+        "e": lambda: comb.e_const(eta, alpha),
+        "f": lambda: comb.f_const(eta, alpha),
+        "gen_fact": lambda: comb.gen_fact(key[1], eta, alpha),
+        "j": lambda: comb.hook_norm_j(eta, alpha),
+        "J_ones": lambda: alpha ** sum(eta) * comb.gen_fact(
+            F(n) / alpha, eta, alpha),
+        "ones": lambda: comb.e_const(eta, alpha) / comb.d_const(eta, alpha),
+    }[kind]()
+
+
+@pytest.mark.parametrize("alpha", MEMO_ALPHAS)
+def test_label_constants_match_combinat(alpha):
+    for n in range(1, 5):
+        jb = JackBasis(n, alpha)
+        for key, value in _memo_values(jb, n).items():
+            assert value == _reference(key, alpha, n), (n, key)
+
+
+def test_bases_at_different_alpha_share_no_entries():
+    one, other = JackBasis(3, F(7, 5)), JackBasis(3, F(5, 7))
+    _memo_values(one, 3, 3)
+    assert one._consts and not other._consts
+    _memo_values(other, 3, 3)
+    assert one._consts is not other._consts
+    # every entry the second basis holds is its own coupling's value
+    for key, value in other._consts.items():
+        assert value == _reference(key, F(5, 7), 3), key
+    assert one.d_const((1, 0, 0)) == F(12, 5)
+    assert other.d_const((1, 0, 0)) == F(12, 7)
+
+
+def test_warmed_basis_matches_fresh_basis():
+    warm = JackBasis(3, F(7, 5))
+    first = _memo_values(warm, 3, 4)
+    again = _memo_values(warm, 3, 4)
+    fresh = _memo_values(JackBasis(3, F(7, 5)), 3, 4)
+    assert first == again == fresh
+    # every constant is computed once: the second pass added no entry
+    size = len(warm._consts)
+    _memo_values(warm, 3, 4)
+    assert len(warm._consts) == size
+
+
+def test_label_constants_reject_a_wrong_length():
+    with pytest.raises(ValueError):
+        JackBasis(2, 1).d_const((1, 0, 0))

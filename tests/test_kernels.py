@@ -140,3 +140,29 @@ def test_kernel_bound_sanity(jack2):
         X = max(pt[:2])
         Y = max(pt[2:])
         assert val <= math.exp(2 * X * Y) + 10 * slack + 1e-9
+
+
+def _wrong_E(jb):
+    jb._cache[(2, 0)] = jb.E((2, 0)) + SparsePoly.monomial(2, (1, 1), F(1, 97))
+
+
+def _wrong_d(jb):
+    # the basis memo is the one source of d for every check
+    jb.d_const((2, 0))
+    jb._consts["d", (2, 0)] *= F(98, 97)
+
+
+def test_mutation_probe_fails_every_check_but_one_cancellation():
+    """A wrong E((2, 0)) and a wrong d_(2,0) must each fail every kernel
+    check at n = 2, D = 4.  The one survivor is laguerre-jack-expansion under
+    the wrong d: its binomial coefficients carry E(1^n) = e/d, so d cancels
+    between its two sides."""
+    survivors = []
+    for mutation in (_wrong_E, _wrong_d):
+        for name in IDENTITY_CHECKS:
+            jb = JackBasis(2, ALPHA)
+            mutation(jb)
+            rep = verify_kernel_identity(name, jb, 4, a=F(1, 2))
+            if rep["status"] != "fail":
+                survivors.append((mutation.__name__, name))
+    assert survivors == [("_wrong_d", "laguerre-jack-expansion")]

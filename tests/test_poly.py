@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsjack.poly import (SparsePoly, exp_truncated, geometric_substitution,
@@ -108,6 +108,18 @@ def test_geometric_substitution_univariate():
     x = SparsePoly.variable(1, 0)
     got = geometric_substitution(x, [0], 4)
     assert got == P(1, {(1,): 1, (2,): 1, (3,): 1, (4,): 1})
+
+
+def test_exp_and_geometric_truncate_in_a_block():
+    p = x0 * x1 + x1
+    expect = (SparsePoly.one(2) + p + p * p / 2).filter_terms(
+        lambda e: e[1] <= 2)
+    assert exp_truncated(p, 2, block=(1,)) == expect
+    # x0 x1 / (1 - x1) through x1-degree 3, whatever the x0-degree
+    assert geometric_substitution(x0 * x1, [1], 3, block=(1,)) == P(
+        2, {(1, 1): 1, (1, 2): 1, (1, 3): 1})
+    with pytest.raises(ValueError):
+        geometric_substitution(x0 * x1, [1], 3, block=(0,))
 
 
 def test_json_round_trip_and_order():
@@ -281,6 +293,29 @@ def test_scaling_round_trip_and_cancellation(a):
     assert (back.den, back.num) == (p.den, p.num)
     assert (p - p).terms == {}
     assert canonical(p - p) == SparsePoly.zero(3)
+
+
+# -- the graded truncated product --------------------------------------------
+
+# exponents of x0 and x1 may be negative, those of x2 may not
+lexps3 = st.tuples(st.integers(-2, 3), st.integers(-2, 3), st.integers(0, 3))
+laurent3 = st.dictionaries(lexps3, mixed_coeff, max_size=6)
+blocks3 = st.sampled_from([None, (0, 1, 2), (2,), (1,), (2, 0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent3, laurent3, blocks3, st.integers(-3, 7))
+@example({}, {(1, 0, 2): F(1, 3)}, (2,), 1)
+@example({(0, -1, 1): 2}, {(1, 0, 2): F(1, 3)}, None, -1)
+@example({(0, -1, 1): 2, (1, 1, 0): F(-1, 6)}, {(-1, 2, 2): F(3, 4)}, (2,), 2)
+def test_truncated_product_matches_filtered_product(a, b, block, cap):
+    p, q = SparsePoly(3, a), SparsePoly(3, b)
+    in_block = range(3) if block is None else block
+    keep = lambda e: sum(e[i] for i in in_block) <= cap
+    got = p.mul_truncated(q, block, cap)
+    agrees(got, {e: c for e, c in ref_mul(nonzero(a), nonzero(b)).items()
+                 if keep(e)})
+    assert got == (p * q).filter_terms(keep)
 
 
 def test_terms_view_reads_like_a_dict():
