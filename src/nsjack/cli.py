@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import kernels
 from .cterm import ct_inner, ct_norm_formula
-from .hermite_laguerre import HermiteBasis, LaguerreBasis
 from .jack import JackBasis
 from .poly import SparsePoly
 from .suites import run_suite
@@ -216,8 +215,10 @@ def _dispatch(args):
         return 0 if ok else 1
 
     alpha = parse_fraction("1" if args.alpha is None else args.alpha)
+    if args.n is not None and args.n < 1:
+        raise UsageError("--n must be a positive integer")
     if args.command == "kernel":
-        n = args.n or 2
+        n = 2 if args.n is None else args.n
         jb = JackBasis(n, alpha)
         D = args.degree
         if D < 0:
@@ -240,7 +241,7 @@ def _dispatch(args):
         return 0
 
     eta = parse_composition(args.eta)
-    n = args.n or len(eta)
+    n = len(eta) if args.n is None else args.n
     if n != len(eta):
         raise UsageError(f"--n {n} does not match the composition length "
                          f"{len(eta)}")
@@ -253,13 +254,13 @@ def _dispatch(args):
         return 0
     if args.command == "hermite":
         poly = _with_cache(_cache_path("hermite", n, alpha), str(eta),
-                           lambda: HermiteBasis(jb).E(eta))
+                           lambda: jb.hermite().E(eta))
         _emit(poly.to_json_dict(), args.format, args.out)
         return 0
     if args.command == "laguerre":
         a = parse_fraction(args.a)
         poly = _with_cache(_cache_path("laguerre", n, alpha, a), str(eta),
-                           lambda: LaguerreBasis(jb, a).E(eta))
+                           lambda: jb.laguerre(a).E(eta))
         if args.x_squared:
             poly = poly.scale_exponents(2)
         _emit(poly.to_json_dict(), args.format, args.out)
@@ -282,9 +283,9 @@ def _dispatch(args):
                 raise ArithmeticError("norm formula disagrees with the "
                                       "constant term; arithmetic bug")
         elif args.family == "hermite":
-            value = HermiteBasis(jb).norm_ratio(eta)
+            value = jb.hermite().norm_ratio(eta)
         else:
-            value = LaguerreBasis(jb, parse_fraction(args.a)).norm_ratio(eta)
+            value = jb.laguerre(parse_fraction(args.a)).norm_ratio(eta)
         _emit(str(value), args.format, args.out)
         return 0
     if args.command == "binomial":

@@ -3,9 +3,11 @@
 The basis polynomials E_eta are built by the raising/transposition
 recursion; an independent oracle recovers the same polynomials by solving
 the joint eigenproblem of the Cherednik operators directly on monomials.
-The basis also memoizes the label constants (d, d', e, f, the generalized
-factorials, the hook norm j_kappa and J_kappa(1^n)) at its coupling, so
-the kernel and binomial layers compute each of them once per label.
+The basis owns everything derived at its (n, alpha): it memoizes the
+label constants (d, d', e, f, the generalized factorials, the hook norm
+j_kappa and J_kappa(1^n)), the generalized binomial rows, and the Hermite
+and Laguerre families built on it, so the kernel, binomial and suite
+layers compute each of them once per basis.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import permutations
 from math import factorial
 
 from . import combinat as comb
+from .hermite_laguerre import HermiteBasis, LaguerreBasis
 from .linalg import solve_exact
 from .operators import Operators
 from .poly import SparsePoly
@@ -49,6 +52,7 @@ class JackBasis:
         self._cache = {(0,) * n: SparsePoly.one(n)}
         self._j_cache = {}
         self._consts = {}
+        self._families = {}    # Hermite under None, Laguerre under its a
 
     # -- the recursion ---------------------------------------------------
 
@@ -137,8 +141,9 @@ class JackBasis:
     # With alpha = p/q every node factor of d, d', e and j_kappa is an
     # integer over q (over s p for [c]_eta with c = r/s), so each constant
     # is an integer product over one power, made a Fraction once and kept
-    # in ``_consts`` under (kind, label) or (kind, c, label).  The
-    # ``combinat`` functions of the same names are the reference.
+    # in ``_consts`` under (kind, label) or (kind, c, label); the binomial
+    # rows below live there too.  The ``combinat`` functions of the same
+    # names are the reference.
 
     def _node_products(self, eta):
         """Memoize d, d' and e of a label from one pass over its nodes."""
@@ -222,6 +227,23 @@ class JackBasis:
             got = self._consts[key] = self.J(kappa).eval_exact([1] * self.n)
         return got
 
+    # -- deformed families -----------------------------------------------------
+
+    def hermite(self):
+        """The Hermite family exp(-Delta_A/4) E_eta on this basis."""
+        got = self._families.get(None)
+        if got is None:
+            got = self._families[None] = HermiteBasis(self)
+        return got
+
+    def laguerre(self, a):
+        """The Laguerre family exp(-Delta_B/4) E_eta with parameter a."""
+        a = Fraction(a)
+        got = self._families.get(a)
+        if got is None:
+            got = self._families[a] = LaguerreBasis(self, a)
+        return got
+
     # -- evaluations -----------------------------------------------------------
 
     def eval_ones(self, eta):
@@ -282,3 +304,37 @@ class JackBasis:
             out[eta] = c
             residual = residual - c * self.E(eta)
         return out
+
+    # -- generalized binomial coefficients -------------------------------------
+
+    def binomial_row(self, eta):
+        """The coefficients of E_eta(1+z)/E_eta(1^n) over the
+        E_nu(z)/E_nu(1^n), as {nu: coefficient}."""
+        eta = tuple(eta)
+        key = ("binomial", eta)
+        got = self._consts.get(key)
+        if got is None:
+            coeffs = self.expand_in_E(self.E(eta).shift_by_one())
+            e_top = self.eval_ones(eta)
+            got = self._consts[key] = {nu: c * self.eval_ones(nu) / e_top
+                                       for nu, c in coeffs.items()}
+        return got
+
+    def sym_binomial_row(self, kappa):
+        """The coefficients of J_kappa(1+z)/J_kappa(1^n) over the
+        J_mu(z)/J_mu(1^n), as {mu: coefficient} with mu padded to n parts."""
+        kappa = tuple(kappa) + (0,) * (self.n - len(kappa))
+        key = ("sym_binomial", kappa)
+        got = self._consts.get(key)
+        if got is None:
+            row = {}
+            shifted = self.J(kappa).shift_by_one()
+            for eta, c in self.expand_in_E(shifted).items():
+                mu = comb.eta_plus(eta)
+                # coefficient of J_mu is c d'_eta / j_mu, constant over the orbit
+                b = c * self.d_prime_const(eta) / self.hook_norm_j(mu)
+                if row.setdefault(mu, b) != b:
+                    raise ArithmeticError("J expansion inconsistent across an orbit")
+            got = self._consts[key] = {
+                mu: b * self.J_ones(mu) / self.J_ones(kappa) for mu, b in row.items()}
+        return got

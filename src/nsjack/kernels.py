@@ -10,17 +10,19 @@ where both sides are complete; each check states its own range.
 Every bilinear sum here, the kernels and the sides of the generating-
 function and summation checks alike, is one call of ``_bilinear_sum``,
 and the kernels weigh a label by ``_weight`` = alpha^|eta| d/(d' e).  The
-label constants (d, d', e, f, [c]_eta, j_kappa, J_kappa(1^n)) come from
-the basis memo (``JackBasis.d_const`` and its siblings), computed once per
-label, and every product that is truncated in a block of variables is a
-``SparsePoly.mul_truncated``, which never forms a pair beyond the cap.  A
-deformed family (a ``DeformedBasis``) plugs into the checks through:
+label constants (d, d', e, f, [c]_eta, j_kappa, J_kappa(1^n)), the
+binomial rows and the deformed families all come from the basis
+(``JackBasis.d_const`` and its siblings, ``binomial_row``, ``hermite()``,
+``laguerre(a)``), built once per basis, and every product that is
+truncated in a block of variables is a ``SparsePoly.mul_truncated``, which
+never forms a pair beyond the cap.  A deformed family (a
+``DeformedBasis``) plugs into the checks through:
 
 - its generating function: the bilinear sum of E^family_eta(x) E_eta(z)
   with the kernel weight times a family factor (2^|eta| for Hermite,
   (-1)^|eta| / [a + q]_eta for Laguerre), against a transformed kernel;
 - its summation formula (``_summation``): the norm-weighted bilinear sum
-  of E^family_eta(x) E^family_eta(y) t^|eta| against
+  of E^family_eta(x) E^family_eta(y) t^|eta|, through t-degree D, against
   (1 - t^rho)^(-gamma) exp(-u (p_rho(x) + p_rho(y))) times the kernel
   slices, slice d scaled by t^d (1 - t^rho)^(-(2/rho) d) and its x block
   by the x-scale.  Here rho is the family's ``radius_degree``, gamma its
@@ -190,35 +192,10 @@ def kernel_slices(kernel, n, D):
 # generalized binomial coefficients
 
 
-class BinomialTable:
-    """Coefficients of E_eta(1+z)/E_eta(1^n) over {E_nu(z)/E_nu(1^n)}."""
-
-    def __init__(self, jack):
-        self.jack = jack
-        self._rows = {}
-
-    def row(self, eta):
-        eta = tuple(eta)
-        got = self._rows.get(eta)
-        if got is None:
-            shifted = self.jack.E(eta).shift_by_one()
-            coeffs = self.jack.expand_in_E(shifted)
-            e_top = self.jack.eval_ones(eta)
-            got = {nu: c * self.jack.eval_ones(nu) / e_top
-                   for nu, c in coeffs.items()}
-            self._rows[eta] = got
-        return got
-
-    def coeff(self, eta, nu):
-        return self.row(eta).get(tuple(nu), Fraction(0))
-
-
 def binomial_coeff(jack, eta, nu):
-    table = getattr(jack, "_binomials", None)
-    if table is None:
-        table = BinomialTable(jack)
-        jack._binomials = table
-    return table.coeff(eta, nu)
+    """The generalized binomial coefficient (eta over nu), read from the
+    basis's row of eta."""
+    return jack.binomial_row(eta).get(tuple(nu), Fraction(0))
 
 
 def binomial_n_independence(eta, nu, alpha, n1, n2):
@@ -247,30 +224,10 @@ def binomial_n_independence(eta, nu, alpha, n1, n2):
 
 
 def sym_binomial(jack, kappa, sigma):
-    """Symmetric binomial coefficient from the J-basis expansion of J(1+z)."""
-    kappa = tuple(kappa)
-    sigma = tuple(sigma)
-    cache = getattr(jack, "_sym_binomials", None)
-    if cache is None:
-        cache = {}
-        jack._sym_binomials = cache
-    row = cache.get(kappa)
-    if row is None:
-        shifted = jack.J(kappa).shift_by_one()
-        e_coeffs = jack.expand_in_E(shifted)
-        row = {}
-        for eta, c in e_coeffs.items():
-            mu = comb.eta_plus(eta)
-            # coefficient of J_mu is c * d'_eta / j_mu, constant over the orbit
-            b = c * jack.d_prime_const(eta) / jack.hook_norm_j(mu)
-            prev = row.get(mu)
-            if prev is not None and prev != b:
-                raise ArithmeticError("J expansion inconsistent across an orbit")
-            row[mu] = b
-        row = {mu: b * jack.J_ones(mu) / jack.J_ones(kappa) for mu, b in row.items()}
-        cache[kappa] = row
-    pad = sigma + (0,) * (jack.n - len(sigma))
-    return row.get(tuple(sorted(pad, reverse=True)), Fraction(0))
+    """Symmetric binomial coefficient (kappa over sigma), read from the
+    basis's row of kappa."""
+    pad = tuple(sigma) + (0,) * (jack.n - len(sigma))
+    return jack.sym_binomial_row(kappa).get(comb.eta_plus(pad), Fraction(0))
 
 
 def eps_eigenvalue(eta, alpha):
@@ -349,12 +306,10 @@ def check_exp_shift(jack, D, **_):
     return _verdict("kernel-exp-shift", jack, D, {}, diff)
 
 
-def check_hermite_gf(jack, D, hermite=None, **_):
+def check_hermite_gf(jack, D, **_):
     """Generating function of the Gaussian-deformed family."""
-    from .hermite_laguerre import HermiteBasis
-
     n = jack.n
-    hb = hermite or HermiteBasis(jack)
+    hb = jack.hermite()
     lhs = _bilinear_sum(jack, hb.E, jack.E,
                         lambda eta: 2 ** sum(eta) * _weight(jack, eta), D)
     K2x = scale_block(kernel_KA(jack, D), range(n), 2)
@@ -489,12 +444,10 @@ def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
     return _verdict("2k1-pde", jack, D, {"a": a, "b": b, "c": c}, diff)
 
 
-def check_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
+def check_laguerre_gf(jack, D, a=Fraction(1, 2), **_):
     """Principal Laguerre generating function via the type-B kernel."""
-    from .hermite_laguerre import LaguerreBasis
-
     n = jack.n
-    lb = laguerre or LaguerreBasis(jack, a)
+    lb = jack.laguerre(a)
     aq = lb.shifted_a
     lhs = _bilinear_sum(
         jack, lb.E, jack.E, lambda eta: (-1) ** sum(eta) * _weight(jack, eta)
@@ -528,13 +481,11 @@ def _geometric_gf(jack, lb, K, exponent, factor, D):
     return lhs - rhs
 
 
-def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, laguerre=None, **_):
+def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, **_):
     """Laguerre generating function through the one-parameter kernel with a
     geometric change of argument."""
-    from .hermite_laguerre import LaguerreBasis
-
     n, al = jack.n, jack.alpha
-    lb = laguerre or LaguerreBasis(jack, a)
+    lb = jack.laguerre(a)
     aq = lb.shifted_a
     c = Fraction(c if c is not None else Fraction(3, 2))
     cq = c + 1 + Fraction(n - 1) / al
@@ -545,23 +496,19 @@ def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, laguerre=None, **_):
                     diff)
 
 
-def check_ka_laguerre_gf(jack, D, a=Fraction(1, 2), laguerre=None, **_):
+def check_ka_laguerre_gf(jack, D, a=Fraction(1, 2), **_):
     """Laguerre generating function through the type-A kernel."""
-    from .hermite_laguerre import LaguerreBasis
-
-    lb = laguerre or LaguerreBasis(jack, a)
+    lb = jack.laguerre(a)
     diff = _geometric_gf(jack, lb, kernel_KA(jack, D), lb.shifted_a,
                          lambda eta: 1, D)
     return _verdict("ka-laguerre-generating-function", jack, D,
                     {"a": lb.a}, diff)
 
 
-def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), laguerre=None, **_):
+def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), **_):
     """Finite binomial expansions between the Laguerre and Jack bases."""
-    from .hermite_laguerre import LaguerreBasis
-
     n = jack.n
-    lb = laguerre or LaguerreBasis(jack, a)
+    lb = jack.laguerre(a)
     aq = lb.shifted_a
     for w in range(D + 1):
         for eta in comb.compositions(n, w):
@@ -624,9 +571,9 @@ def check_binomial_sum_rules(jack, D, **_):
     return _report("binomial-sum-rules", jack, D, {})
 
 
-def _summation(identity, jack, fb, T, kernel, x_scale, params):
+def _summation(identity, jack, fb, D, kernel, x_scale, params):
     """Closed form of the norm-weighted bilinear sum of the deformed family
-    ``fb``, as a formal series in an extra variable t through degree T; see
+    ``fb``, as a formal series in an extra variable t through degree D; see
     the module docstring for the parts a family supplies."""
     n = jack.n
     total = 2 * n + 1
@@ -636,39 +583,36 @@ def _summation(identity, jack, fb, T, kernel, x_scale, params):
     rho = fb.radius_degree
 
     lhs = _bilinear_sum(jack, fb.E, fb.E,
-                        lambda eta: t ** sum(eta) / fb.norm_ratio(eta), T,
+                        lambda eta: t ** sum(eta) / fb.norm_ratio(eta), D,
                         extra=1)
 
     # exp(-u (p_rho(x) + p_rho(y))) with u = t^rho / (1 - t^rho) truncated
-    u = _series(total, tvar, 1, rho, T) - 1
+    u = _series(total, tvar, 1, rho, D) - 1
     s = p_power_sum(n, total, 0, rho) + p_power_sum(n, total, n, rho)
-    expf = exp_truncated(-u.mul_truncated(s, ts, T), T, block=ts)
+    expf = exp_truncated(-u.mul_truncated(s, ts, D), D, block=ts)
     kern = SparsePoly.zero(total)
-    for d, sl in enumerate(kernel_slices(kernel, n, T)):
-        geom = _series(total, tvar, Fraction(2 * d, rho), rho, T)
+    for d, sl in enumerate(kernel_slices(kernel, n, D)):
+        geom = _series(total, tvar, Fraction(2 * d, rho), rho, D)
         kern = kern + (scale_block(sl, range(n), x_scale) * t ** d
-                       ).mul_truncated(geom, ts, T)
-    rhs = _series(total, tvar, fb.gamma, rho, T).mul_truncated(expf, ts, T)
-    rhs = rhs.mul_truncated(kern, ts, T)
-    return _verdict(identity, jack, T, params, lhs - rhs)
+                       ).mul_truncated(geom, ts, D)
+    rhs = _series(total, tvar, fb.gamma, rho, D).mul_truncated(expf, ts, D)
+    rhs = rhs.mul_truncated(kern, ts, D)
+    return _verdict(identity, jack, D, params, lhs - rhs)
 
 
-def check_hermite_summation(jack, D=None, T=4, hermite=None, **_):
-    """Closed form of the norm-weighted bilinear Hermite sum."""
-    from .hermite_laguerre import HermiteBasis
-
-    hb = hermite or HermiteBasis(jack)
-    return _summation("hermite-summation", jack, hb, T,
-                      kernel_KA(jack, T, extra=1), 2, {})
+def check_hermite_summation(jack, D, **_):
+    """Closed form of the norm-weighted bilinear Hermite sum through
+    t-degree D."""
+    return _summation("hermite-summation", jack, jack.hermite(), D,
+                      kernel_KA(jack, D, extra=1), 2, {})
 
 
-def check_laguerre_summation(jack, D=None, T=4, a=Fraction(1, 2), laguerre=None, **_):
-    """Closed form of the norm-weighted bilinear Laguerre sum."""
-    from .hermite_laguerre import LaguerreBasis
-
-    lb = laguerre or LaguerreBasis(jack, a)
-    return _summation("laguerre-summation", jack, lb, T,
-                      kernel_KB(jack, lb.a, T, extra=1), 1, {"a": lb.a})
+def check_laguerre_summation(jack, D, a=Fraction(1, 2), **_):
+    """Closed form of the norm-weighted bilinear Laguerre sum through
+    t-degree D."""
+    lb = jack.laguerre(a)
+    return _summation("laguerre-summation", jack, lb, D,
+                      kernel_KB(jack, lb.a, D, extra=1), 1, {"a": lb.a})
 
 
 IDENTITY_CHECKS = {

@@ -147,9 +147,10 @@ class Operators:
         return self.a
 
     def _x(self, p, i, power=1):
+        """x_i^power in the variables of p, built raw on integers."""
         e = [0] * p.n
         e[self.vars[i]] = power
-        return SparsePoly.monomial(p.n, tuple(e))
+        return _from_num(p.n, {tuple(e): 1})
 
     # -- symmetric group action ---------------------------------------
 
@@ -320,9 +321,7 @@ class Operators:
         so it plays no role here.
         """
         ti = self.dunkl(p, i).scale_exponents(2)
-        e = [0] * p.n
-        e[self.vars[i]] = 1
-        return 2 * (SparsePoly.monomial(p.n, tuple(e)) * ti)
+        return 2 * (self._x(p, i) * ti)
 
     @_linear
     def laplacian_B(self, p):
@@ -337,11 +336,9 @@ class Operators:
         """Eigenoperator of the Laguerre-type family."""
         return self.cherednik(p, i) - self.alpha * self.b_op(p, i)
 
-    def psi(self, p):
-        """Type-B raising operator: multiply by the last squared variable
-        after the swap cycle."""
-        q = self._chain_up(p, self.s)
-        return self._x(p, self.n - 1) * q
+    # the type-B raising operator multiplies by the last squared variable
+    # after the swap cycle, which in squared variables is ``phi`` itself
+    psi = phi
 
     @_linear
     def psi_hat(self, p):

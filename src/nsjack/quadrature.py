@@ -432,11 +432,9 @@ def check_classical_reductions(alpha=1.0, a=0.5, tol=1e-10):
         out.append(_report("classical-laplace-monomial", 1, alpha, lhs, rhs,
                            tol, a=a, extra={"k": k}))
     # one-variable kernel transform with the exact exponential kernel
-    from .hermite_laguerre import HermiteBasis
     from .jack import JackBasis
 
-    jb = JackBasis(1, alpha)
-    hb = HermiteBasis(jb)
+    hb = JackBasis(1, alpha).hermite()
     z = 0.4
     for k in range(4):
         ev = evaluator(hb.E((k,)))

@@ -15,7 +15,7 @@ from . import combinat as comb
 from . import kernels
 from .cterm import (SahiInner, ct_inner, ct_norm_formula, kadell_ratio_check,
                     norm_relation_check)
-from .hermite_laguerre import HermiteBasis, LaguerreBasis, _radius_squared
+from .hermite_laguerre import _radius_squared
 from .jack import JackBasis
 from .operators import Operators
 from .poly import SparsePoly, symmetrize
@@ -23,26 +23,6 @@ from .poly import SparsePoly, symmetrize
 DEFAULT_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
                   Fraction(7, 5))
 DEFAULT_A_SET = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-_hermites = {}
-_laguerres = {}
-
-
-def shared_hermite(n, alpha):
-    key = (n, Fraction(alpha))
-    got = _hermites.get(key)
-    if got is None:
-        got = _hermites[key] = HermiteBasis(JackBasis.shared(n, alpha))
-    return got
-
-
-def shared_laguerre(n, alpha, a):
-    key = (n, Fraction(alpha), Fraction(a))
-    got = _laguerres.get(key)
-    if got is None:
-        got = _laguerres[key] = LaguerreBasis(JackBasis.shared(n, alpha), a)
-    return got
-
 
 def _ok(check, ok, **info):
     rep = {"check": check, "status": "pass" if ok else "fail"}
@@ -381,7 +361,7 @@ def suite_hermite(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
     reps = []
     for alpha in alphas:
         for n in range(1, max_n + 1):
-            hb = shared_hermite(n, alpha)
+            hb = JackBasis.shared(n, alpha).hermite()
             reps.extend(_family_checks(
                 "hermite", hb, max_weight, hb.ops.h_op, raise_scale=2,
                 pairing_value=_hermite_pairing_value,
@@ -409,7 +389,7 @@ def suite_laguerre(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3,
     for alpha in alphas:
         for n in range(1, max_n + 1):
             for a in a_set:
-                lb = shared_laguerre(n, alpha, a)
+                lb = JackBasis.shared(n, alpha).laguerre(a)
                 reps.extend(_family_checks(
                     "laguerre", lb, max_weight, lb.ops.l_op, raise_scale=1,
                     pairing_value=_laguerre_pairing_value,
@@ -513,9 +493,12 @@ def suite_kernels(alphas=DEFAULT_ALPHAS, sizes=((2, 5), (3, 4)),
         for n, D in sizes:
             jb = JackBasis.shared(n, alpha)
             for name in kernels.IDENTITY_CHECKS:
-                if name.endswith("summation") and n != 2:
+                # the summation checks run at n = 2 only, through t-degree 4
+                summation = name.endswith("summation")
+                if summation and n != 2:
                     continue
-                reps.append(kernels.verify_kernel_identity(name, jb, D, a=a))
+                reps.append(kernels.verify_kernel_identity(
+                    name, jb, 4 if summation else D, a=a))
     return reps
 
 
@@ -604,7 +587,7 @@ def suite_sahi(alphas=(Fraction(1), Fraction(2), Fraction(7, 5)), max_weight=3,
     for alpha in alphas:
         for n in range(2, max_n + 1):
             jb = JackBasis.shared(n, alpha)
-            hb = shared_hermite(n, alpha)
+            hb = jb.hermite()
             si = SahiInner(n, alpha, max_weight)
             etas = comb.compositions_up_to(n, max_weight)
             pairs = [(eta, nu) for eta in etas for nu in etas
@@ -649,15 +632,14 @@ def suite_numeric(alphas=(Fraction(1), Fraction(2)), a_set=DEFAULT_A_SET,
             reps.append(quad.check_ground_state_H(n, alpha))
             for a in a_set:
                 reps.append(quad.check_ground_state_L(n, alpha, a))
-        hb = shared_hermite(2, alpha)
-        reps.extend(quad.check_gram_H(hb, max_weight))
+        jb = JackBasis.shared(2, alpha)
+        reps.extend(quad.check_gram_H(jb.hermite(), max_weight))
         for a in a_set:
-            reps.extend(quad.check_gram_L(shared_laguerre(2, alpha, a),
-                                          max_weight))
+            reps.extend(quad.check_gram_L(jb.laguerre(a), max_weight))
     # transform and beta-integral spot checks
     for n in (1, 2):
-        hb = shared_hermite(n, Fraction(1))
-        lb = shared_laguerre(n, Fraction(1), Fraction(1, 2))
+        jb1 = JackBasis.shared(n, Fraction(1))
+        hb, lb = jb1.hermite(), jb1.laguerre(Fraction(1, 2))
         spot = [(0,) * n, (1,) + (0,) * (n - 1), (2, 1)[:n] if n > 1 else (2,)]
         for eta in spot:
             reps.append(quad.check_hermite_transform(hb, eta, D))

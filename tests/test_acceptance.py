@@ -14,8 +14,7 @@ from nsjack.hermite_laguerre import _radius_squared
 from nsjack.jack import JackBasis
 from nsjack.kernels import binomial_coeff
 from nsjack.poly import SparsePoly
-from nsjack.suites import (shared_hermite, shared_laguerre, suite_binomials,
-                           suite_kernels, suite_numeric)
+from nsjack.suites import suite_binomials, suite_kernels, suite_numeric
 
 ALPHAS = (F(1), F(2), F(1, 2), F(3), F(7, 5))
 A_SET = (F(0), F(1, 2), F(1))
@@ -37,7 +36,7 @@ def test_criterion_01_eigenfunctions():
     for alpha in ALPHAS:
         for n in range(1, MAX_N + 1):
             jb = JackBasis.shared(n, alpha)
-            hb = shared_hermite(n, alpha)
+            hb = jb.hermite()
             for eta in _etas(n):
                 bars = comb.eta_bar_vec(eta, alpha)
                 E, EH = jb.E(eta), hb.E(eta)
@@ -45,7 +44,7 @@ def test_criterion_01_eigenfunctions():
                     ok &= jb.ops.cherednik(E, i) == bars[i] * E
                     ok &= hb.ops.h_op(EH, i) == bars[i] * EH
             for a in A_SET:
-                lb = shared_laguerre(n, alpha, a)
+                lb = jb.laguerre(a)
                 for eta in _etas(n):
                     bars = comb.eta_bar_vec(eta, alpha)
                     EL = lb.E(eta)
@@ -74,7 +73,7 @@ def test_criterion_03_evaluations():
             for eta in _etas(n):
                 ok &= jb.E(eta).eval_exact(ones) == jb.eval_ones(eta)
             for a in A_SET:
-                lb = shared_laguerre(n, alpha, a)
+                lb = jb.laguerre(a)
                 for eta in _etas(n):
                     ok &= lb.E(eta).eval_exact(zeros) == lb.at_zero(eta)
     _verdict(3, ok, "all-ones and at-origin closed forms, exact")
@@ -114,7 +113,7 @@ def test_criterion_06_raising_lowering():
     for alpha in ALPHAS:
         for n in range(1, MAX_N + 1):
             jb = JackBasis.shared(n, alpha)
-            hb = shared_hermite(n, alpha)
+            hb = jb.hermite()
             for eta in _etas(n):
                 up = comb.phi_map(eta)
                 ok &= jb.ops.phi(jb.E(eta)) == jb.E(up)
@@ -134,7 +133,7 @@ def test_criterion_06_raising_lowering():
                     ok &= lowh == hb.lower_constant(eta) * hb.E(
                         comb.phi_hat_map(eta))
             for a in A_SET:
-                lb = shared_laguerre(n, alpha, a)
+                lb = jb.laguerre(a)
                 for eta in _etas(n):
                     ok &= lb.raise_op(eta) == lb.E(comb.phi_map(eta))
                     lowl = lb.lower_op(eta)
@@ -151,8 +150,8 @@ def test_criterion_07_pairings():
     for alpha in ALPHAS:
         for n in range(1, MAX_N + 1):
             jb = JackBasis.shared(n, alpha)
-            hb = shared_hermite(n, alpha)
-            lbs = [shared_laguerre(n, alpha, a) for a in A_SET]
+            hb = jb.hermite()
+            lbs = [jb.laguerre(a) for a in A_SET]
             for w in range(MAX_WEIGHT + 1):
                 group = list(comb.compositions(n, w))
                 for eta in group:
@@ -178,7 +177,7 @@ def test_criterion_07_pairings():
     for alpha in ALPHAS:
         for n in range(2, MAX_N + 1):
             jb = JackBasis.shared(n, alpha)
-            hb = shared_hermite(n, alpha)
+            hb = jb.hermite()
             si = SahiInner(n, alpha, 3)
             for w in range(4):
                 for lam in comb.partitions(w, n):
@@ -221,7 +220,7 @@ def test_criterion_10_harmonic_decompositions():
     for alpha in ALPHAS:
         for n in range(1, MAX_N + 1):
             jb = JackBasis.shared(n, alpha)
-            hb = shared_hermite(n, alpha)
+            hb = jb.hermite()
             r2 = _radius_squared(n)
             for eta in _etas(n):
                 comps = hb.harmonic_components(eta)
@@ -233,7 +232,7 @@ def test_criterion_10_harmonic_decompositions():
                 ok &= hb.from_harmonics(eta, comps) == hb.E(eta)
             r2y = _radius_squared(n, degree=1)
             for a in A_SET:
-                lb = shared_laguerre(n, alpha, a)
+                lb = jb.laguerre(a)
                 for eta in _etas(n):
                     comps = lb.harmonic_components(eta)
                     rebuilt = SparsePoly.zero(n)

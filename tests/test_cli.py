@@ -115,6 +115,15 @@ def test_negative_kernel_degree_is_usage_error():
     _assert_usage_error("kernel", "--family", "A", "--degree", "-1")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_non_positive_variable_count_is_usage_error(n):
+    for args in (("jack", "--eta", "1,0"),
+                 ("kernel", "--family", "A", "--degree", "2")):
+        r = run_cli(*args, "--n", n)
+        assert r.returncode == 2, (args, r.returncode, r.stdout[:200])
+        assert r.stderr == "error: --n must be a positive integer\n"
+
+
 def test_zero_ct_coupling_is_usage_error():
     _assert_usage_error("norm", "--family", "ct", "--k", "0", "--eta", "1,0")
 

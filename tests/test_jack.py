@@ -262,3 +262,13 @@ def test_warmed_basis_matches_fresh_basis():
 def test_label_constants_reject_a_wrong_length():
     with pytest.raises(ValueError):
         JackBasis(2, 1).d_const((1, 0, 0))
+
+
+def test_basis_holds_one_family_of_each_kind():
+    jb = JackBasis(2, F(7, 5))
+    assert jb.hermite() is jb.hermite()
+    assert jb.laguerre(F(1, 2)) is jb.laguerre("1/2")
+    assert jb.laguerre(0) is not jb.laguerre(F(1, 2))
+    assert jb.laguerre(0).a == 0 and jb.hermite().jack is jb
+    # another basis at the same (n, alpha) owns its own families
+    assert JackBasis(2, F(7, 5)).hermite() is not jb.hermite()

@@ -157,6 +157,36 @@ def test_failing_summation_names_the_first_failure(monkeypatch, cls, identity):
     assert fail["exponents"][-1] == 1 and fail["coefficient"] != "0"
 
 
+@pytest.mark.parametrize("identity", ["hermite-summation",
+                                      "laguerre-summation"])
+def test_summation_runs_through_the_degree_it_is_given(identity):
+    rep = kernels.verify_kernel_identity(identity, JackBasis(2, ALPHA[0]), 3)
+    assert rep["D"] == 3 and rep["status"] == "pass"
+
+
+def test_kernel_suite_builds_each_family_label_once(monkeypatch):
+    """Every check at one basis reads the same Hermite and Laguerre
+    families, so each deformed E is built once per (family, label)."""
+    from collections import Counter
+
+    from nsjack import hermite_laguerre, jack
+
+    built = Counter()
+    right = hermite_laguerre._exp_minus_quarter
+
+    def counted(lap, p):
+        built[lap.__name__, lap.__self__.a, tuple(p.sorted_terms())] += 1
+        return right(lap, p)
+
+    monkeypatch.setattr(hermite_laguerre, "_exp_minus_quarter", counted)
+    monkeypatch.setattr(jack, "_shared", {})
+    reports = suites.suite_kernels(alphas=ALPHA, sizes=((2, 3),))
+    assert all(r["status"] == "pass" for r in reports)
+    # both families at every label of weight <= 4 (the summation degree)
+    assert len(built) == 2 * 15
+    assert set(built.values()) == {1}
+
+
 def test_failing_ct_report_names_the_label(monkeypatch):
     right = suites.ct_norm_formula
 
