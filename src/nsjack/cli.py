@@ -161,7 +161,8 @@ def build_parser():
         if name == "laguerre":
             sub.add_argument("--a", default="0", help="type-B parameter")
             sub.add_argument("--x-squared", action="store_true",
-                             help="serialize in squared variables")
+                             help="write the polynomial in the original "
+                                  "variables x, its exponents doubled")
 
     sub = sp.add_parser("eval-ones", help="value at the all-ones point")
     _add_common(sub)
@@ -247,21 +248,14 @@ def _dispatch(args):
                          f"{len(eta)}")
     jb = JackBasis(n, alpha)
 
-    if args.command == "jack":
-        poly = _with_cache(_cache_path("jack", n, alpha), str(eta),
-                           lambda: jb.E(eta))
-        _emit(poly.to_json_dict(), args.format, args.out)
-        return 0
-    if args.command == "hermite":
-        poly = _with_cache(_cache_path("hermite", n, alpha), str(eta),
-                           lambda: jb.hermite().E(eta))
-        _emit(poly.to_json_dict(), args.format, args.out)
-        return 0
-    if args.command == "laguerre":
-        a = parse_fraction(args.a)
-        poly = _with_cache(_cache_path("laguerre", n, alpha, a), str(eta),
-                           lambda: jb.laguerre(a).E(eta))
-        if args.x_squared:
+    kind = args.command
+    if kind in ("jack", "hermite", "laguerre"):
+        a = parse_fraction(args.a) if kind == "laguerre" else None
+        family = {"jack": lambda: jb, "hermite": jb.hermite,
+                  "laguerre": lambda: jb.laguerre(a)}[kind]
+        poly = _with_cache(_cache_path(kind, n, alpha, a), str(eta),
+                           lambda: family().E(eta))
+        if kind == "laguerre" and args.x_squared:
             poly = poly.scale_exponents(2)
         _emit(poly.to_json_dict(), args.format, args.out)
         return 0

@@ -223,6 +223,10 @@ class LaguerreBasis(DeformedBasis):
         return self.E(eta).scale_exponents(2)
 
     def norm_ratio(self, eta):
+        """Norm divided by the ground-state normalization; the weight
+        y^a exp(-y) is integrable only for a > -1."""
+        if self.a <= -1:
+            raise ValueError(f"the Laguerre norm needs a > -1, got a = {self.a}")
         jack = self.jack
         return (jack.gen_fact(self.shifted_a, eta) * jack.d_prime_const(eta)
                 * jack.eval_ones(eta) / self.alpha ** sum(eta))

@@ -3,7 +3,9 @@
 Everything exact lives elsewhere; this module spot-checks (n <= 2) the
 ground-state normalizations, orthogonality under the Gaussian and
 Laguerre-type measures, the kernel transform formulas, and the Laplace
-transform evaluations.
+transform evaluations.  The two families share one Gram loop and one
+kernel-transform routine; each public check passes its family's measure,
+ground state, kernel and names.
 
 The kink of |x_1 - x_2|^(2/alpha) is removed by a change of variables
 that splits the domain along the diagonal: rotated coordinates for the
@@ -176,91 +178,91 @@ def check_ground_state_L(n, alpha, a, tol=1e-8):
                    ground_state_L(n, alpha, a), tol, a=a)
 
 
-def check_gram_H(hermite, max_weight, tol_diag=1e-7, tol_off=1e-8):
-    """Numeric Gram matrix of the Gaussian family against the exact norm
-    ratios: diagonal to tol_diag, off-diagonal to tol_off (relative)."""
-    jack = hermite.jack
+def _check_gram(family, max_weight, inner, n0, prefix, a, tol_diag, tol_off):
+    """Numeric Gram matrix of a deformed family under ``inner`` against the
+    exact norm ratios times the ground state ``n0``: diagonal to tol_diag,
+    off-diagonal to tol_off (relative)."""
+    jack = family.jack
     n, alpha = jack.n, jack.alpha
     etas = comb.compositions_up_to(n, max_weight)
-    n0 = ground_state_H(n, alpha)
     out = []
     for i, eta in enumerate(etas):
         for nu in etas[i:]:
-            got = quad_inner_H(hermite.E(eta), hermite.E(nu), alpha)
+            got = inner(family.E(eta), family.E(nu))
             if eta == nu:
-                want = float(hermite.norm_ratio(eta)) * n0
-                rep = _report("gaussian-gram-diagonal", n, alpha, got, want,
-                              tol_diag, extra={"eta": list(eta)})
-            else:
-                scale = n0 * sqrt(float(hermite.norm_ratio(eta))
-                                  * float(hermite.norm_ratio(nu)))
-                rep = _report("gaussian-gram-offdiagonal", n, alpha,
-                              got / scale, 0.0, tol_off,
-                              extra={"eta": list(eta), "nu": list(nu)})
-            out.append(rep)
-    return out
-
-
-def check_gram_L(laguerre, max_weight, tol_diag=1e-7, tol_off=1e-8):
-    jack = laguerre.jack
-    n, alpha = jack.n, jack.alpha
-    a = laguerre.a
-    etas = comb.compositions_up_to(n, max_weight)
-    n0 = ground_state_L(n, alpha, a)
-    out = []
-    for i, eta in enumerate(etas):
-        for nu in etas[i:]:
-            got = quad_inner_L(laguerre.E(eta), laguerre.E(nu), alpha, a)
-            if eta == nu:
-                want = float(laguerre.norm_ratio(eta)) * n0
-                rep = _report("laguerre-gram-diagonal", n, alpha, got, want,
+                want = float(family.norm_ratio(eta)) * n0
+                rep = _report(f"{prefix}-gram-diagonal", n, alpha, got, want,
                               tol_diag, a=a, extra={"eta": list(eta)})
             else:
-                scale = n0 * sqrt(float(laguerre.norm_ratio(eta))
-                                  * float(laguerre.norm_ratio(nu)))
-                rep = _report("laguerre-gram-offdiagonal", n, alpha,
+                scale = n0 * sqrt(float(family.norm_ratio(eta))
+                                  * float(family.norm_ratio(nu)))
+                rep = _report(f"{prefix}-gram-offdiagonal", n, alpha,
                               got / scale, 0.0, tol_off, a=a,
                               extra={"eta": list(eta), "nu": list(nu)})
             out.append(rep)
     return out
 
 
-def _kernel_eval_in_y(kernel, n, zval):
-    """Fix the y block of a 2n-variable kernel at a float point; returns a
-    callable of the x block."""
-    f = evaluator(kernel)
-
-    def h(*xs):
-        return f(*xs, *zval)
-
-    return h
+def check_gram_H(hermite, max_weight, tol_diag=1e-7, tol_off=1e-8):
+    """Gram check of the Gaussian family."""
+    n, alpha = hermite.n, hermite.alpha
+    return _check_gram(hermite, max_weight,
+                       lambda f, g: quad_inner_H(f, g, alpha),
+                       ground_state_H(n, alpha), "gaussian", None,
+                       tol_diag, tol_off)
 
 
-def _transform_lhs(hermite, kernel_D, kernel_D1, eta, zval, imaginary=False):
-    """Gaussian-kernel transform integrals at two truncation levels.
+def check_gram_L(laguerre, max_weight, tol_diag=1e-7, tol_off=1e-8):
+    """Gram check of the Laguerre-type family."""
+    n, alpha, a = laguerre.n, laguerre.alpha, laguerre.a
+    return _check_gram(laguerre, max_weight,
+                       lambda f, g: quad_inner_L(f, g, alpha, a),
+                       ground_state_L(n, alpha, a), "laguerre", a,
+                       tol_diag, tol_off)
 
-    The coarse level sets the truncation budget; parity can silence the
-    first omitted slice, so the fine level sits two degrees higher.
+
+def _check_transform(check, family, eta, D, zval, kernel, integral, inner,
+                     zpt, rhs, rot=None, a=None):
+    """Kernel-transform integral against its closed form ``rhs``.
+
+    ``kernel(level)`` is the truncated kernel whose y block is fixed at
+    ``zpt``, ``integral(fn, deg)`` the family's weighted integral, and
+    ``inner`` is evaluated at the x block, or at ``rot`` times it (then
+    the lhs is reported as complex).  The coarse level D sets the
+    truncation budget; parity can silence the first omitted slice, so the
+    fine level sits two degrees higher.
     """
-    jack = hermite.jack
-    n, alpha = jack.n, jack.alpha
-    if imaginary:
-        inner = jack.E(eta)
-        zpt = [-1j * z for z in zval]
-        rot = 1j
-    else:
-        inner = hermite.E(eta)
-        zpt = list(zval)
-        rot = 1.0
-    ev_inner = evaluator(inner)
-    out = []
-    for K in (kernel_D, kernel_D1):
-        K2 = scale_block(K, range(n), 2)
-        h = _kernel_eval_in_y(K2, n, zpt)
+    ev = evaluator(inner)
+
+    def ev_inner(*xs):
+        return ev(*xs) if rot is None else ev(*[rot * x for x in xs])
+
+    vals = []
+    for level in (D, D + 2):
+        K = kernel(level)
+        ev_kernel = evaluator(K)
         deg = K.total_degree() + inner.total_degree()
-        fn = (lambda *xs: h(*xs) * ev_inner(*[rot * x for x in xs]))
-        out.append(gaussian_weighted_integral(fn, alpha, deg, n))
-    return out
+        vals.append(integral(
+            lambda *xs: ev_kernel(*xs, *zpt) * ev_inner(*xs), deg))
+    lhs_D, lhs = vals
+    budget = abs(lhs - lhs_D)
+    if rot is not None:
+        lhs = complex(lhs)
+    tol = max(1e-6, 10.0 * budget / max(1.0, abs(rhs)))
+    return _report(check, family.n, family.alpha, lhs, rhs, tol, a=a, D=D,
+                   extra={"eta": list(eta), "z": zval,
+                          "truncation_budget": budget})
+
+
+def _gaussian_transform(check, hermite, eta, D, zval, inner, zpt, rhs,
+                        rot=None):
+    """The transform check through the Gaussian kernel K_A(2x, y)."""
+    n, alpha = hermite.n, hermite.alpha
+    return _check_transform(
+        check, hermite, eta, D, zval,
+        lambda level: scale_block(kernel_KA(hermite.jack, level), range(n), 2),
+        lambda fn, deg: gaussian_weighted_integral(fn, alpha, deg, n),
+        inner, zpt, rhs, rot=rot)
 
 
 def check_hermite_transform(hermite, eta, D, zval=None):
@@ -269,17 +271,11 @@ def check_hermite_transform(hermite, eta, D, zval=None):
     jack = hermite.jack
     n, alpha = jack.n, jack.alpha
     zval = zval or ([0.4] if n == 1 else [0.4, -0.3])
-    kd = kernel_KA(jack, D)
-    kd1 = kernel_KA(jack, D + 2)
-    lhs_D, lhs = _transform_lhs(hermite, kd, kd1, eta, zval)
-    budget = abs(lhs - lhs_D)
     rhs = (ground_state_H(n, alpha)
            * np.exp(sum(z * z for z in zval))
            * evaluator(jack.E(eta))(*zval))
-    tol = max(1e-6, 10.0 * budget / max(1.0, abs(rhs)))
-    return _report("gaussian-kernel-transform", n, alpha, lhs, rhs, tol,
-                   D=D, extra={"eta": list(eta), "z": zval,
-                               "truncation_budget": budget})
+    return _gaussian_transform("gaussian-kernel-transform", hermite, eta, D,
+                               zval, hermite.E(eta), list(zval), rhs)
 
 
 def check_hermite_transform_imaginary(hermite, eta, D, zval=None):
@@ -288,18 +284,12 @@ def check_hermite_transform_imaginary(hermite, eta, D, zval=None):
     jack = hermite.jack
     n, alpha = jack.n, jack.alpha
     zval = zval or ([0.4] if n == 1 else [0.4, -0.3])
-    kd = kernel_KA(jack, D)
-    kd1 = kernel_KA(jack, D + 2)
-    lhs_D, lhs = _transform_lhs(hermite, kd, kd1, eta, zval, imaginary=True)
-    budget = abs(lhs - lhs_D)
     rhs = (ground_state_H(n, alpha)
            * np.exp(-sum(z * z for z in zval))
            * evaluator(hermite.E(eta))(*zval))
-    lhs = complex(lhs)
-    tol = max(1e-6, 10.0 * budget / max(1.0, abs(rhs)))
-    return _report("gaussian-kernel-transform-imaginary", n, alpha, lhs, rhs,
-                   tol, D=D, extra={"eta": list(eta), "z": zval,
-                                    "truncation_budget": budget})
+    return _gaussian_transform("gaussian-kernel-transform-imaginary", hermite,
+                               eta, D, zval, jack.E(eta),
+                               [-1j * z for z in zval], rhs, rot=1j)
 
 
 def check_laguerre_transform(laguerre, eta, D, zval=None):
@@ -309,23 +299,13 @@ def check_laguerre_transform(laguerre, eta, D, zval=None):
     n, alpha = jack.n, jack.alpha
     a = laguerre.a
     zval = zval or ([0.3] if n == 1 else [0.3, 0.15])
-    inner = jack.E(eta).negate_all_vars()
-    ev_inner = evaluator(inner)
-    vals = []
-    for DD in (D, D + 2):
-        K = kernel_KB(jack, a, DD)
-        h = _kernel_eval_in_y(K, n, [-z for z in zval])
-        deg = K.total_degree() + inner.total_degree()
-        fn = (lambda *ys: h(*ys) * ev_inner(*ys))
-        vals.append(laguerre_weighted_integral(fn, alpha, a, deg, n))
-    lhs_D, lhs = vals
-    budget = abs(lhs - lhs_D)
     rhs = (ground_state_L(n, alpha, a) * np.exp(-sum(zval))
            * evaluator(laguerre.E(eta))(*zval))
-    tol = max(1e-6, 10.0 * budget / max(1.0, abs(rhs)))
-    return _report("laguerre-kernel-transform", n, alpha, lhs, rhs, tol,
-                   a=a, D=D, extra={"eta": list(eta), "z": zval,
-                                    "truncation_budget": budget})
+    return _check_transform(
+        "laguerre-kernel-transform", laguerre, eta, D, zval,
+        lambda level: kernel_KB(jack, a, level),
+        lambda fn, deg: laguerre_weighted_integral(fn, alpha, a, deg, n),
+        jack.E(eta).negate_all_vars(), [-z for z in zval], rhs, a=a)
 
 
 def check_laplace_transform(laguerre, eta, which, tau=1.5, tol=1e-8):

@@ -3,6 +3,10 @@
 Each suite returns a list of JSON-ready report dicts with a ``status``
 field; a suite passes when every report does.  The checks are exact
 unless the report carries numeric error fields.
+
+Each operator identity shape is one predicate builder taking the
+operators it relates, so the type-A table and its type-B twin (B_i for
+the Dunkl T_i, l_i for h_i, psi-hat for phi-hat) share it.
 """
 
 from __future__ import annotations
@@ -106,6 +110,59 @@ def suite_operators(alphas=DEFAULT_ALPHAS, max_weight=5, max_n=3,
     return reps
 
 
+def _commute(ops, op):
+    """Predicate: the operators op(., i) commute pairwise on p."""
+    n = ops.n
+    return lambda p: all(op(op(p, j), i) == op(op(p, i), j)
+                         for i in range(n) for j in range(i + 1, n))
+
+
+def _cherednik_commutators(ops, T):
+    """Predicate: the Cherednik operators and T(., i) (Dunkl or B) obey the
+    off-diagonal commutators [xi_j, T_i] = T_min(i,j) s_ij."""
+    n, xi = ops.n, ops.cherednik
+    return lambda p: all(
+        (xi(T(p, i), j) - T(xi(p, j), i) == T(ops.swap(p, i, j), min(i, j)))
+        for i in range(n) for j in range(n) if i != j)
+
+
+def _cherednik_commutator_diagonal(ops, T):
+    """Predicate: the diagonal commutator [xi_j, T_j] of the Cherednik
+    operators with T(., j) (Dunkl or B)."""
+    n, xi, al = ops.n, ops.cherednik, ops.alpha
+    return lambda p: all(
+        xi(T(p, j), j) - T(xi(p, j), j)
+        == -al * T(p, j)
+        - sum((ops.swap(T(p, j), j, k) for k in range(j)), SparsePoly.zero(n))
+        - sum((T(ops.swap(p, j, k), j) for k in range(j + 1, n)),
+              SparsePoly.zero(n))
+        for j in range(n))
+
+
+def _lowers(ops, Y, lower):
+    """Predicate: ``lower`` intertwines the eigenoperators Y(., j) down the
+    ladder, Y_j lower = lower Y_(j-1) and Y_0 lower = lower (Y_(n-1) - alpha)."""
+    n, al = ops.n, ops.alpha
+    return lambda p: (
+        all(Y(lower(p), j) == lower(Y(p, j - 1)) for j in range(1, n))
+        and Y(lower(p), 0) == lower(Y(p, n - 1)) - al * lower(p))
+
+
+def _raises(ops, Y, raise_):
+    """Predicate: ``raise_`` intertwines the eigenoperators Y(., i) up the
+    ladder, Y_i raise = raise Y_(i+1) and Y_(n-1) raise = raise (Y_0 + alpha)."""
+    n, al = ops.n, ops.alpha
+    return lambda p: (
+        all(Y(raise_(p), i) == raise_(Y(p, i + 1)) for i in range(n - 1))
+        and Y(raise_(p), n - 1) == raise_(Y(p, 0)) + al * raise_(p))
+
+
+def _ladder(ops, Y, raise_, lower):
+    """Predicate: both ladder operators intertwine Y, raising first."""
+    up, down = _raises(ops, Y, raise_), _lowers(ops, Y, lower)
+    return lambda p: up(p) and down(p)
+
+
 def _operator_identities(ops, basis, alpha, n):
     al = Fraction(alpha)
     x = [SparsePoly.variable(n, i) for i in range(n)]
@@ -122,39 +179,17 @@ def _operator_identities(ops, basis, alpha, n):
          lambda p: all(ops.dunkl(x[j] * p, i) - x[j] * ops.dunkl(p, i)
                        == -ops.swap(p, i, j) / al
                        for i in range(n) for j in range(n) if i != j)),
-        ("dunkl-commutativity",
-         lambda p: all(ops.dunkl(ops.dunkl(p, j), i)
-                       == ops.dunkl(ops.dunkl(p, i), j)
-                       for i in range(n) for j in range(i + 1, n))),
-        ("cherednik-commutativity",
-         lambda p: all(ops.cherednik(ops.cherednik(p, j), i)
-                       == ops.cherednik(ops.cherednik(p, i), j)
-                       for i in range(n) for j in range(i + 1, n))),
+        ("dunkl-commutativity", _commute(ops, ops.dunkl)),
+        ("cherednik-commutativity", _commute(ops, ops.cherednik)),
         ("cherednik-forms-agree",
          lambda p: all(ops.cherednik(p, i) == ops.cherednik_direct(p, i)
                        for i in range(n))),
         ("hecke-relations", _hecke(ops, ops.cherednik)),
         ("h-hecke-relations", _hecke(ops, ops.h_op)),
-        ("cherednik-dunkl-commutators",
-         lambda p: all(
-             (ops.cherednik(ops.dunkl(p, i), j) - ops.dunkl(ops.cherednik(p, j), i)
-              == ops.dunkl(ops.swap(p, i, j), min(i, j)))
-             for i in range(n) for j in range(n) if i != j)),
+        ("cherednik-dunkl-commutators", _cherednik_commutators(ops, ops.dunkl)),
         ("cherednik-dunkl-commutator-diagonal",
-         lambda p: all(
-             ops.cherednik(ops.dunkl(p, j), j) - ops.dunkl(ops.cherednik(p, j), j)
-             == -al * ops.dunkl(p, j)
-             - sum((ops.swap(ops.dunkl(p, j), j, k) for k in range(j)),
-                   SparsePoly.zero(n))
-             - sum((ops.dunkl(ops.swap(p, j, k), j) for k in range(j + 1, n)),
-                   SparsePoly.zero(n))
-             for j in range(n))),
-        ("lowering-intertwining",
-         lambda p: all(
-             ops.cherednik(ops.phi_hat(p), j) == ops.phi_hat(ops.cherednik(p, j - 1))
-             for j in range(1, n))
-         and ops.cherednik(ops.phi_hat(p), 0)
-         == ops.phi_hat(ops.cherednik(p, n - 1)) - al * ops.phi_hat(p)),
+         _cherednik_commutator_diagonal(ops, ops.dunkl)),
+        ("lowering-intertwining", _lowers(ops, ops.cherednik, ops.phi_hat)),
         ("laplacian-commutators",
          lambda p: all(
              ops.cherednik(ops.laplacian_A(p), i) - ops.laplacian_A(ops.cherednik(p, i))
@@ -167,15 +202,7 @@ def _operator_identities(ops, basis, alpha, n):
          == 2 * ops.phi(p) + (ops.phi(ops.laplacian_A(p))
                               - ops.laplacian_A(ops.phi(p))) / 2),
         ("gaussian-ladder-intertwining",
-         lambda p: all(
-             ops.h_op(ops.phi_hat_star(p), i) == ops.phi_hat_star(ops.h_op(p, i + 1))
-             for i in range(n - 1))
-         and ops.h_op(ops.phi_hat_star(p), n - 1)
-         == ops.phi_hat_star(ops.h_op(p, 0)) + al * ops.phi_hat_star(p)
-         and all(ops.h_op(ops.phi_hat(p), i) == ops.phi_hat(ops.h_op(p, i - 1))
-                 for i in range(1, n))
-         and ops.h_op(ops.phi_hat(p), 0)
-         == ops.phi_hat(ops.h_op(p, n - 1)) - al * ops.phi_hat(p)),
+         _ladder(ops, ops.h_op, ops.phi_hat_star, ops.phi_hat)),
         ("euler-commutator-identity",
          lambda p: ops.d1_tilde(p)
          == (ops.euler(ops.d2_tilde(p), 0) - ops.d2_tilde(ops.euler(p, 0))) / 2),
@@ -185,50 +212,23 @@ def _operator_identities(ops, basis, alpha, n):
 
 
 def _type_b_identities(ops, basis, alpha, n, a):
+    """The type-B twins: B_i for T_i, l_i for h_i, psi-hat for phi-hat."""
     al = Fraction(alpha)
     checks = [
-        ("b-commutativity",
-         lambda p: all(ops.b_op(ops.b_op(p, j), i) == ops.b_op(ops.b_op(p, i), j)
-                       for i in range(n) for j in range(i + 1, n))),
-        ("l-commutativity",
-         lambda p: all(ops.l_op(ops.l_op(p, j), i) == ops.l_op(ops.l_op(p, i), j)
-                       for i in range(n) for j in range(i + 1, n))),
+        ("b-commutativity", _commute(ops, ops.b_op)),
+        ("l-commutativity", _commute(ops, ops.l_op)),
         ("l-hecke-relations", _hecke(ops, ops.l_op)),
-        ("cherednik-b-commutators",
-         lambda p: all(
-             (ops.cherednik(ops.b_op(p, i), j) - ops.b_op(ops.cherednik(p, j), i)
-              == ops.b_op(ops.swap(p, i, j), min(i, j)))
-             for i in range(n) for j in range(n) if i != j)),
+        ("cherednik-b-commutators", _cherednik_commutators(ops, ops.b_op)),
         ("cherednik-b-commutator-diagonal",
-         lambda p: all(
-             ops.cherednik(ops.b_op(p, j), j) - ops.b_op(ops.cherednik(p, j), j)
-             == -al * ops.b_op(p, j)
-             - sum((ops.swap(ops.b_op(p, j), j, k) for k in range(j)),
-                   SparsePoly.zero(n))
-             - sum((ops.b_op(ops.swap(p, j, k), j) for k in range(j + 1, n)),
-                   SparsePoly.zero(n))
-             for j in range(n))),
+         _cherednik_commutator_diagonal(ops, ops.b_op)),
         ("b-laplacian-commutator",
          lambda p: all(
              ops.cherednik(ops.laplacian_B(p), i) - ops.laplacian_B(ops.cherednik(p, i))
              == -4 * al * ops.b_op(p, i)
              for i in range(n))),
-        ("b-lowering-intertwining",
-         lambda p: all(
-             ops.cherednik(ops.psi_hat(p), j) == ops.psi_hat(ops.cherednik(p, j - 1))
-             for j in range(1, n))
-         and ops.cherednik(ops.psi_hat(p), 0)
-         == ops.psi_hat(ops.cherednik(p, n - 1)) - al * ops.psi_hat(p)),
+        ("b-lowering-intertwining", _lowers(ops, ops.cherednik, ops.psi_hat)),
         ("laguerre-ladder-intertwining",
-         lambda p: all(
-             ops.l_op(ops.psi_hat_star(p), i) == ops.psi_hat_star(ops.l_op(p, i + 1))
-             for i in range(n - 1))
-         and ops.l_op(ops.psi_hat_star(p), n - 1)
-         == ops.psi_hat_star(ops.l_op(p, 0)) + al * ops.psi_hat_star(p)
-         and all(ops.l_op(ops.psi_hat(p), i) == ops.psi_hat(ops.l_op(p, i - 1))
-                 for i in range(1, n))
-         and ops.l_op(ops.psi_hat(p), 0)
-         == ops.psi_hat(ops.l_op(p, n - 1)) - al * ops.psi_hat(p)),
+         _ladder(ops, ops.l_op, ops.psi_hat_star, ops.psi_hat)),
     ]
     return [_all_hold(name, basis, fn, n=n, alpha=str(al), a=str(a))
             for name, fn in checks]

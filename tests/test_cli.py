@@ -124,6 +124,15 @@ def test_non_positive_variable_count_is_usage_error(n):
         assert r.stderr == "error: --n must be a positive integer\n"
 
 
+@pytest.mark.parametrize("a", ["-2", "-1"])
+def test_laguerre_norm_outside_integrable_range_is_usage_error(a):
+    r = run_cli("norm", "--family", "laguerre", "--eta", "1,0", "--a", a)
+    assert r.returncode == 2, (r.returncode, r.stdout[:200])
+    assert r.stderr == f"error: the Laguerre norm needs a > -1, got a = {a}\n"
+    # the polynomial itself exists for every a
+    assert run_cli("laguerre", "--eta", "1,0", "--a", a).returncode == 0
+
+
 def test_zero_ct_coupling_is_usage_error():
     _assert_usage_error("norm", "--family", "ct", "--k", "0", "--eta", "1,0")
 

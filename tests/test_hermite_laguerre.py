@@ -55,6 +55,15 @@ def test_norm_ratios(jack2):
     assert lb.norm_ratio((1, 0)) == (a + q) * (ALPHA + 2) / (ALPHA + 1)
 
 
+@pytest.mark.parametrize("a", [-1, F(-3, 2), -2])
+def test_laguerre_norm_needs_integrable_weight(jack2, a):
+    lb = LaguerreBasis(jack2, a)
+    with pytest.raises(ValueError, match="a > -1"):
+        lb.norm_ratio((0, 0))
+    assert lb.E((0, 0)) == SparsePoly.one(2)
+    assert LaguerreBasis(jack2, F(-1, 2)).norm_ratio((0, 0)) == 1
+
+
 def test_ladder_actions(jack2):
     hb = HermiteBasis(jack2)
     assert hb.raise_op((0, 0)) == 2 * SparsePoly.variable(2, 1)

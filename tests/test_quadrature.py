@@ -87,3 +87,22 @@ def test_refinement_montonicity():
                                              p.total_degree(), 2, npts=N),
         [6, 12, 24])
     assert deltas[1] <= deltas[0] + 1e-13
+
+
+@pytest.mark.parametrize("cls, failing", [
+    (HermiteBasis, "gaussian-gram-diagonal"),
+    (LaguerreBasis, "laguerre-gram-diagonal"),
+])
+def test_wrong_norm_ratio_fails_only_its_family_diagonal(monkeypatch, cls,
+                                                         failing):
+    right = cls.norm_ratio
+
+    def wrong(self, eta):
+        value = right(self, eta)
+        return 2 * value if sum(eta) == 1 else value
+
+    monkeypatch.setattr(cls, "norm_ratio", wrong)
+    jb = JackBasis(2, F(3, 2))
+    reports = (check_gram_H(jb.hermite(), 1)
+               + check_gram_L(jb.laguerre(F(1, 2)), 1))
+    assert {r["check"] for r in reports if r["status"] == "fail"} == {failing}

@@ -7,6 +7,7 @@ import pytest
 from nsjack import kernels, suites
 from nsjack.hermite_laguerre import HermiteBasis, LaguerreBasis
 from nsjack.jack import JackBasis
+from nsjack.operators import Operators
 
 ALPHA = (F(7, 5),)
 A_SET = ("0", "1/2", "1")
@@ -86,6 +87,58 @@ def test_report_shapes_are_pinned():
 
     for rep in operators + jack + hermite + laguerre:
         assert rep["status"] == "pass" and "witness" not in rep
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("psi_hat", {"b-lowering-intertwining", "laguerre-ladder-intertwining"}),
+    ("psi_hat_star", {"laguerre-ladder-intertwining"}),
+    ("phi_hat", {"lowering-intertwining", "gaussian-ladder-intertwining"}),
+    ("phi_hat_star", {"adjoint-raising-representation",
+                      "gaussian-ladder-intertwining"}),
+    ("b_op", set(TYPE_B) - {"l-hecke-relations"}),
+])
+def test_each_operator_fails_exactly_the_checks_that_read_it(
+        monkeypatch, name, failing):
+    """A type-B twin built with its type-A operator would still pass, and
+    check nothing; a wrong operator must fail each check that reads it."""
+    right = getattr(Operators, name)
+
+    def wrong(self, p, *args):
+        q = right(self, p, *args)
+        return q + self.swap(q, 0, 1) / 97
+
+    monkeypatch.setattr(Operators, name, wrong)
+    reports = suites.suite_operators(alphas=ALPHA, max_weight=2, max_n=2,
+                                     a_set=(F(1, 2),))
+    assert {r["check"] for r in reports if r["status"] == "fail"} == failing
+
+
+def test_numeric_report_order_is_pinned():
+    reports = suites.suite_numeric(alphas=(1,), a_set=(F(1, 2),),
+                                   max_weight=1, D=4)
+    want = [("classical-gaussian-total-mass", 1, "1.0", None),
+            ("classical-laguerre-total-mass", 1, "1.0", "0.5")]
+    want += [("classical-laplace-monomial", 1, "1.0", "0.5")] * 4
+    want += [("classical-gaussian-kernel-transform", 1, "1.0", None)] * 4
+    for n in (1, 2):
+        want += [("ground-state-gaussian", n, "1", None),
+                 ("ground-state-laguerre", n, "1", "1/2")]
+    # the Gram pairs of the labels (0,0), (1,0), (0,1), upper triangle
+    gram = ["diagonal", "offdiagonal", "offdiagonal", "diagonal",
+            "offdiagonal", "diagonal"]
+    want += [(f"gaussian-gram-{g}", 2, "1", None) for g in gram]
+    want += [(f"laguerre-gram-{g}", 2, "1", "1/2") for g in gram]
+    for n in (1, 2):
+        want += [row for _ in range(3) for row in (
+            ("gaussian-kernel-transform", n, "1", None),
+            ("gaussian-kernel-transform-imaginary", n, "1", None),
+            ("laguerre-kernel-transform", n, "1", "1/2"),
+            ("laplace-transform-laguerre", n, "1", "1/2"),
+            ("laplace-transform-jack", n, "1", "1/2"))]
+        want += [("selberg-integral-ratio", n, "1", None)] * 6
+    assert [(r["check"], r["n"], r["alpha"], r["a"]) for r in reports] == want
+    assert len(reports) == 68
+    assert all(r["status"] == "pass" for r in reports)
 
 
 def _kernel_params(name, n):
