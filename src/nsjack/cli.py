@@ -204,7 +204,7 @@ def build_parser():
 def _dispatch(args):
     if args.command == "verify":
         kwargs = {}
-        if args.alpha_set:
+        if args.alpha_set is not None:
             kwargs["alphas"] = tuple(parse_fraction(x)
                                      for x in args.alpha_set.split(","))
         if args.max_weight is not None:

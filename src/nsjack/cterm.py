@@ -40,17 +40,18 @@ def interaction_weight(n, k):
     return got
 
 
+def _ct_product(p, q):
+    """Constant term of p * q, by pairing each term of p against the
+    opposite exponent of q (maximal pruning: only exponents that land
+    exactly on zero are ever touched)."""
+    qnum = q.num
+    total = sum(c * qnum.get(tuple(-x for x in e), 0) for e, c in p.num.items())
+    return Fraction(total, p.den * q.den)
+
+
 def weighted_ct(p, k):
-    """Constant term of p times the interaction weight, by pairing each
-    term of p against the opposite weight exponent (maximal pruning: only
-    exponents that land exactly on zero are ever touched)."""
-    w = interaction_weight(p.n, k).terms
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        cw = w.get(tuple(-x for x in e))
-        if cw is not None:
-            total += c * cw
-    return total
+    """Constant term of p times the interaction weight."""
+    return _ct_product(p, interaction_weight(p.n, k))
 
 
 def ct_inner(f, g, k):
@@ -138,12 +139,8 @@ def kadell_ratio_check(jack, eta, a, b, k, depth=4):
         raise ValueError("basis coupling must equal 1/k")
     if sum(eta) > depth:
         depth = sum(eta)
-    P = _beta_weight(n, a, b, k, depth).terms
-    E = jack.E(eta)
-    num = sum((c * P.get(tuple(-x for x in e), Fraction(0))
-               for e, c in E.terms.items()), Fraction(0))
-    den = P[(0,) * n]
-    lhs = num / den
+    P = _beta_weight(n, a, b, k, depth)
+    lhs = _ct_product(jack.E(eta), P) / P.constant_term()
     kappa = comb.eta_plus(eta)
     top = comb.rf_partition(-b, kappa, jack.alpha)
     bot = comb.rf_partition(1 + a + Fraction(n - 1) / jack.alpha, kappa, jack.alpha)

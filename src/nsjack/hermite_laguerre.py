@@ -15,7 +15,7 @@ from math import factorial
 
 from . import combinat as comb
 from .operators import Operators
-from .poly import SparsePoly, rising
+from .poly import SparsePoly, power_sum, rising
 
 
 def _exp_minus_quarter(lap, p):
@@ -127,7 +127,7 @@ class DeformedBasis:
     def _projector(self, q, k):
         """Harmonic projector of degree k applied to a degree-k polynomial."""
         rho = self.radius_degree
-        r = _radius_squared(self.n, rho)
+        r = power_sum(self.n, rho)
         out = SparsePoly.zero(self.n)
         img = q
         for j in range(k // rho + 1):
@@ -164,7 +164,7 @@ class DeformedBasis:
         eta = tuple(eta)
         d = sum(eta)
         rho = self.radius_degree
-        r = _radius_squared(self.n, rho)
+        r = power_sum(self.n, rho)
         total = SparsePoly.zero(self.n)
         for m, component in (components or self.harmonic_components(eta)):
             # parameter x-degree + gamma - 1 of the harmonic piece
@@ -246,11 +246,3 @@ class LaguerreBasis(DeformedBasis):
     def _lower_factor(self, eta, down):
         c = self.shifted_a
         return self.jack.gen_fact(c, eta) / self.jack.gen_fact(c, down)
-
-
-def _radius_squared(n, degree=2):
-    """sum x_i^degree: the squared radius (degree 1 in squared variables)."""
-    out = SparsePoly.zero(n)
-    for i in range(n):
-        out = out + SparsePoly.monomial(n, tuple(degree if t == i else 0 for t in range(n)))
-    return out

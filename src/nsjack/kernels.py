@@ -10,13 +10,14 @@ where both sides are complete; each check states its own range.
 Every bilinear sum here, the kernels and the sides of the generating-
 function and summation checks alike, is one call of ``_bilinear_sum``,
 and the kernels weigh a label by ``_weight`` = alpha^|eta| d/(d' e).  The
-label constants (d, d', e, f, [c]_eta, j_kappa, J_kappa(1^n)), the
-binomial rows and the deformed families all come from the basis
-(``JackBasis.d_const`` and its siblings, ``binomial_row``, ``hermite()``,
-``laguerre(a)``), built once per basis, and every product that is
-truncated in a block of variables is a ``SparsePoly.mul_truncated``, which
-never forms a pair beyond the cap.  A deformed family (a
-``DeformedBasis``) plugs into the checks through:
+label constants, the binomial rows and the deformed families all come
+from the basis, built once per basis.  The substitutions on one block of
+variables (rescaling, embedding, power sums, symmetrizing) are those of
+``poly``, and every product truncated in a block is a
+``SparsePoly.mul_truncated``.  The checks that run label by label report
+through one first-failing-label driver, and their sums of
+c(nu) E_nu over binomial coefficients are ``binomial_expansion``.  A
+deformed family (a ``DeformedBasis``) plugs into the checks through:
 
 - its generating function: the bilinear sum of E^family_eta(x) E_eta(z)
   with the kernel weight times a family factor (2^|eta| for Hermite,
@@ -27,7 +28,8 @@ never forms a pair beyond the cap.  A deformed family (a
   slices, slice d scaled by t^d (1 - t^rho)^(-(2/rho) d) and its x block
   by the x-scale.  Here rho is the family's ``radius_degree``, gamma its
   ``gamma`` and u = t^rho / (1 - t^rho); the kernel is K_A with x-scale 2
-  for Hermite and K_B(a) with x-scale 1 for Laguerre.
+  for Hermite and K_B(a) with x-scale 1 for Laguerre, built in 2n
+  variables and embedded in the 2n + 1 of the check.
 """
 
 from __future__ import annotations
@@ -38,26 +40,16 @@ from math import factorial
 
 from . import combinat as comb
 from .operators import Operators
-from .poly import SparsePoly, exp_truncated, geometric_substitution, series_binomial
+from .poly import (ZERO, SparsePoly, exp_truncated, geometric_substitution,
+                   power_sum, series_binomial, symmetrize)
 
 # ---------------------------------------------------------------------------
-# block plumbing
+# blocks and labels
 
 
-def embed(p, total, offset):
-    """Reinterpret p in a larger variable set, shifted by ``offset``."""
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * total
-        for i, k in enumerate(e):
-            ne[offset + i] = k
-        out[tuple(ne)] = c
-    return SparsePoly(total, out)
-
-
-def bilinear(px, py, n, extra=0):
-    """px in the x block times py in the y block (plus ``extra`` spare vars)."""
-    return embed(px, 2 * n + extra, 0) * embed(py, 2 * n + extra, n)
+def bilinear(px, py, n):
+    """px in the x block times py in the y block of 2n variables."""
+    return px.embed(2 * n, 0) * py.embed(2 * n, n)
 
 
 def xdeg(e, n):
@@ -68,45 +60,16 @@ def ydeg(e, n):
     return sum(e[n:2 * n])
 
 
-def scale_block(p, block, factor):
-    """Substitute x_i -> factor * x_i for i in block."""
-    factor = Fraction(factor)
-    return SparsePoly(
-        p.n,
-        {e: c * factor ** sum(e[i] for i in block) for e, c in p.terms.items()})
-
-
-def symmetrize_block(p, block):
-    """Sum of p over all permutations of the block variables."""
-    total = SparsePoly.zero(p.n)
-    idx = list(block)
-    for perm in permutations(idx):
-        sigma = list(range(p.n))
-        for src, dst in zip(idx, perm):
-            sigma[src] = dst
-        total = total + p.permute_vars(sigma)
-    return total
-
-
-def p_power_sum(n, total, offset, k):
-    """sum of x_i^k over a block, as a polynomial in ``total`` variables."""
-    out = {}
-    for i in range(n):
-        e = [0] * total
-        e[offset + i] = k
-        out[tuple(e)] = Fraction(1)
-    return SparsePoly(total, out)
+def _labels(n, weights):
+    """The compositions with n parts of the given weights, weight by weight."""
+    return (eta for w in weights for eta in comb.compositions(n, w))
 
 
 def _series(total, var, c, step, cap):
     """(1 - v^step)^(-c) in the variable ``var`` of ``total``, through
     v-degree ``cap``."""
-    out = {}
-    for k, ck in enumerate(series_binomial(c, cap // step)):
-        e = [0] * total
-        e[var] = step * k
-        out[tuple(e)] = ck
-    return SparsePoly(total, out)
+    coeffs = enumerate(series_binomial(c, cap // step))
+    return SparsePoly(1, {(step * k,): ck for k, ck in coeffs}).embed(total, var)
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +85,14 @@ def _weight(jack, eta):
 def _bilinear_sum(jack, F, G, weight, D, extra=0):
     """sum_{|eta| <= D} weight(eta) F(eta)(x) G(eta)(y) in 2n + ``extra``
     variables; ``weight`` may return a scalar or a polynomial in them."""
-    n = jack.n
-    total = SparsePoly.zero(2 * n + extra)
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            total = total + weight(eta) * bilinear(F(eta), G(eta), n, extra)
+    n, m = jack.n, 2 * jack.n + extra
+    total = SparsePoly.zero(m)
+    for eta in _labels(n, range(D + 1)):
+        total = total + weight(eta) * (F(eta).embed(m, 0) * G(eta).embed(m, n))
     return total
 
 
-def kernel_series(jack, up, down, D, extra=0):
+def kernel_series(jack, up, down, D):
     """Truncated bilinear series sum_{|eta| <= D} of
 
     alpha^{|eta|} * prod [u]_eta / prod [v]_eta * d/(d'e) * E_eta(x) E_eta(y).
@@ -148,16 +110,16 @@ def kernel_series(jack, up, down, D, extra=0):
             coeff /= gv
         return coeff
 
-    return _bilinear_sum(jack, jack.E, jack.E, weight, D, extra)
+    return _bilinear_sum(jack, jack.E, jack.E, weight, D)
 
 
-def kernel_KA(jack, D, extra=0):
-    return kernel_series(jack, [], [], D, extra)
+def kernel_KA(jack, D):
+    return kernel_series(jack, [], [], D)
 
 
-def kernel_KB(jack, a, D, extra=0):
+def kernel_KB(jack, a, D):
     q = 1 + Fraction(jack.n - 1) / jack.alpha
-    return kernel_series(jack, [], [Fraction(a) + q], D, extra)
+    return kernel_series(jack, [], [Fraction(a) + q], D)
 
 
 def kernel_2K1(jack, a, b, c, D):
@@ -182,10 +144,8 @@ def hyper_0F0(jack, D):
 
 def kernel_slices(kernel, n, D):
     """Split a truncated kernel into its bidegree-(d,d) slices."""
-    out = []
-    for d in range(D + 1):
-        out.append(kernel.filter_terms(lambda e, d=d: xdeg(e, n) == d))
-    return out
+    return [kernel.filter_terms(lambda e, d=d: xdeg(e, n) == d)
+            for d in range(D + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +155,27 @@ def kernel_slices(kernel, n, D):
 def binomial_coeff(jack, eta, nu):
     """The generalized binomial coefficient (eta over nu), read from the
     basis's row of eta."""
-    return jack.binomial_row(eta).get(tuple(nu), Fraction(0))
+    return jack.binomial_row(eta).get(tuple(nu), ZERO)
+
+
+def binomial_expansion(jack, eta, weights, factor, E=None, raising=False):
+    """sum of b(nu) factor(nu) E(nu) over the labels nu of the given
+    weights, where b(nu) is the binomial coefficient (eta over nu), or (nu
+    over eta) if ``raising``; ``E`` defaults to the basis's E.  Labels with
+    b(nu) = 0 are skipped before ``factor`` is called."""
+    E = jack.E if E is None else E
+    if raising:
+        terms = ((nu, binomial_coeff(jack, nu, eta))
+                 for nu in _labels(jack.n, weights))
+    else:
+        # the row of eta holds exactly its non-zero coefficients
+        terms = ((nu, b) for nu, b in jack.binomial_row(eta).items()
+                 if sum(nu) in weights)
+    total = SparsePoly.zero(jack.n)
+    for nu, b in terms:
+        if b:
+            total = total + b * factor(nu) * E(nu)
+    return total
 
 
 def binomial_n_independence(eta, nu, alpha, n1, n2):
@@ -227,7 +207,7 @@ def sym_binomial(jack, kappa, sigma):
     """Symmetric binomial coefficient (kappa over sigma), read from the
     basis's row of kappa."""
     pad = tuple(sigma) + (0,) * (jack.n - len(sigma))
-    return jack.sym_binomial_row(kappa).get(comb.eta_plus(pad), Fraction(0))
+    return jack.sym_binomial_row(kappa).get(comb.eta_plus(pad), ZERO)
 
 
 def eps_eigenvalue(eta, alpha):
@@ -258,6 +238,9 @@ def _report(identity, jack, D, params, failure=None):
 
 
 def _first_failure(diff, n):
+    """None if ``diff`` is zero, else its first term, located by bidegree."""
+    if diff.is_zero:
+        return None
     e, c = min(diff.terms.items())
     return {"bidegree": [xdeg(e, n), ydeg(e, n)], "exponents": list(e),
             "coefficient": str(c)}
@@ -266,12 +249,23 @@ def _first_failure(diff, n):
 def _verdict(identity, jack, D, params, diff, check=None):
     """Report on lhs - rhs = ``diff``; a nonzero diff names its first term
     (and ``check``, the part of the identity that failed)."""
-    if diff.is_zero:
-        return _report(identity, jack, D, params)
     fail = _first_failure(diff, jack.n)
-    if check is not None:
+    if fail is not None and check is not None:
         fail["check"] = check
     return _report(identity, jack, D, params, fail)
+
+
+def _first_failing(identity, jack, D, params, labels, fails,
+                   name=lambda eta: {"eta": eta}):
+    """Report on an identity checked label by label: ``fails(label)`` is
+    None where it holds and a failure dict where it does not, and the
+    report of the first failing label adds ``name(label)`` to ``params``."""
+    for label in labels:
+        failure = fails(label)
+        if failure is not None:
+            return _report(identity, jack, D, {**params, **name(label)},
+                           failure)
+    return _report(identity, jack, D, params)
 
 
 def check_symmetry_and_multiplication(jack, D, **_):
@@ -299,11 +293,10 @@ def check_exp_shift(jack, D, **_):
     """Multiplying by exp(p1 of x) shifts the y argument by one."""
     n = jack.n
     K = kernel_KA(jack, D)
-    expx = exp_truncated(p_power_sum(n, 2 * n, 0, 1), D, block=range(n))
+    expx = exp_truncated(power_sum(2 * n, 1, range(n)), D, block=range(n))
     lhs = expx.mul_truncated(K, range(n), D)
     rhs = K.shift_by_one(only=range(n, 2 * n))
-    diff = lhs - rhs
-    return _verdict("kernel-exp-shift", jack, D, {}, diff)
+    return _verdict("kernel-exp-shift", jack, D, {}, lhs - rhs)
 
 
 def check_hermite_gf(jack, D, **_):
@@ -312,63 +305,53 @@ def check_hermite_gf(jack, D, **_):
     hb = jack.hermite()
     lhs = _bilinear_sum(jack, hb.E, jack.E,
                         lambda eta: 2 ** sum(eta) * _weight(jack, eta), D)
-    K2x = scale_block(kernel_KA(jack, D), range(n), 2)
+    K2x = kernel_KA(jack, D).scale_vars(2, range(n))
     ys = range(n, 2 * n)
-    expz = exp_truncated(-p_power_sum(n, 2 * n, n, 2), D, block=ys)
+    expz = exp_truncated(-power_sum(2 * n, 2, ys), D, block=ys)
     rhs = K2x.mul_truncated(expz, ys, D)
-    diff = lhs - rhs
-    return _verdict("hermite-generating-function", jack, D, {}, diff)
+    return _verdict("hermite-generating-function", jack, D, {}, lhs - rhs)
 
 
 def check_symmetrization(jack, D, **_):
     """Symmetrizing the x block yields n! times the symmetric kernel."""
     n = jack.n
-    lhs = symmetrize_block(kernel_KA(jack, D), range(n))
+    lhs = symmetrize(kernel_KA(jack, D), range(n))
     rhs = factorial(n) * hyper_0F0(jack, D)
-    diff = lhs - rhs
-    return _verdict("kernel-symmetrization", jack, D, {}, diff)
+    return _verdict("kernel-symmetrization", jack, D, {}, lhs - rhs)
 
 
 def check_exp_expansion(jack, D, **_):
     """exp(p1) E_eta expands over the basis with binomial coefficients."""
     n, al = jack.n, jack.alpha
-    exp_p1 = exp_truncated(p_power_sum(n, n, 0, 1), D)
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            lhs = exp_p1.mul_truncated(jack.E(eta), None, D)
-            lhs = al ** w / jack.d_prime_const(eta) * lhs
-            rhs = SparsePoly.zero(n)
-            for w2 in range(w, D + 1):
-                for nu in comb.compositions(n, w2):
-                    b = binomial_coeff(jack, nu, eta)
-                    if b:
-                        rhs = rhs + (al ** w2 / jack.d_prime_const(nu)
-                                     * b) * jack.E(nu)
-            diff = lhs - rhs
-            if not diff.is_zero:
-                return _verdict("exp-binomial-expansion", jack, D, {"eta": eta},
-                                diff)
-    return _report("exp-binomial-expansion", jack, D, {})
+    exp_p1 = exp_truncated(power_sum(n, 1), D)
+
+    def fails(eta):
+        w = sum(eta)
+        lhs = exp_p1.mul_truncated(jack.E(eta), None, D)
+        lhs = al ** w / jack.d_prime_const(eta) * lhs
+        rhs = binomial_expansion(
+            jack, eta, range(w, D + 1),
+            lambda nu: al ** sum(nu) / jack.d_prime_const(nu), raising=True)
+        return _first_failure(lhs - rhs, n)
+
+    return _first_failing("exp-binomial-expansion", jack, D, {},
+                          _labels(n, range(D + 1)), fails)
 
 
 def check_p1_action(jack, D, **_):
     """Multiplication by p1 raises the label through binomial coefficients."""
     n, al = jack.n, jack.alpha
-    p1 = p_power_sum(n, n, 0, 1)
-    for w in range(D):
-        for eta in comb.compositions(n, w):
-            lhs = p1 * jack.E(eta)
-            rhs = SparsePoly.zero(n)
-            for nu in comb.compositions(n, w + 1):
-                b = binomial_coeff(jack, nu, eta)
-                if b:
-                    rhs = rhs + b / jack.d_prime_const(nu) * jack.E(nu)
-            rhs = al * jack.d_prime_const(eta) * rhs
-            diff = lhs - rhs
-            if not diff.is_zero:
-                return _verdict("p1-raising-action", jack, D, {"eta": eta},
-                                diff)
-    return _report("p1-raising-action", jack, D, {})
+    p1 = power_sum(n, 1)
+
+    def fails(eta):
+        lhs = p1 * jack.E(eta)
+        rhs = binomial_expansion(jack, eta, (sum(eta) + 1,),
+                                 lambda nu: 1 / jack.d_prime_const(nu),
+                                 raising=True)
+        return _first_failure(lhs - al * jack.d_prime_const(eta) * rhs, n)
+
+    return _first_failing("p1-raising-action", jack, D, {},
+                          _labels(n, range(D)), fails)
 
 
 def check_euler_actions(jack, D, **_):
@@ -376,54 +359,42 @@ def check_euler_actions(jack, D, **_):
     second-order eigenvalue feeding the degree-raising action."""
     n, al = jack.n, jack.alpha
     ops = jack.ops
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            E = jack.E(eta)
-            eps_eta = eps_eigenvalue(eta, al)
-            # eigenoperator check
-            if ops.d2_tilde(E) != eps_eta * E:
-                return _report("euler-actions", jack, D, {"eta": eta},
-                               {"check": "second-order eigenvalue"})
-            # commutator identity defining the lowering companion
-            half_comm = (ops.euler(ops.d2_tilde(E), 0)
-                         - ops.d2_tilde(ops.euler(E, 0))) / 2
-            if ops.d1_tilde(E) != half_comm:
-                return _report("euler-actions", jack, D, {"eta": eta},
-                               {"check": "commutator identity"})
-            e_eta = jack.eval_ones(eta)
-            # degree lowering by sum of derivatives
-            lhs0 = ops.euler(E, 0) / e_eta
-            rhs0 = SparsePoly.zero(n)
-            lhs1 = ops.d1_tilde(E) / e_eta
-            rhs1 = SparsePoly.zero(n)
-            if w >= 1:
-                for nu in comb.compositions(n, w - 1):
-                    b = binomial_coeff(jack, eta, nu)
-                    if b:
-                        t = b / jack.eval_ones(nu) * jack.E(nu)
-                        rhs0 = rhs0 + t
-                        rhs1 = rhs1 + (eps_eta - eps_eigenvalue(nu, al)) / 2 * t
-            if lhs0 != rhs0:
-                return _report("euler-actions", jack, D, {"eta": eta},
-                               {"check": "derivative lowering"})
-            if lhs1 != rhs1:
-                return _report("euler-actions", jack, D, {"eta": eta},
-                               {"check": "second-order lowering"})
-            # degree raising by the squared Euler operator
-            if w < D:
-                lhs2 = ops.euler(E, 2)
-                rhs2 = SparsePoly.zero(n)
-                for nu in comb.compositions(n, w + 1):
-                    b = binomial_coeff(jack, nu, eta)
-                    if b:
-                        fac = (eps_eigenvalue(nu, al) - eps_eta
-                               - 2 * Fraction(n - 1) / al)
-                        rhs2 = rhs2 + b * fac / jack.d_prime_const(nu) * jack.E(nu)
-                rhs2 = al / 2 * jack.d_prime_const(eta) * rhs2
-                if lhs2 != rhs2:
-                    return _report("euler-actions", jack, D, {"eta": eta},
-                                   {"check": "squared-Euler raising"})
-    return _report("euler-actions", jack, D, {})
+
+    def fails(eta):
+        w = sum(eta)
+        E = jack.E(eta)
+        eps_eta = eps_eigenvalue(eta, al)
+        # eigenoperator check
+        if ops.d2_tilde(E) != eps_eta * E:
+            return {"check": "second-order eigenvalue"}
+        # commutator identity defining the lowering companion
+        d1, eu0 = ops.d1_tilde(E), ops.euler(E, 0)
+        if d1 != (ops.euler(ops.d2_tilde(E), 0) - ops.d2_tilde(eu0)) / 2:
+            return {"check": "commutator identity"}
+        # degree lowering by the sum of derivatives and by d1_tilde, with
+        # 1 / E_nu(1^n) = d_nu / e_nu
+        e_eta = jack.eval_ones(eta)
+        lower = range(max(w - 1, 0), w)
+        if eu0 / e_eta != binomial_expansion(
+                jack, eta, lower, lambda nu: jack.d_const(nu) / jack.e_const(nu)):
+            return {"check": "derivative lowering"}
+        if d1 / e_eta != binomial_expansion(
+                jack, eta, lower, lambda nu: (eps_eta - eps_eigenvalue(nu, al))
+                * jack.d_const(nu) / (2 * jack.e_const(nu))):
+            return {"check": "second-order lowering"}
+        # degree raising by the squared Euler operator
+        if w < D:
+            rhs = binomial_expansion(
+                jack, eta, (w + 1,),
+                lambda nu: (eps_eigenvalue(nu, al) - eps_eta
+                            - 2 * Fraction(n - 1) / al) / jack.d_prime_const(nu),
+                raising=True)
+            if ops.euler(E, 2) != al / 2 * jack.d_prime_const(eta) * rhs:
+                return {"check": "squared-Euler raising"}
+        return None
+
+    return _first_failing("euler-actions", jack, D, {},
+                          _labels(n, range(D + 1)), fails)
 
 
 def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
@@ -443,7 +414,7 @@ def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
     comm = opy.d2_tilde(raised) - opy.euler(opy.d2_tilde(low), 2)
     lhs = (opx.d1_tilde(F) + (c - nm1) * opx.euler(F, 0)
            - (a + b - nm1) * raised - comm / 2)
-    rhs = a * b * p_power_sum(n, 2 * n, n, 1) * low
+    rhs = a * b * power_sum(2 * n, 1, range(n, 2 * n)) * low
     return _verdict("2k1-pde", jack, D, {"a": a, "b": b, "c": c}, lhs - rhs)
 
 
@@ -455,13 +426,12 @@ def check_laguerre_gf(jack, D, a=Fraction(1, 2), **_):
     lhs = _bilinear_sum(
         jack, lb.E, jack.E, lambda eta: (-1) ** sum(eta) * _weight(jack, eta)
         / jack.gen_fact(aq, eta), D)
-    KB = scale_block(kernel_KB(jack, lb.a, D), range(n, 2 * n), -1)
     ys = range(n, 2 * n)
-    expz = exp_truncated(p_power_sum(n, 2 * n, n, 1), D, block=ys)
+    KB = kernel_KB(jack, lb.a, D).scale_vars(-1, ys)
+    expz = exp_truncated(power_sum(2 * n, 1, ys), D, block=ys)
     rhs = KB.mul_truncated(expz, ys, D)
-    diff = lhs - rhs
     return _verdict("laguerre-generating-function", jack, D, {"a": lb.a},
-                    diff)
+                    lhs - rhs)
 
 
 def _geometric_gf(jack, lb, K, exponent, factor, D):
@@ -473,7 +443,7 @@ def _geometric_gf(jack, lb, K, exponent, factor, D):
     """
     n = jack.n
     ys = range(n, 2 * n)
-    K = geometric_substitution(scale_block(K, range(n), -1), ys, D, block=ys)
+    K = geometric_substitution(K.scale_vars(-1, range(n)), ys, D, block=ys)
     pref = SparsePoly.one(2 * n)
     for i in range(n):
         pref = pref.mul_truncated(_series(2 * n, n + i, exponent, 1, D), ys, D)
@@ -513,71 +483,70 @@ def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), **_):
     n = jack.n
     lb = jack.laguerre(a)
     aq = lb.shifted_a
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            pref = jack.gen_fact(aq, eta) * jack.eval_ones(eta)
-            to_jack = SparsePoly.zero(n)
-            to_lag = SparsePoly.zero(n)
-            for w2 in range(w + 1):
-                for nu in comb.compositions(n, w2):
-                    bcf = binomial_coeff(jack, eta, nu)
-                    if not bcf:
-                        continue
-                    ratio = bcf / (jack.eval_ones(nu) * jack.gen_fact(aq, nu))
-                    to_jack = to_jack + Fraction((-1) ** w2) * ratio * jack.E(nu)
-                    to_lag = to_lag + ratio * lb.E(nu)
-            if lb.E(eta) != Fraction((-1) ** w) * pref * to_jack:
-                return _report("laguerre-jack-expansion", jack, D,
-                               {"a": lb.a, "eta": eta},
-                               {"check": "laguerre in jack"})
-            if jack.E(eta) != pref * to_lag:
-                return _report("laguerre-jack-expansion", jack, D,
-                               {"a": lb.a, "eta": eta},
-                               {"check": "jack in laguerre"})
-    return _report("laguerre-jack-expansion", jack, D, {"a": lb.a})
+
+    def ratio(nu):
+        """1 / (E_nu(1^n) [aq]_nu), with E_nu(1^n) = e_nu / d_nu."""
+        return jack.d_const(nu) / (jack.e_const(nu) * jack.gen_fact(aq, nu))
+
+    def fails(eta):
+        w = sum(eta)
+        pref = jack.gen_fact(aq, eta) * jack.eval_ones(eta)
+        to_jack = binomial_expansion(jack, eta, range(w + 1),
+                                     lambda nu: (-1) ** sum(nu) * ratio(nu))
+        if lb.E(eta) != (-1) ** w * pref * to_jack:
+            return {"check": "laguerre in jack"}
+        to_lag = binomial_expansion(jack, eta, range(w + 1), ratio, E=lb.E)
+        if jack.E(eta) != pref * to_lag:
+            return {"check": "jack in laguerre"}
+        return None
+
+    return _first_failing("laguerre-jack-expansion", jack, D, {"a": lb.a},
+                          _labels(n, range(D + 1)), fails)
 
 
 def check_binomial_sum_rules(jack, D, **_):
     """Orbit sums of the coefficients against their symmetric counterparts,
     including the weighted variant."""
     n = jack.n
-    for w in range(D + 1):
-        for eta in comb.compositions(n, w):
-            kappa = comb.eta_plus(eta)
-            for w2 in range(w + 1):
-                for mu in comb.partitions(w2, n):
-                    mu_pad = tuple(mu) + (0,) * (n - len(mu))
-                    total = Fraction(0)
-                    for nu in set(permutations(mu_pad)):
-                        total += binomial_coeff(jack, eta, nu)
-                    if total != sym_binomial(jack, kappa, mu):
-                        return _report("binomial-sum-rules", jack, D,
-                                       {"eta": eta, "mu": mu},
-                                       {"check": "orbit sum"})
-            # weighted orbit sum, upward in the other slot; the weights are
-            # the evaluation-adjusted e/(d d') rather than bare 1/d'
-            for w2 in range(w, D + 1):
-                for mu in comb.partitions(w2, n):
-                    mu_pad = tuple(mu) + (0,) * (n - len(mu))
-                    total = Fraction(0)
-                    for nu in set(permutations(mu_pad)):
-                        total += (binomial_coeff(jack, nu, eta)
-                                  * jack.e_const(nu) / jack.f_const(nu))
-                    lhs = (jack.f_const(eta) / jack.e_const(eta)
-                           * jack.hook_norm_j(mu) * jack.J_ones(kappa)
-                           / jack.hook_norm_j(kappa) / jack.J_ones(mu)
-                           * total)
-                    if lhs != sym_binomial(jack, mu, kappa):
-                        return _report("binomial-sum-rules", jack, D,
-                                       {"eta": eta, "mu": mu},
-                                       {"check": "weighted orbit sum"})
-    return _report("binomial-sum-rules", jack, D, {})
+
+    def labels():
+        """(eta, mu, weighted): for each eta the orbit sums over mu up to
+        |eta|, then the weighted ones upward in the other slot; their weights
+        are the evaluation-adjusted e/(d d') rather than bare 1/d'."""
+        for eta in _labels(n, range(D + 1)):
+            w = sum(eta)
+            yield from ((eta, mu, False) for w2 in range(w + 1)
+                        for mu in comb.partitions(w2, n))
+            yield from ((eta, mu, True) for w2 in range(w, D + 1)
+                        for mu in comb.partitions(w2, n))
+
+    def fails(label):
+        eta, mu, weighted = label
+        kappa = comb.eta_plus(eta)
+        orbit = set(permutations(tuple(mu) + (0,) * (n - len(mu))))
+        if not weighted:
+            total = sum((binomial_coeff(jack, eta, nu) for nu in orbit),
+                        Fraction(0))
+            holds = total == sym_binomial(jack, kappa, mu)
+            return None if holds else {"check": "orbit sum"}
+        total = sum((binomial_coeff(jack, nu, eta) * jack.e_const(nu)
+                     / jack.f_const(nu) for nu in orbit), Fraction(0))
+        lhs = (jack.f_const(eta) / jack.e_const(eta)
+               * jack.hook_norm_j(mu) * jack.J_ones(kappa)
+               / jack.hook_norm_j(kappa) / jack.J_ones(mu) * total)
+        holds = lhs == sym_binomial(jack, mu, kappa)
+        return None if holds else {"check": "weighted orbit sum"}
+
+    return _first_failing("binomial-sum-rules", jack, D, {}, labels(), fails,
+                          name=lambda label: {"eta": label[0],
+                                              "mu": label[1]})
 
 
 def _summation(identity, jack, fb, D, kernel, x_scale, params):
     """Closed form of the norm-weighted bilinear sum of the deformed family
     ``fb``, as a formal series in an extra variable t through degree D; see
-    the module docstring for the parts a family supplies."""
+    the module docstring for the parts a family supplies.  ``kernel`` is in
+    2n variables; t is variable 2n of 2n + 1."""
     n = jack.n
     total = 2 * n + 1
     tvar = 2 * n
@@ -591,13 +560,13 @@ def _summation(identity, jack, fb, D, kernel, x_scale, params):
 
     # exp(-u (p_rho(x) + p_rho(y))) with u = t^rho / (1 - t^rho) truncated
     u = _series(total, tvar, 1, rho, D) - 1
-    s = p_power_sum(n, total, 0, rho) + p_power_sum(n, total, n, rho)
+    s = power_sum(total, rho, range(2 * n))
     expf = exp_truncated(-u.mul_truncated(s, ts, D), D, block=ts)
     kern = SparsePoly.zero(total)
+    kernel = kernel.scale_vars(x_scale, range(n)).embed(total)
     for d, sl in enumerate(kernel_slices(kernel, n, D)):
         geom = _series(total, tvar, Fraction(2 * d, rho), rho, D)
-        kern = kern + (scale_block(sl, range(n), x_scale) * t ** d
-                       ).mul_truncated(geom, ts, D)
+        kern = kern + (sl * t ** d).mul_truncated(geom, ts, D)
     rhs = _series(total, tvar, fb.gamma, rho, D).mul_truncated(expf, ts, D)
     rhs = rhs.mul_truncated(kern, ts, D)
     return _verdict(identity, jack, D, params, lhs - rhs)
@@ -607,7 +576,7 @@ def check_hermite_summation(jack, D, **_):
     """Closed form of the norm-weighted bilinear Hermite sum through
     t-degree D."""
     return _summation("hermite-summation", jack, jack.hermite(), D,
-                      kernel_KA(jack, D, extra=1), 2, {})
+                      kernel_KA(jack, D), 2, {})
 
 
 def check_laguerre_summation(jack, D, a=Fraction(1, 2), **_):
@@ -615,7 +584,7 @@ def check_laguerre_summation(jack, D, a=Fraction(1, 2), **_):
     t-degree D."""
     lb = jack.laguerre(a)
     return _summation("laguerre-summation", jack, lb, D,
-                      kernel_KB(jack, lb.a, D, extra=1), 1, {"a": lb.a})
+                      kernel_KB(jack, lb.a, D), 1, {"a": lb.a})
 
 
 IDENTITY_CHECKS = {

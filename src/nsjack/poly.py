@@ -360,17 +360,33 @@ class SparsePoly:
             order[target] = i
         return self._reorder(order)
 
-    def negate_var(self, i):
-        """Substitute x_i -> -x_i."""
-        return _raw(
-            self.n, {e: (c if e[i] % 2 == 0 else -c) for e, c in self.num.items()},
-            self.den)
+    def scale_vars(self, factor, block=None):
+        """Substitute x_i -> factor * x_i for i in ``block`` (every variable
+        if None).  With factor = a/b, a term of block degree k gets
+        a^(k - lo) b^(hi - k) over a^(-lo) b^hi, where lo <= 0 <= hi bound
+        the block degrees, so every step stays in integers."""
+        factor = Fraction(factor)
+        if factor == 0:
+            raise ValueError("scale_vars needs a non-zero factor")
+        a, b = factor.numerator, factor.denominator
+        bdeg = _block_degree(block, self.n)
+        degs = [bdeg(e) for e in self.num]
+        lo, hi = min([0, *degs]), max([0, *degs])
+        num = {e: c * a ** (k - lo) * b ** (hi - k)
+               for (e, c), k in zip(self.num.items(), degs)}
+        den = self.den * a ** -lo * b ** hi
+        if den < 0:
+            den, num = -den, {e: -c for e, c in num.items()}
+        return _from_num(self.n, num, den)
 
-    def negate_all_vars(self):
-        """Substitute x_i -> -x_i for every i."""
-        return _raw(
-            self.n, {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.num.items()},
-            self.den)
+    def embed(self, total, offset=0):
+        """The same polynomial in ``total`` variables: variable i becomes
+        variable offset + i, and the other variables do not occur."""
+        if not 0 <= offset <= total - self.n:
+            raise ValueError(f"{self.n} variables do not fit at {offset} of {total}")
+        pre, post = (0,) * offset, (0,) * (total - offset - self.n)
+        return _raw(total, {pre + e + post: c for e, c in self.num.items()},
+                    self.den)
 
     def invert_vars(self):
         """Substitute x_i -> 1/x_i (exponent negation)."""
@@ -474,12 +490,29 @@ class SparsePoly:
 # -- module-level helpers ----------------------------------------------
 
 
-def symmetrize(p):
-    """Sum of p over all permutations of its variables (not averaged)."""
+def symmetrize(p, block=None):
+    """Sum of p over all permutations of the variables ``block`` (all
+    variables if None); not averaged."""
+    idx = list(range(p.n) if block is None else block)
     total = SparsePoly.zero(p.n)
-    for sigma in permutations(range(p.n)):
+    for perm in permutations(idx):
+        sigma = list(range(p.n))
+        for src, dst in zip(idx, perm):
+            sigma[src] = dst
         total = total + p.permute_vars(sigma)
     return total
+
+
+def power_sum(n, k, block=None):
+    """The power sum of x_i^k over the variables ``block`` (all n variables
+    if None), as a polynomial in n variables."""
+    num = {}
+    for i in (range(n) if block is None else block):
+        e = [0] * n
+        e[i] = k
+        e = tuple(e)
+        num[e] = num.get(e, 0) + 1
+    return _raw(n, num, 1)
 
 
 def rising(c, k):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import roots_genlaguerre, roots_jacobi
 
 from . import combinat as comb
-from .kernels import kernel_KA, kernel_KB, scale_block
+from .kernels import kernel_KA, kernel_KB
 from .poly import SparsePoly
 
 
@@ -48,57 +48,69 @@ def evaluator(p):
 # weighted integrals
 
 
+def _scalar(total):
+    """A numpy sum as a Python number: complex if it is complex."""
+    return complex(total) if np.iscomplexobj(total) else float(total)
+
+
 def gaussian_weighted_integral(h, alpha, deg, n, npts=None):
     """Integral of h against prod exp(-x_i^2) * prod |x_i - x_j|^(2/alpha)
     over R^n, for n in {1, 2}.  ``h`` is a callable of the coordinates and
-    ``deg`` a bound on its polynomial degree (sets the rule sizes)."""
+    ``deg`` a bound on its polynomial degree (sets the rule sizes); a
+    complex integrand gives a complex value."""
     alpha = float(alpha)
     if n == 1:
         N = npts or max(deg // 2 + 6, 12)
         x, w = np.polynomial.hermite.hermgauss(N)
-        return float(np.real_if_close(np.sum(w * h(x))))
-    if n != 2:
+        total, scale = np.real_if_close(np.sum(w * h(x))), 1.0
+    elif n == 2:
+        N = npts or max(deg // 2 + 8, 16)
+        xv, wv = np.polynomial.hermite.hermgauss(N)
+        s, ws = roots_genlaguerre(N, 1.0 / alpha - 0.5)
+        u = np.sqrt(s)
+        rt2 = sqrt(2.0)
+        total = 0.0
+        for vj, wvj in zip(xv, wv):
+            x1p, x2p = (vj + u) / rt2, (vj - u) / rt2
+            x1m, x2m = (vj - u) / rt2, (vj + u) / rt2
+            vals = h(x1p, x2p) + h(x1m, x2m)
+            total = total + wvj * 0.5 * np.sum(ws * vals)
+        scale = 2.0 ** (1.0 / alpha)
+    else:
         raise ValueError("gaussian quadrature implemented for n <= 2")
-    N = npts or max(deg // 2 + 8, 16)
-    xv, wv = np.polynomial.hermite.hermgauss(N)
-    s, ws = roots_genlaguerre(N, 1.0 / alpha - 0.5)
-    u = np.sqrt(s)
-    rt2 = sqrt(2.0)
-    total = 0.0
-    for vj, wvj in zip(xv, wv):
-        x1p, x2p = (vj + u) / rt2, (vj - u) / rt2
-        x1m, x2m = (vj - u) / rt2, (vj + u) / rt2
-        vals = h(x1p, x2p) + h(x1m, x2m)
-        total = total + wvj * 0.5 * np.sum(ws * vals)
-    return complex(total) * 2.0 ** (1.0 / alpha) if np.iscomplexobj(total) else float(total) * 2.0 ** (1.0 / alpha)
+    return _scalar(total) * scale
 
 
 def laguerre_weighted_integral(h, alpha, a, deg, n, rate=1.0, npts=None):
     """Integral of h against prod y_i^a exp(-rate*y_i) * prod |y_i-y_j|^(2/alpha)
-    over [0, inf)^n, for n in {1, 2}."""
+    over [0, inf)^n, for n in {1, 2}; a complex integrand gives a complex
+    value."""
     alpha = float(alpha)
     a = float(a)
     rate = float(rate)
     if n == 1:
         N = npts or max(deg + 6, 12)
         s, w = roots_genlaguerre(N, a)
-        return float(np.sum(w * h(s / rate))) * rate ** (-a - 1.0)
-    if n != 2:
+        total = _scalar(np.sum(w * h(s / rate)))
+        scale = rate ** (-a - 1.0)
+    elif n == 2:
+        N = npts or max(deg + 10, 24)
+        gam = 2.0 * a + 2.0 / alpha + 1.0
+        s, ws = roots_genlaguerre(N, gam)
+        u = s / rate
+        xj, wj = roots_jacobi(N, a, 2.0 / alpha)
+        t = (1.0 + xj) / 2.0
+        smooth = ((3.0 + xj) / 2.0) ** a
+        total = 0.0
+        for um, wm in zip(u, ws):
+            y1, y2 = um * (1.0 + t) / 2.0, um * (1.0 - t) / 2.0
+            vals = (h(y1, y2) + h(y2, y1)) * smooth
+            total = total + wm * np.sum(wj * vals)
+        total = total * (2.0 ** (-2.0 * a - 1.0) * 2.0 ** (-1.0 - a - 2.0 / alpha))
+        scale = rate ** (-gam - 1.0)
+    else:
         raise ValueError("laguerre quadrature implemented for n <= 2")
-    N = npts or max(deg + 10, 24)
-    gam = 2.0 * a + 2.0 / alpha + 1.0
-    s, ws = roots_genlaguerre(N, gam)
-    u = s / rate
-    xj, wj = roots_jacobi(N, a, 2.0 / alpha)
-    t = (1.0 + xj) / 2.0
-    smooth = ((3.0 + xj) / 2.0) ** a
-    total = 0.0
-    for um, wm in zip(u, ws):
-        y1, y2 = um * (1.0 + t) / 2.0, um * (1.0 - t) / 2.0
-        vals = (h(y1, y2) + h(y2, y1)) * smooth
-        total = total + wm * np.sum(wj * vals)
-    pref = 2.0 ** (-2.0 * a - 1.0) * 2.0 ** (-1.0 - a - 2.0 / alpha)
-    return total * pref * rate ** (-gam - 1.0)
+    return total * scale
 
 
 def quad_inner_H(f, g, alpha, npts=None):
@@ -260,7 +272,7 @@ def _gaussian_transform(check, hermite, eta, D, zval, inner, zpt, rhs,
     n, alpha = hermite.n, hermite.alpha
     return _check_transform(
         check, hermite, eta, D, zval,
-        lambda level: scale_block(kernel_KA(hermite.jack, level), range(n), 2),
+        lambda level: kernel_KA(hermite.jack, level).scale_vars(2, range(n)),
         lambda fn, deg: gaussian_weighted_integral(fn, alpha, deg, n),
         inner, zpt, rhs, rot=rot)
 
@@ -305,7 +317,7 @@ def check_laguerre_transform(laguerre, eta, D, zval=None):
         "laguerre-kernel-transform", laguerre, eta, D, zval,
         lambda level: kernel_KB(jack, a, level),
         lambda fn, deg: laguerre_weighted_integral(fn, alpha, a, deg, n),
-        jack.E(eta).negate_all_vars(), [-z for z in zval], rhs, a=a)
+        jack.E(eta).scale_vars(-1), [-z for z in zval], rhs, a=a)
 
 
 def check_laplace_transform(laguerre, eta, which, tau=1.5, tol=1e-8):

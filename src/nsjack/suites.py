@@ -19,10 +19,9 @@ from . import combinat as comb
 from . import kernels
 from .cterm import (SahiInner, ct_inner, ct_norm_formula, kadell_ratio_check,
                     norm_relation_check)
-from .hermite_laguerre import _radius_squared
 from .jack import JackBasis
 from .operators import Operators
-from .poly import SparsePoly, symmetrize
+from .poly import SparsePoly, power_sum, symmetrize
 
 DEFAULT_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
                   Fraction(7, 5))
@@ -460,7 +459,7 @@ def _family_checks(family, fb, max_weight, eigen, raise_scale, pairing_value,
                 return False
         return True
 
-    r = _radius_squared(n, fb.radius_degree)
+    r = power_sum(n, fb.radius_degree)
 
     def harmonic_ok(eta):
         comps = fb.harmonic_components(eta)
@@ -511,14 +510,9 @@ def suite_binomials(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
             etas = comb.compositions_up_to(n, max_weight)
 
             def expands(eta):
-                total = SparsePoly.zero(n)
-                for w2 in range(sum(eta) + 1):
-                    for nu in comb.compositions(n, w2):
-                        b = kernels.binomial_coeff(jb, eta, nu)
-                        if b:
-                            total = total + (b * jb.eval_ones(eta)
-                                             / jb.eval_ones(nu)) * jb.E(nu)
-                return total == jb.E(eta).shift_by_one()
+                e_eta = jb.eval_ones(eta)
+                return jb.E(eta).shift_by_one() == kernels.binomial_expansion(
+                    jb, eta, range(sum(eta) + 1), lambda nu: e_eta / jb.eval_ones(nu))
 
             pairs = [(eta, nu) for eta in etas for w2 in range(sum(eta) + 1)
                      for nu in comb.compositions(n, w2)]

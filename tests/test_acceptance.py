@@ -10,10 +10,9 @@ from fractions import Fraction as F
 import nsjack.combinat as comb
 from nsjack.cterm import (SahiInner, ct_inner, ct_norm_formula,
                           kadell_ratio_check, norm_relation_check)
-from nsjack.hermite_laguerre import _radius_squared
 from nsjack.jack import JackBasis
 from nsjack.kernels import binomial_coeff
-from nsjack.poly import SparsePoly
+from nsjack.poly import SparsePoly, power_sum
 from nsjack.suites import suite_binomials, suite_kernels, suite_numeric
 
 ALPHAS = (F(1), F(2), F(1, 2), F(3), F(7, 5))
@@ -221,7 +220,7 @@ def test_criterion_10_harmonic_decompositions():
         for n in range(1, MAX_N + 1):
             jb = JackBasis.shared(n, alpha)
             hb = jb.hermite()
-            r2 = _radius_squared(n)
+            r2 = power_sum(n, 2)
             for eta in _etas(n):
                 comps = hb.harmonic_components(eta)
                 rebuilt = SparsePoly.zero(n)
@@ -230,7 +229,7 @@ def test_criterion_10_harmonic_decompositions():
                     rebuilt = rebuilt + r2 ** m * c
                 ok &= rebuilt == jb.E(eta)
                 ok &= hb.from_harmonics(eta, comps) == hb.E(eta)
-            r2y = _radius_squared(n, degree=1)
+            r2y = power_sum(n, 1)
             for a in A_SET:
                 lb = jb.laguerre(a)
                 for eta in _etas(n):

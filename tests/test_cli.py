@@ -141,6 +141,11 @@ def test_suite_that_checks_nothing_is_usage_error():
     _assert_usage_error("verify", "--suite", "operators", "--max-n", "1")
 
 
+def test_empty_alpha_set_is_usage_error():
+    _assert_usage_error("verify", "--suite", "jack", "--max-n", "1",
+                        "--alpha-set", "")
+
+
 def test_negative_max_weight_is_usage_error():
     _assert_usage_error("verify", "--suite", "jack", "--max-weight", "-1")
 

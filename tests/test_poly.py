@@ -1,6 +1,7 @@
 """Exact polynomial core: ring laws, substitutions, serialization."""
 
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb, gcd
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsjack.poly import (SparsePoly, exp_truncated, geometric_substitution,
-                         rising, series_binomial, symmetrize)
+                         power_sum, rising, series_binomial, symmetrize)
 
 
 def P(n, terms):
@@ -69,11 +70,6 @@ def test_invert_and_square_variables():
     p = P(2, {(2, 1): 1})
     assert p.invert_vars() == P(2, {(-2, -1): 1})
     assert p.scale_exponents(2) == P(2, {(4, 2): 1})
-
-
-def test_negate_variables():
-    assert (x0 + x1).negate_var(0) == -x0 + x1
-    assert (x0 * x1 + x0).negate_all_vars() == x0 * x1 - x0
 
 
 def test_symmetrize():
@@ -271,8 +267,6 @@ def test_substitutions_match_fraction_reference(a, sigma, i, j):
 
     agrees(p.swap_vars(i, j), ref_map(a, swap))
     agrees(p.permute_vars(sigma), ref_map(a, permute))
-    agrees(p.negate_var(i), ref_map(a, tuple, lambda e: (-1) ** e[i]))
-    agrees(p.negate_all_vars(), ref_map(a, tuple, lambda e: (-1) ** sum(e)))
     agrees(p.invert_vars(), ref_map(a, lambda e: tuple(-x for x in e)))
     agrees(p.scale_exponents(2), ref_map(a, lambda e: tuple(2 * x for x in e)))
     agrees(p.diff(i), ref_diff(a, i))
@@ -316,6 +310,68 @@ def test_truncated_product_matches_filtered_product(a, b, block, cap):
     agrees(got, {e: c for e, c in ref_mul(nonzero(a), nonzero(b)).items()
                  if keep(e)})
     assert got == (p * q).filter_terms(keep)
+
+
+# -- substitutions on a block of variables ------------------------------------
+
+factors = st.sampled_from([F(-1), F(2), F(7, 5), F(1)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(laurent3, factors, blocks3)
+# x_i -> -x_i for one variable, and for all of them
+@example({(1, 0, 2): 1, (0, 1, 0): 1}, F(-1), (0,))
+@example({(1, 1, 0): 1, (1, 0, 0): 1}, F(-1), None)
+@example({(-2, 1, 3): F(5, 3), (1, -1, 0): -2}, F(7, 5), (0, 1))
+def test_scale_vars_matches_fraction_reference(a, factor, block):
+    p = SparsePoly(3, a)
+    in_block = range(3) if block is None else block
+    agrees(p.scale_vars(factor, block),
+           ref_map(nonzero(a), tuple,
+                   lambda e: factor ** sum(e[i] for i in in_block)))
+    with pytest.raises(ValueError):
+        p.scale_vars(0, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent3, st.integers(3, 5), st.integers(0, 2))
+def test_embed_matches_fraction_reference(a, total, offset):
+    p = SparsePoly(3, a)
+    if offset + 3 > total:
+        with pytest.raises(ValueError):
+            p.embed(total, offset)
+        return
+    pad = lambda e: (0,) * offset + e + (0,) * (total - 3 - offset)
+    got = p.embed(total, offset)
+    assert got.n == total
+    agrees(got, ref_map(nonzero(a), pad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), blocks3)
+def test_power_sum_matches_fraction_reference(k, block):
+    ref = {}
+    for i in (range(3) if block is None else block):
+        e = tuple(k if j == i else 0 for j in range(3))
+        ref[e] = ref.get(e, 0) + F(1)
+    agrees(power_sum(3, k, block), ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent3, blocks3)
+def test_block_symmetrize_matches_fraction_reference(a, block):
+    p = SparsePoly(3, a)
+    idx = list(range(3) if block is None else block)
+    ref = {}
+    for perm in permutations(idx):
+        # variable idx[j] goes to perm[j]
+        def move(e, perm=perm):
+            ne = list(e)
+            for src, dst in zip(idx, perm):
+                ne[dst] = e[src]
+            return tuple(ne)
+        ref = ref_add(ref, ref_map(nonzero(a), move))
+    agrees(symmetrize(p, block), ref)
 
 
 def test_terms_view_reads_like_a_dict():

@@ -15,8 +15,8 @@ from nsjack.quadrature import (check_classical_reductions, check_gram_H,
                                check_laguerre_transform,
                                check_laplace_transform, evaluator,
                                gaussian_weighted_integral, ground_state_H,
-                               ground_state_L, quad_inner_H, quad_inner_L,
-                               refinement_deltas)
+                               ground_state_L, laguerre_weighted_integral,
+                               quad_inner_H, quad_inner_L, refinement_deltas)
 
 
 def test_classical_values():
@@ -29,6 +29,24 @@ def test_classical_values():
 def test_classical_reduction_reports():
     for rep in check_classical_reductions():
         assert rep["status"] == "pass", rep
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_complex_integrand_gives_complex_integral(n):
+    """A constant complex integrand integrates to itself times the mass:
+    (1+1j) sqrt(pi) and (1+1j) Gamma(a+1) at n = 1."""
+    alpha, a = F(3, 2), F(1, 2)
+    h = lambda *xs: (1 + 1j) * xs[0] ** 0
+    got_h = gaussian_weighted_integral(h, alpha, 0, n)
+    got_l = laguerre_weighted_integral(h, alpha, a, 0, n)
+    want_h, want_l = ground_state_H(n, alpha), ground_state_L(n, alpha, a)
+    if n == 1:
+        assert (want_h, want_l) == (pytest.approx(sqrt(pi)),
+                                    pytest.approx(gamma(1.5)))
+    assert complex(got_h) == pytest.approx((1 + 1j) * want_h, rel=1e-12)
+    assert complex(got_l) == pytest.approx((1 + 1j) * want_l, rel=1e-12)
+    assert isinstance(got_h, complex) and got_h.imag != 0
+    assert got_l.imag != 0
 
 
 @pytest.mark.parametrize("alpha", [1, 2, F(3, 2)])
