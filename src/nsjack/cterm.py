@@ -196,13 +196,14 @@ def power_sum_basis(n, alpha, D):
     for i in range(n):
         for j in range(n):
             expo = inv + 1 if i == j else inv
-            coeffs = series_binomial(expo, D)
-            factor = SparsePoly.zero(2 * n)
-            for m, c in enumerate(coeffs):
+            # (1 - x_i y_j)^(-expo): distinct exponents, one term each
+            factor = {}
+            for m, c in enumerate(series_binomial(expo, D)):
                 e = [0] * (2 * n)
                 e[i], e[n + j] = m, m
-                factor = factor + SparsePoly.monomial(2 * n, tuple(e), c)
-            total = total.mul_truncated(factor, range(n, 2 * n), D)
+                factor[tuple(e)] = c
+            total = total.mul_truncated(SparsePoly(2 * n, factor),
+                                        range(n, 2 * n), D)
     out = {}
     for e, c in total.terms.items():
         eta = e[n:]

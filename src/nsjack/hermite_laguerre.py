@@ -15,20 +15,21 @@ from math import factorial
 
 from . import combinat as comb
 from .operators import Operators
-from .poly import SparsePoly, power_sum, rising
+from .poly import linear_combination, power_sum, rising
 
 
 def _exp_minus_quarter(lap, p):
     """Apply exp(-lap/4) where ``lap`` strictly lowers degree (finite sum)."""
-    out = p
-    term = p
-    m = 0
-    while True:
-        m += 1
-        term = lap(term) * Fraction(-1, 4 * m)
-        if term.is_zero:
-            return out
-        out = out + term
+    def terms():
+        # (-1/4)^m / m! times lap^m p, for m = 0, 1, ... until lap^m p = 0
+        c, term, m = Fraction(1), p, 0
+        while not term.is_zero:
+            yield c, term
+            m += 1
+            c /= -4 * m
+            term = lap(term)
+
+    return linear_combination(p.n, terms())
 
 
 def laguerre_1d_coeffs(m, a):
@@ -128,15 +129,17 @@ class DeformedBasis:
         """Harmonic projector of degree k applied to a degree-k polynomial."""
         rho = self.radius_degree
         r = power_sum(self.n, rho)
-        out = SparsePoly.zero(self.n)
-        img = q
-        for j in range(k // rho + 1):
-            if j > 0:
-                img = self.laplacian(img)
-            denom = (Fraction(4) ** j * factorial(j)
-                     * rising(-self.gamma - (2 // rho) * k + 2, j))
-            out = out + (r ** j) * img / denom
-        return out
+
+        def terms():
+            img = q
+            for j in range(k // rho + 1):
+                if j > 0:
+                    img = self.laplacian(img)
+                denom = (Fraction(4) ** j * factorial(j)
+                         * rising(-self.gamma - (2 // rho) * k + 2, j))
+                yield 1 / denom, r ** j * img
+
+        return linear_combination(self.n, terms())
 
     def harmonic_components(self, eta):
         """Decompose E_eta (the Jack polynomial) as the sum over m of the
@@ -165,15 +168,17 @@ class DeformedBasis:
         d = sum(eta)
         rho = self.radius_degree
         r = power_sum(self.n, rho)
-        total = SparsePoly.zero(self.n)
-        for m, component in (components or self.harmonic_components(eta)):
-            # parameter x-degree + gamma - 1 of the harmonic piece
-            lag = laguerre_1d_coeffs(m, (2 // rho) * (d - rho * m) + self.gamma - 1)
-            lpoly = SparsePoly.zero(self.n)
-            for k, c in enumerate(lag):
-                lpoly = lpoly + c * r ** k
-            total = total + Fraction((-1) ** m) * factorial(m) * (lpoly * component)
-        return total
+
+        def terms():
+            for m, component in (components or self.harmonic_components(eta)):
+                # parameter x-degree + gamma - 1 of the harmonic piece
+                lag = laguerre_1d_coeffs(
+                    m, (2 // rho) * (d - rho * m) + self.gamma - 1)
+                lpoly = linear_combination(
+                    self.n, ((c, r ** k) for k, c in enumerate(lag)))
+                yield (-1) ** m * factorial(m), lpoly * component
+
+        return linear_combination(self.n, terms())
 
 
 class HermiteBasis(DeformedBasis):

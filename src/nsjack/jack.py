@@ -20,7 +20,7 @@ from . import combinat as comb
 from .hermite_laguerre import HermiteBasis, LaguerreBasis
 from .linalg import solve_exact
 from .operators import Operators
-from .poly import SparsePoly
+from .poly import SparsePoly, linear_combination
 
 
 _shared = {}
@@ -269,10 +269,10 @@ class JackBasis:
         got = self._j_cache.get(kappa)
         if got is not None:
             return got
-        total = SparsePoly.zero(self.n)
-        for eta in set(permutations(kappa)):
-            total = total + self.E(eta) / self.d_prime_const(eta)
-        out = self.hook_norm_j(kappa) * total
+        j = self.hook_norm_j(kappa)
+        out = linear_combination(self.n, (
+            (j / self.d_prime_const(eta), self.E(eta))
+            for eta in set(permutations(kappa))))
         self._j_cache[kappa] = out
         return out
 

@@ -41,7 +41,7 @@ from math import factorial
 from . import combinat as comb
 from .operators import Operators
 from .poly import (ZERO, SparsePoly, exp_truncated, geometric_substitution,
-                   power_sum, series_binomial, symmetrize)
+                   linear_combination, power_sum, series_binomial, symmetrize)
 
 # ---------------------------------------------------------------------------
 # blocks and labels
@@ -86,10 +86,17 @@ def _bilinear_sum(jack, F, G, weight, D, extra=0):
     """sum_{|eta| <= D} weight(eta) F(eta)(x) G(eta)(y) in 2n + ``extra``
     variables; ``weight`` may return a scalar or a polynomial in them."""
     n, m = jack.n, 2 * jack.n + extra
-    total = SparsePoly.zero(m)
-    for eta in _labels(n, range(D + 1)):
-        total = total + weight(eta) * (F(eta).embed(m, 0) * G(eta).embed(m, n))
-    return total
+
+    def terms():
+        for eta in _labels(n, range(D + 1)):
+            w = weight(eta)
+            term = F(eta).embed(m, 0) * G(eta).embed(m, n)
+            if isinstance(w, SparsePoly):
+                yield 1, w * term
+            else:
+                yield w, term
+
+    return linear_combination(m, terms())
 
 
 def kernel_series(jack, up, down, D):
@@ -98,7 +105,14 @@ def kernel_series(jack, up, down, D):
     alpha^{|eta|} * prod [u]_eta / prod [v]_eta * d/(d'e) * E_eta(x) E_eta(y).
 
     Raises if a denominator factor vanishes, naming the offending label.
+    The series is kept in the basis's memo, so each (up, down, D) is built
+    once per basis.
     """
+    key = ("kernel", tuple(up), tuple(down), D)
+    got = jack._consts.get(key)
+    if got is not None:
+        return got
+
     def weight(eta):
         coeff = _weight(jack, eta)
         for u in up:
@@ -110,7 +124,8 @@ def kernel_series(jack, up, down, D):
             coeff /= gv
         return coeff
 
-    return _bilinear_sum(jack, jack.E, jack.E, weight, D)
+    got = jack._consts[key] = _bilinear_sum(jack, jack.E, jack.E, weight, D)
+    return got
 
 
 def kernel_KA(jack, D):
@@ -133,13 +148,16 @@ def kernel_1K1(jack, a, c, D):
 def hyper_0F0(jack, D):
     """Truncated symmetric hypergeometric kernel built from the J basis."""
     n = jack.n
-    total = SparsePoly.zero(2 * n)
-    for w in range(D + 1):
-        for kappa in comb.partitions(w, n):
-            J = jack.J(kappa)
-            coeff = jack.alpha ** w / (jack.hook_norm_j(kappa) * jack.J_ones(kappa))
-            total = total + coeff * bilinear(J, J, n)
-    return total
+
+    def terms():
+        for w in range(D + 1):
+            for kappa in comb.partitions(w, n):
+                J = jack.J(kappa)
+                yield (jack.alpha ** w
+                       / (jack.hook_norm_j(kappa) * jack.J_ones(kappa)),
+                       bilinear(J, J, n))
+
+    return linear_combination(2 * n, terms())
 
 
 def kernel_slices(kernel, n, D):
@@ -171,11 +189,8 @@ def binomial_expansion(jack, eta, weights, factor, E=None, raising=False):
         # the row of eta holds exactly its non-zero coefficients
         terms = ((nu, b) for nu, b in jack.binomial_row(eta).items()
                  if sum(nu) in weights)
-    total = SparsePoly.zero(jack.n)
-    for nu, b in terms:
-        if b:
-            total = total + b * factor(nu) * E(nu)
-    return total
+    return linear_combination(
+        jack.n, ((b * factor(nu), E(nu)) for nu, b in terms if b))
 
 
 def binomial_n_independence(eta, nu, alpha, n1, n2):
@@ -443,11 +458,12 @@ def _geometric_gf(jack, lb, K, exponent, factor, D):
     """
     n = jack.n
     ys = range(n, 2 * n)
-    K = geometric_substitution(K.scale_vars(-1, range(n)), ys, D, block=ys)
     pref = SparsePoly.one(2 * n)
     for i in range(n):
         pref = pref.mul_truncated(_series(2 * n, n + i, exponent, 1, D), ys, D)
-    lhs = pref.mul_truncated(K, ys, D)
+    lhs = pref.mul_truncated(
+        geometric_substitution(K.scale_vars(-1, range(n)), ys, D, block=ys),
+        ys, D)
     rhs = _bilinear_sum(
         jack, lb.E, jack.E,
         lambda eta: (-1) ** sum(eta) * factor(eta) * _weight(jack, eta), D)
@@ -562,11 +578,11 @@ def _summation(identity, jack, fb, D, kernel, x_scale, params):
     u = _series(total, tvar, 1, rho, D) - 1
     s = power_sum(total, rho, range(2 * n))
     expf = exp_truncated(-u.mul_truncated(s, ts, D), D, block=ts)
-    kern = SparsePoly.zero(total)
     kernel = kernel.scale_vars(x_scale, range(n)).embed(total)
-    for d, sl in enumerate(kernel_slices(kernel, n, D)):
-        geom = _series(total, tvar, Fraction(2 * d, rho), rho, D)
-        kern = kern + (sl * t ** d).mul_truncated(geom, ts, D)
+    kern = linear_combination(total, (
+        (1, sl.mul_var(tvar, d).mul_truncated(
+            _series(total, tvar, Fraction(2 * d, rho), rho, D), ts, D))
+        for d, sl in enumerate(kernel_slices(kernel, n, D))))
     rhs = _series(total, tvar, fb.gamma, rho, D).mul_truncated(expf, ts, D)
     rhs = rhs.mul_truncated(kern, ts, D)
     return _verdict(identity, jack, D, params, lhs - rhs)

@@ -15,9 +15,10 @@ operator is just the type-A one.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
-from .poly import SparsePoly, _from_num
+from .poly import SparsePoly, _from_num, linear_combination
 
 
 def _linear(formula):
@@ -146,11 +147,9 @@ class Operators:
             raise ValueError("type-B operators need the parameter a")
         return self.a
 
-    def _x(self, p, i, power=1):
-        """x_i^power in the variables of p, built raw on integers."""
-        e = [0] * p.n
-        e[self.vars[i]] = power
-        return _from_num(p.n, {tuple(e): 1})
+    def _x(self, q, i, power=1):
+        """x_i^power * q, as an exponent shift."""
+        return q.mul_var(self.vars[i], power)
 
     # -- symmetric group action ---------------------------------------
 
@@ -181,20 +180,17 @@ class Operators:
     @_linear
     def dunkl(self, p, i):
         """Type-A Dunkl operator: d/dx_i plus exchange-divided-differences."""
-        out = p.diff(self.vars[i])
-        acc = SparsePoly.zero(p.n)
-        for k in range(self.n):
-            if k != i:
-                acc = acc + self.dd(p, i, k)
-        return out + acc / self.alpha
+        inv = 1 / self.alpha
+        return linear_combination(p.n, chain(
+            ((1, p.diff(self.vars[i])),),
+            ((inv, self.dd(p, i, k)) for k in range(self.n) if k != i)))
 
     @_linear
     def cherednik(self, p, i):
         """Cherednik operator in composed form: alpha x_i T_i + 1 - n + sum s_ip."""
-        out = self.alpha * (self._x(p, i) * self.dunkl(p, i)) + (1 - self.n) * p
-        for k in range(i + 1, self.n):
-            out = out + self.swap(p, i, k)
-        return out
+        return linear_combination(p.n, chain(
+            ((self.alpha, self._x(self.dunkl(p, i), i)), (1 - self.n, p)),
+            ((1, self.swap(p, i, k)) for k in range(i + 1, self.n))))
 
     @_linear
     def cherednik_direct(self, p, i):
@@ -203,25 +199,20 @@ class Operators:
         Independent of ``dunkl``; used as a cross-check and by the
         eigenproblem oracle.
         """
-        xi = self._x(p, i)
-        out = self.alpha * (xi * p.diff(self.vars[i])) - i * p
-        for k in range(i):
-            out = out + xi * self.dd(p, i, k)
-        for k in range(i + 1, self.n):
-            out = out + self._x(p, k) * self.dd(p, i, k)
-        return out
+        # x_i (dd_ik p) for k < i, x_k (dd_ik p) for k > i
+        return linear_combination(p.n, chain(
+            ((self.alpha, self._x(p.diff(self.vars[i]), i)), (-i, p)),
+            ((1, self._x(self.dd(p, i, k), max(i, k)))
+             for k in range(self.n) if k != i)))
 
     @_linear
     def laplacian_A(self, p):
-        out = SparsePoly.zero(p.n)
-        for i in range(self.n):
-            out = out + self.dunkl(self.dunkl(p, i), i)
-        return out
+        return linear_combination(
+            p.n, ((1, self.dunkl(self.dunkl(p, i), i)) for i in range(self.n)))
 
     def phi(self, p):
         """Raising operator: multiply by the last variable after the swap cycle."""
-        q = self._chain_up(p, self.s)
-        return self._x(p, self.n - 1) * q
+        return self._x(self._chain_up(p, self.s), self.n - 1)
 
     @_linear
     def phi_hat(self, p):
@@ -232,7 +223,8 @@ class Operators:
     @_linear
     def phi_hat_star(self, p):
         """Adjoint of the lowering operator for the Gaussian pairing."""
-        q = 2 * (self._x(p, 0) * p) - self.dunkl(p, 0)
+        q = linear_combination(p.n, ((2, self._x(p, 0)),
+                                     (-1, self.dunkl(p, 0))))
         return self._chain_up(q, self.s)
 
     @_linear
@@ -245,13 +237,8 @@ class Operators:
     @_linear
     def euler(self, p, k):
         """sum_i x_i^k d/dx_i (degree operator for k = 1)."""
-        out = SparsePoly.zero(p.n)
-        for i in range(self.n):
-            if k == 0:
-                out = out + p.diff(self.vars[i])
-            else:
-                out = out + self._x(p, i, k) * p.diff(self.vars[i])
-        return out
+        return linear_combination(p.n, (
+            (1, self._x(p.diff(self.vars[i]), i, k)) for i in range(self.n)))
 
     @_linear
     def d2_tilde(self, p):
@@ -260,35 +247,34 @@ class Operators:
         sum x_j^2 d_j^2 + (2/alpha) sum_{j<k} [x_j^2 d_j - x_k^2 d_k
         - x_j x_k dd_jk] / (x_j - x_k), the bracket being exactly divisible.
         """
-        out = SparsePoly.zero(p.n)
-        for j in range(self.n):
-            vj = self.vars[j]
-            out = out + self._x(p, j, 2) * p.diff(vj).diff(vj)
-        acc = SparsePoly.zero(p.n)
-        for j in range(self.n):
-            for k in range(j + 1, self.n):
-                xj, xk = self._x(p, j), self._x(p, k)
-                num = (xj * xj * p.diff(self.vars[j]) - xk * xk * p.diff(self.vars[k])
-                       - xj * xk * self.dd(p, j, k))
-                acc = acc + divide_by_difference(num, self.vars[j], self.vars[k])
-        return out + 2 * acc / self.alpha
+        def bracket(j, k):
+            num = linear_combination(p.n, (
+                (1, self._x(p.diff(self.vars[j]), j, 2)),
+                (-1, self._x(p.diff(self.vars[k]), k, 2)),
+                (-1, self._x(self._x(self.dd(p, j, k), j), k))))
+            return divide_by_difference(num, self.vars[j], self.vars[k])
+
+        return linear_combination(p.n, chain(
+            ((1, self._x(p.diff(v).diff(v), j, 2)) for j, v in enumerate(self.vars)),
+            ((2 / self.alpha, bracket(j, k))
+             for j in range(self.n) for k in range(j + 1, self.n))))
 
     @_linear
     def d1_tilde(self, p):
         """Degree-lowering companion of ``d2_tilde`` (half its commutator
         with sum d_j)."""
-        out = SparsePoly.zero(p.n)
-        for j in range(self.n):
-            vj = self.vars[j]
-            out = out + self._x(p, j) * p.diff(vj).diff(vj)
-        acc = SparsePoly.zero(p.n)
-        for j in range(self.n):
-            for k in range(j + 1, self.n):
-                xj, xk = self._x(p, j), self._x(p, k)
-                num = (2 * (xj * p.diff(self.vars[j]) - xk * p.diff(self.vars[k]))
-                       - (xj + xk) * self.dd(p, j, k))
-                acc = acc + divide_by_difference(num, self.vars[j], self.vars[k])
-        return out + acc / self.alpha
+        def bracket(j, k):
+            dd = self.dd(p, j, k)
+            num = linear_combination(p.n, (
+                (2, self._x(p.diff(self.vars[j]), j)),
+                (-2, self._x(p.diff(self.vars[k]), k)),
+                (-1, self._x(dd, j)), (-1, self._x(dd, k))))
+            return divide_by_difference(num, self.vars[j], self.vars[k])
+
+        return linear_combination(p.n, chain(
+            ((1, self._x(p.diff(v).diff(v), j)) for j, v in enumerate(self.vars)),
+            ((1 / self.alpha, bracket(j, k))
+             for j in range(self.n) for k in range(j + 1, self.n))))
 
     # -- type B (squared variables) -------------------------------------
 
@@ -300,12 +286,10 @@ class Operators:
         """
         a = self._require_a()
         ti = self.dunkl(p, i)
-        out = self._x(p, i) * self.dunkl(ti, i) + (a + 1) * ti
-        acc = SparsePoly.zero(p.n)
-        for k in range(self.n):
-            if k != i:
-                acc = acc + self.swap(ti, i, k)
-        return out + acc / self.alpha
+        inv = 1 / self.alpha
+        return linear_combination(p.n, chain(
+            ((1, self._x(self.dunkl(ti, i), i)), (a + 1, ti)),
+            ((inv, self.swap(ti, i, k)) for k in range(self.n) if k != i)))
 
     # the Cherednik operator keeps its form under the squared-variable
     # substitution, so the y-space version is the same callable
@@ -321,15 +305,13 @@ class Operators:
         so it plays no role here.
         """
         ti = self.dunkl(p, i).scale_exponents(2)
-        return 2 * (self._x(p, i) * ti)
+        return 2 * self._x(ti, i)
 
     @_linear
     def laplacian_B(self, p):
         """Type-B Laplacian on squared-variable polynomials (equals 4 sum B_i)."""
-        out = SparsePoly.zero(p.n)
-        for i in range(self.n):
-            out = out + self.b_op(p, i)
-        return 4 * out
+        return linear_combination(
+            p.n, ((4, self.b_op(p, i)) for i in range(self.n)))
 
     @_linear
     def l_op(self, p, i):

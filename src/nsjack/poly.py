@@ -9,6 +9,13 @@ Python ints instead of ``Fraction`` objects.  ``Fraction`` stays at the
 boundary: constructors and scalars take it, and ``terms``, ``coeff`` and
 the serializers hand it out.  Everything here is pure and exact; floats
 never appear.
+
+A sum of many polynomials is one ``linear_combination(n, pairs)`` call,
+which merges every summand's numerators into one dict over a running
+denominator and reduces once, instead of a chain of ``+`` that copies and
+rescales the partial sum at every step.  Multiplying by a power of one
+variable is ``SparsePoly.mul_var``, an exponent shift rather than a
+product.
 """
 
 from __future__ import annotations
@@ -388,6 +395,17 @@ class SparsePoly:
         return _raw(total, {pre + e + post: c for e, c in self.num.items()},
                     self.den)
 
+    def mul_var(self, i, power=1):
+        """self * x_i^power, as a shift of every exponent of x_i (power may
+        be negative)."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"no variable {i} among {self.n}")
+        if not power:
+            return self
+        j = i + 1
+        return _raw(self.n, {e[:i] + (e[i] + power,) + e[j:]: c
+                             for e, c in self.num.items()}, self.den)
+
     def invert_vars(self):
         """Substitute x_i -> 1/x_i (exponent negation)."""
         return _raw(
@@ -490,17 +508,60 @@ class SparsePoly:
 # -- module-level helpers ----------------------------------------------
 
 
+def linear_combination(n, pairs):
+    """The sum of c * p over the ``(c, p)`` pairs, for rational c and
+    polynomials p in n variables.
+
+    Every summand's numerators are merged into one dict over a running
+    denominator, which is rescaled in place only when a summand's
+    denominator does not divide it; the sum is reduced once at the end.
+    ``pairs`` may be any iterable and is consumed one pair at a time, so a
+    generator of summands is never held in full.  An empty sum is the zero
+    polynomial in n variables.
+    """
+    out = {}
+    den = 1
+    for c, p in pairs:
+        if p.n != n:
+            raise ValueError(f"ambient dimension mismatch: {p.n} vs {n}")
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        a, b = c.numerator, c.denominator
+        if not a or not p.num:
+            continue
+        # c * p = a * p.num / (b * p.den); drop the factor a shares with p.den
+        g = gcd(a, p.den)
+        a, d = a // g, b * (p.den // g)
+        if den % d:
+            new = lcm(den, d)
+            r = new // den
+            for e, v in out.items():
+                out[e] = v * r
+            den = new
+        m = a * (den // d)
+        get = out.get
+        for e, v in p.num.items():
+            s = get(e, 0) + v * m
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return _from_num(n, out, den)
+
+
 def symmetrize(p, block=None):
     """Sum of p over all permutations of the variables ``block`` (all
     variables if None); not averaged."""
     idx = list(range(p.n) if block is None else block)
-    total = SparsePoly.zero(p.n)
-    for perm in permutations(idx):
-        sigma = list(range(p.n))
-        for src, dst in zip(idx, perm):
-            sigma[src] = dst
-        total = total + p.permute_vars(sigma)
-    return total
+
+    def images():
+        for perm in permutations(idx):
+            sigma = list(range(p.n))
+            for src, dst in zip(idx, perm):
+                sigma[src] = dst
+            yield 1, p.permute_vars(sigma)
+
+    return linear_combination(p.n, images())
 
 
 def power_sum(n, k, block=None):

@@ -155,6 +155,12 @@ def ground_state_L(n, alpha, a):
 # report plumbing
 
 
+def _plain(x):
+    """A numpy scalar as the Python float or complex of the same value, whose
+    repr is the bare number (numpy 2 reprs ``np.float64(...)``)."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _report(check, n, alpha, lhs, rhs, tol, a=None, D=None, extra=None):
     lhs_c, rhs_c = complex(lhs), complex(rhs)
     abs_err = abs(lhs_c - rhs_c)
@@ -163,7 +169,7 @@ def _report(check, n, alpha, lhs, rhs, tol, a=None, D=None, extra=None):
     rep = {
         "check": check, "n": n, "alpha": str(alpha),
         "a": None if a is None else str(a), "D": D,
-        "lhs": repr(lhs), "rhs": repr(rhs),
+        "lhs": repr(_plain(lhs)), "rhs": repr(_plain(rhs)),
         "abs_err": abs_err, "rel_err": rel_err, "tolerance": tol,
         "status": "pass" if rel_err <= tol else "fail",
     }

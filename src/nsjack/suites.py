@@ -21,7 +21,7 @@ from .cterm import (SahiInner, ct_inner, ct_norm_formula, kadell_ratio_check,
                     norm_relation_check)
 from .jack import JackBasis
 from .operators import Operators
-from .poly import SparsePoly, power_sum, symmetrize
+from .poly import SparsePoly, linear_combination, power_sum, symmetrize
 
 DEFAULT_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
                   Fraction(7, 5))
@@ -463,11 +463,9 @@ def _family_checks(family, fb, max_weight, eigen, raise_scale, pairing_value,
 
     def harmonic_ok(eta):
         comps = fb.harmonic_components(eta)
-        rebuilt = SparsePoly.zero(n)
-        for m, c in comps:
-            if not fb.laplacian(c).is_zero:
-                return False
-            rebuilt = rebuilt + r ** m * c
+        if any(not fb.laplacian(c).is_zero for _, c in comps):
+            return False
+        rebuilt = linear_combination(n, ((1, r ** m * c) for m, c in comps))
         return rebuilt == jb.E(eta) and fb.from_harmonics(eta, comps) == fb.E(eta)
 
     checks = [("eigen", eigen_ok, {}),

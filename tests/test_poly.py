@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsjack.poly import (SparsePoly, exp_truncated, geometric_substitution,
-                         power_sum, rising, series_binomial, symmetrize)
+                         linear_combination, power_sum, rising,
+                         series_binomial, symmetrize)
 
 
 def P(n, terms):
@@ -389,3 +390,56 @@ def test_terms_view_reads_like_a_dict():
     assert view != {(1, 0): F(1, 2), (0, 1): F(2, 3), (1, 1): 0}
     with pytest.raises(TypeError):
         view[(1, 0)] = 1
+
+
+# -- the n-ary accumulator and the exponent shift ----------------------------
+
+# int and Fraction coefficients, zero included
+lc_coeff = st.one_of(st.integers(-6, 6), mixed_coeff)
+summands3 = st.lists(st.tuples(lc_coeff, laurent3), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(summands3, st.booleans())
+@example([], True)
+# equal denominators that cancel to zero
+@example([(1, {(1, 0, 0): F(1, 3)}), (-1, {(1, 0, 0): F(1, 3)})], False)
+# different denominators, a partial cancellation and a zero coefficient
+@example([(F(3, 2), {(0, 1, 0): F(2, 5), (1, 0, 0): 1}),
+          (F(-3, 4), {(0, 1, 0): F(4, 5), (-1, 2, 0): F(1, 7)}),
+          (0, {(0, 0, 1): 5})], True)
+def test_linear_combination_matches_the_sum_chain(pairs, as_generator):
+    pairs = [(c, SparsePoly(3, t)) for c, t in pairs]
+    chain = SparsePoly.zero(3)
+    for c, p in pairs:
+        chain = chain + c * p
+    arg = (pair for pair in pairs) if as_generator else pairs
+    got = canonical(linear_combination(3, arg))
+    assert got.n == 3 and got == chain
+    back = pairs + [(-c, p) for c, p in pairs]
+    assert canonical(linear_combination(3, back)) == SparsePoly.zero(3)
+
+
+def test_linear_combination_edge_cases():
+    zero = canonical(linear_combination(4, iter(())))
+    assert zero.n == 4 and zero == SparsePoly.zero(4)
+    with pytest.raises(ValueError):
+        linear_combination(3, [(1, SparsePoly.one(3)), (1, SparsePoly.one(2))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent3, st.integers(0, 2), st.integers(-3, 3))
+@example({}, 1, 2)
+@example({(1, 0, 2): F(1, 3), (0, 1, 0): F(-5, 6)}, 0, -2)
+@example({(1, 0, 2): F(1, 3)}, 1, 0)
+@example({(1, 0, 2): F(1, 3), (0, 1, 0): F(-5, 6)}, 2, 3)
+def test_mul_var_is_the_product_with_a_monomial(a, i, k):
+    p = SparsePoly(3, a)
+    e = [0, 0, 0]
+    e[i] = k
+    got = canonical(p.mul_var(i, k))
+    assert got == p * SparsePoly.monomial(3, e)
+    assert got.den == p.den
+    assert sorted(got.num.values()) == sorted(p.num.values())
+    with pytest.raises(ValueError):
+        p.mul_var(3, k)

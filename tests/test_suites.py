@@ -113,6 +113,18 @@ def test_each_operator_fails_exactly_the_checks_that_read_it(
     assert {r["check"] for r in reports if r["status"] == "fail"} == failing
 
 
+def test_numeric_reports_print_plain_numbers():
+    """lhs/rhs read as bare Python numbers, not as numpy reprs such as
+    np.float64(...); the n = 2 Laguerre Gram values are numpy scalars."""
+    reports = suites.suite_numeric(alphas=(1,), a_set=(F(1, 2),),
+                                   max_weight=1, D=2)
+    assert any(r["check"].startswith("laguerre-gram") and r["n"] == 2
+               for r in reports)
+    leaked = [(r["check"], r["lhs"], r["rhs"]) for r in reports
+              if "np." in r["lhs"] + r["rhs"]]
+    assert leaked == []
+
+
 def test_numeric_report_order_is_pinned():
     reports = suites.suite_numeric(alphas=(1,), a_set=(F(1, 2),),
                                    max_weight=1, D=4)
