@@ -5,6 +5,10 @@ Laurent polynomial, so the torus inner product reduces to an exact
 constant-term extraction.  This module also hosts the power-sum-style
 inner product defined through a bilinear generating function, and its
 relation to the Dunkl pairing.
+
+The module keeps no cache of its own: the interaction weight at (n, k)
+lives in the memo of the shared basis at (n, 1/k), and the pruned
+beta weight of ``kadell_ratio_check`` in the memo of the basis it checks.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import combinat as comb
+from .jack import JackBasis
 from .linalg import solve_exact
 from .poly import SparsePoly, rising, series_binomial
 
@@ -26,18 +31,20 @@ def _pair_factor(n, i, j, k):
     return base ** k
 
 
-_weight_cache = {}
-
-
 def interaction_weight(n, k):
-    """The full Laurent interaction weight at integer coupling k (cached)."""
-    got = _weight_cache.get((n, k))
-    if got is None:
-        got = SparsePoly.one(n)
-        for i, j in combinations(range(n), 2):
-            got = got * _pair_factor(n, i, j, k)
-        _weight_cache[n, k] = got
-    return got
+    """The full Laurent interaction weight at integer coupling k, kept by
+    the shared basis at (n, 1/k)."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("constant-term inner product needs integer coupling k >= 1")
+    return JackBasis.shared(n, Fraction(1, k))._memo(
+        ("ct_weight",), _interaction_weight, n, k)
+
+
+def _interaction_weight(n, k):
+    out = SparsePoly.one(n)
+    for i, j in combinations(range(n), 2):
+        out = out * _pair_factor(n, i, j, k)
+    return out
 
 
 def _ct_product(p, q):
@@ -56,8 +63,6 @@ def weighted_ct(p, k):
 
 def ct_inner(f, g, k):
     """Constant term of f(x) g(1/x) times the interaction weight."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("constant-term inner product needs integer coupling k >= 1")
     if g.n != f.n:
         raise ValueError("ambient dimension mismatch")
     return weighted_ct(f * g.invert_vars(), k)
@@ -80,9 +85,6 @@ def ct_norm_formula(eta, k):
     return out
 
 
-_beta_weight_cache = {}
-
-
 def _beta_weight(n, a, b, k, depth):
     """prod_i (1-x_i)^a (1-1/x_i)^b times the interaction weight, pruned to
     the exponent window that polynomials of degree <= depth can pair with.
@@ -90,10 +92,6 @@ def _beta_weight(n, a, b, k, depth):
     Factors are multiplied one at a time; a term is dropped as soon as the
     remaining factors cannot bring its exponent back into the window.
     """
-    key = (n, a, b, k, depth)
-    got = _beta_weight_cache.get(key)
-    if got is not None:
-        return got
     factors = []
     lo, hi = [], []
     for i in range(n):
@@ -123,7 +121,6 @@ def _beta_weight(n, a, b, k, depth):
         prod = prod.filter_terms(
             lambda e: all(e[v] + slo[v] <= 0 and e[v] + shi[v] >= -depth
                           for v in range(n)))
-    _beta_weight_cache[key] = prod
     return prod
 
 
@@ -139,7 +136,7 @@ def kadell_ratio_check(jack, eta, a, b, k, depth=4):
         raise ValueError("basis coupling must equal 1/k")
     if sum(eta) > depth:
         depth = sum(eta)
-    P = _beta_weight(n, a, b, k, depth)
+    P = jack._memo(("beta_weight", a, b, depth), _beta_weight, n, a, b, k, depth)
     lhs = _ct_product(jack.E(eta), P) / P.constant_term()
     kappa = comb.eta_plus(eta)
     top = comb.rf_partition(-b, kappa, jack.alpha)

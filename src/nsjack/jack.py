@@ -3,11 +3,14 @@
 The basis polynomials E_eta are built by the raising/transposition
 recursion; an independent oracle recovers the same polynomials by solving
 the joint eigenproblem of the Cherednik operators directly on monomials.
-The basis owns everything derived at its (n, alpha): it memoizes the
-label constants (d, d', e, f, the generalized factorials, the hook norm
-j_kappa and J_kappa(1^n)), the generalized binomial rows, and the Hermite
-and Laguerre families built on it, so the kernel, binomial and suite
-layers compute each of them once per basis.
+The basis owns everything derived at its (n, alpha) and keeps it in one
+memo, ``JackBasis._memo``: the label constants (d, d', e, f, the
+generalized factorials, the hook norm j_kappa and J_kappa(1^n)), the
+symmetric J_kappa, the generalized binomial rows, the Hermite and Laguerre
+families built on it, and whatever the kernel and constant-term layers
+store there, so each is computed once per basis.  ``JackBasis.shared``
+keeps one basis per (n, alpha) in ``_shared``, the only process-wide
+cache of the package.
 """
 
 from __future__ import annotations
@@ -44,15 +47,23 @@ class JackBasis:
 
     def __init__(self, n, alpha):
         alpha = Fraction(alpha)
+        if n < 1:
+            raise ValueError("need at least one variable")
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.n = n
         self.alpha = alpha
         self.ops = Operators(n, alpha)
         self._cache = {(0,) * n: SparsePoly.one(n)}
-        self._j_cache = {}
         self._consts = {}
-        self._families = {}    # Hermite under None, Laguerre under its a
+
+    def _memo(self, key, build, *args):
+        """The value kept under ``key``; ``build(*args)`` makes it on a miss."""
+        consts = self._consts
+        got = consts.get(key)
+        if got is None:
+            got = consts[key] = build(*args)
+        return got
 
     # -- the recursion ---------------------------------------------------
 
@@ -141,12 +152,13 @@ class JackBasis:
     # With alpha = p/q every node factor of d, d', e and j_kappa is an
     # integer over q (over s p for [c]_eta with c = r/s), so each constant
     # is an integer product over one power, made a Fraction once and kept
-    # in ``_consts`` under (kind, label) or (kind, c, label); the binomial
+    # in the memo under (kind, label) or (kind, c, label); the binomial
     # rows below live there too.  The ``combinat`` functions of the same
     # names are the reference.
 
-    def _node_products(self, eta):
-        """Memoize d, d' and e of a label from one pass over its nodes."""
+    def _node_products(self, kind, eta):
+        """d, d' and e of a label from one pass over its nodes: all three
+        are kept in the memo and the one of the given kind is returned."""
         if len(eta) != self.n:
             raise ValueError("composition length must equal the variable count")
         p, q = self.alpha.numerator, self.alpha.denominator
@@ -162,14 +174,11 @@ class JackBasis:
         consts["d", eta] = Fraction(d, qw)
         consts["d'", eta] = Fraction(dp, qw)
         consts["e", eta] = Fraction(e, qw)
+        return consts[kind, eta]
 
     def _node_const(self, kind, eta):
-        key = (kind, tuple(eta))
-        got = self._consts.get(key)
-        if got is None:
-            self._node_products(key[1])
-            got = self._consts[key]
-        return got
+        eta = tuple(eta)
+        return self._memo((kind, eta), self._node_products, kind, eta)
 
     def d_const(self, eta):
         """d_eta: product over nodes of alpha (arm + 1) + leg + 1."""
@@ -191,58 +200,50 @@ class JackBasis:
     def gen_fact(self, c, eta):
         """[c]_eta: product over nodes of c + arm colength - leg colength / alpha."""
         c, eta = Fraction(c), tuple(eta)
-        key = ("gen_fact", c, eta)
-        got = self._consts.get(key)
-        if got is None:
-            p, q = self.alpha.numerator, self.alpha.denominator
-            r, s = c.numerator, c.denominator
-            out = 1
-            for i, j in comb.nodes(eta):
-                out *= (p * (r + s * comb.arm_co(eta, i, j))
-                        - s * q * comb.leg_co(eta, i, j))
-            got = self._consts[key] = Fraction(out, (s * p) ** sum(eta))
-        return got
+        return self._memo(("gen_fact", c, eta), self._gen_fact, c, eta)
+
+    def _gen_fact(self, c, eta):
+        p, q = self.alpha.numerator, self.alpha.denominator
+        r, s = c.numerator, c.denominator
+        out = 1
+        for i, j in comb.nodes(eta):
+            out *= (p * (r + s * comb.arm_co(eta, i, j))
+                    - s * q * comb.leg_co(eta, i, j))
+        return Fraction(out, (s * p) ** sum(eta))
 
     def hook_norm_j(self, kappa):
         """j_kappa: product over the nodes of the partition kappa of
         (alpha arm + leg + 1)(alpha arm + leg + alpha)."""
         kappa = tuple(x for x in kappa if x > 0)
-        key = ("j", kappa)
-        got = self._consts.get(key)
-        if got is None:
-            p, q = self.alpha.numerator, self.alpha.denominator
-            out = 1
-            for i, j in comb.nodes(kappa):
-                arm, leg = comb.arm(kappa, i, j), comb.leg(kappa, i, j)
-                out *= (p * arm + q * (leg + 1)) * (p * arm + q * leg + p)
-            got = self._consts[key] = Fraction(out, q ** (2 * sum(kappa)))
-        return got
+        return self._memo(("j", kappa), self._hook_norm_j, kappa)
+
+    def _hook_norm_j(self, kappa):
+        p, q = self.alpha.numerator, self.alpha.denominator
+        out = 1
+        for i, j in comb.nodes(kappa):
+            arm, leg = comb.arm(kappa, i, j), comb.leg(kappa, i, j)
+            out *= (p * arm + q * (leg + 1)) * (p * arm + q * leg + p)
+        return Fraction(out, q ** (2 * sum(kappa)))
 
     def J_ones(self, kappa):
         """J_kappa at the all-ones point."""
         kappa = tuple(kappa)
-        key = ("J_ones", kappa + (0,) * (self.n - len(kappa)))
-        got = self._consts.get(key)
-        if got is None:
-            got = self._consts[key] = self.J(kappa).eval_exact([1] * self.n)
-        return got
+        return self._memo(("J_ones", kappa + (0,) * (self.n - len(kappa))),
+                          self._J_ones, kappa)
+
+    def _J_ones(self, kappa):
+        return self.J(kappa).eval_exact([1] * self.n)
 
     # -- deformed families -----------------------------------------------------
 
     def hermite(self):
         """The Hermite family exp(-Delta_A/4) E_eta on this basis."""
-        got = self._families.get(None)
-        if got is None:
-            got = self._families[None] = HermiteBasis(self)
-        return got
+        return self._memo(("hermite",), HermiteBasis, self)
 
     def laguerre(self, a):
         """The Laguerre family exp(-Delta_B/4) E_eta with parameter a."""
         a = Fraction(a)
-        got = self._families.get(a)
-        if got is None:
-            got = self._families[a] = LaguerreBasis(self, a)
-        return got
+        return self._memo(("laguerre", a), LaguerreBasis, self, a)
 
     # -- evaluations -----------------------------------------------------------
 
@@ -266,15 +267,13 @@ class JackBasis:
         if len(kappa) > self.n:
             raise ValueError("partition has more parts than variables")
         kappa = kappa + (0,) * (self.n - len(kappa))
-        got = self._j_cache.get(kappa)
-        if got is not None:
-            return got
+        return self._memo(("J", kappa), self._J, kappa)
+
+    def _J(self, kappa):
         j = self.hook_norm_j(kappa)
-        out = linear_combination(self.n, (
+        return linear_combination(self.n, (
             (j / self.d_prime_const(eta), self.E(eta))
             for eta in set(permutations(kappa))))
-        self._j_cache[kappa] = out
-        return out
 
     # -- change of basis -------------------------------------------------------
 
@@ -311,30 +310,26 @@ class JackBasis:
         """The coefficients of E_eta(1+z)/E_eta(1^n) over the
         E_nu(z)/E_nu(1^n), as {nu: coefficient}."""
         eta = tuple(eta)
-        key = ("binomial", eta)
-        got = self._consts.get(key)
-        if got is None:
-            coeffs = self.expand_in_E(self.E(eta).shift_by_one())
-            e_top = self.eval_ones(eta)
-            got = self._consts[key] = {nu: c * self.eval_ones(nu) / e_top
-                                       for nu, c in coeffs.items()}
-        return got
+        return self._memo(("binomial", eta), self._binomial_row, eta)
+
+    def _binomial_row(self, eta):
+        coeffs = self.expand_in_E(self.E(eta).shift_by_one())
+        e_top = self.eval_ones(eta)
+        return {nu: c * self.eval_ones(nu) / e_top for nu, c in coeffs.items()}
 
     def sym_binomial_row(self, kappa):
         """The coefficients of J_kappa(1+z)/J_kappa(1^n) over the
         J_mu(z)/J_mu(1^n), as {mu: coefficient} with mu padded to n parts."""
         kappa = tuple(kappa) + (0,) * (self.n - len(kappa))
-        key = ("sym_binomial", kappa)
-        got = self._consts.get(key)
-        if got is None:
-            row = {}
-            shifted = self.J(kappa).shift_by_one()
-            for eta, c in self.expand_in_E(shifted).items():
-                mu = comb.eta_plus(eta)
-                # coefficient of J_mu is c d'_eta / j_mu, constant over the orbit
-                b = c * self.d_prime_const(eta) / self.hook_norm_j(mu)
-                if row.setdefault(mu, b) != b:
-                    raise ArithmeticError("J expansion inconsistent across an orbit")
-            got = self._consts[key] = {
-                mu: b * self.J_ones(mu) / self.J_ones(kappa) for mu, b in row.items()}
-        return got
+        return self._memo(("sym_binomial", kappa), self._sym_binomial_row, kappa)
+
+    def _sym_binomial_row(self, kappa):
+        row = {}
+        shifted = self.J(kappa).shift_by_one()
+        for eta, c in self.expand_in_E(shifted).items():
+            mu = comb.eta_plus(eta)
+            # coefficient of J_mu is c d'_eta / j_mu, constant over the orbit
+            b = c * self.d_prime_const(eta) / self.hook_norm_j(mu)
+            if row.setdefault(mu, b) != b:
+                raise ArithmeticError("J expansion inconsistent across an orbit")
+        return {mu: b * self.J_ones(mu) / self.J_ones(kappa) for mu, b in row.items()}

@@ -11,10 +11,11 @@ Every bilinear sum here, the kernels and the sides of the generating-
 function and summation checks alike, is one call of ``_bilinear_sum``,
 and the kernels weigh a label by ``_weight`` = alpha^|eta| d/(d' e).  The
 label constants, the binomial rows and the deformed families all come
-from the basis, built once per basis.  The substitutions on one block of
-variables (rescaling, embedding, power sums, symmetrizing) are those of
-``poly``, and every product truncated in a block is a
-``SparsePoly.mul_truncated``.  The checks that run label by label report
+from the basis, built once per basis; so do K_A and K_B, which several
+checks read, while the single-use 1K1 and 2K1 kernels are built per
+call.  The substitutions on one block of variables (rescaling,
+embedding, power sums, symmetrizing) are those of ``poly``, and every
+product truncated in a block is a ``SparsePoly.mul_truncated``.  The checks that run label by label report
 through one first-failing-label driver, and their sums of
 c(nu) E_nu over binomial coefficients are ``binomial_expansion``.  A
 deformed family (a ``DeformedBasis``) plugs into the checks through:
@@ -105,14 +106,7 @@ def kernel_series(jack, up, down, D):
     alpha^{|eta|} * prod [u]_eta / prod [v]_eta * d/(d'e) * E_eta(x) E_eta(y).
 
     Raises if a denominator factor vanishes, naming the offending label.
-    The series is kept in the basis's memo, so each (up, down, D) is built
-    once per basis.
     """
-    key = ("kernel", tuple(up), tuple(down), D)
-    got = jack._consts.get(key)
-    if got is not None:
-        return got
-
     def weight(eta):
         coeff = _weight(jack, eta)
         for u in up:
@@ -124,17 +118,17 @@ def kernel_series(jack, up, down, D):
             coeff /= gv
         return coeff
 
-    got = jack._consts[key] = _bilinear_sum(jack, jack.E, jack.E, weight, D)
-    return got
+    return _bilinear_sum(jack, jack.E, jack.E, weight, D)
 
 
 def kernel_KA(jack, D):
-    return kernel_series(jack, [], [], D)
+    return jack._memo(("K_A", D), kernel_series, jack, (), (), D)
 
 
 def kernel_KB(jack, a, D):
+    a = Fraction(a)
     q = 1 + Fraction(jack.n - 1) / jack.alpha
-    return kernel_series(jack, [], [Fraction(a) + q], D)
+    return jack._memo(("K_B", a, D), kernel_series, jack, (), (a + q,), D)
 
 
 def kernel_2K1(jack, a, b, c, D):

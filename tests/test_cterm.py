@@ -6,8 +6,8 @@ import pytest
 
 import nsjack.combinat as comb
 from nsjack.cterm import (SahiInner, ct_inner, ct_norm_formula,
-                          kadell_ratio_check, norm_relation_check,
-                          power_sum_basis)
+                          interaction_weight, kadell_ratio_check,
+                          norm_relation_check, power_sum_basis, weighted_ct)
 from nsjack.hermite_laguerre import HermiteBasis
 from nsjack.jack import JackBasis
 from nsjack.poly import SparsePoly
@@ -29,6 +29,15 @@ def test_ct_inner_rejects_bad_coupling():
         ct_inner(one, one, 0)
     with pytest.raises(ValueError):
         ct_inner(one, SparsePoly.one(3), 1)
+
+
+@pytest.mark.parametrize("k", [0, -1, F(3, 2), 1.5])
+def test_coupling_is_checked_before_the_weight(k):
+    one = SparsePoly.one(2)
+    for call in (lambda: interaction_weight(2, k), lambda: weighted_ct(one, k),
+                 lambda: ct_inner(one, one, k)):
+        with pytest.raises(ValueError, match="integer coupling k >= 1"):
+            call()
 
 
 def test_norm_formula_spots():

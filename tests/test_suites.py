@@ -264,3 +264,25 @@ def test_failing_ct_report_names_the_label(monkeypatch):
     [failed] = [r for r in reports if r["status"] == "fail"]
     assert failed["check"] == "ct-orthogonality-and-norms"
     assert failed["witness"] == repr((0, 1))
+
+
+def test_bases_are_the_only_process_wide_cache(monkeypatch):
+    """Every value the suites keep for later lives in a shared basis: no
+    other private module-level container of the package holds an entry."""
+    import sys
+
+    from nsjack import jack
+
+    monkeypatch.setattr(jack, "_shared", {})
+    suites.suite_ct(k_set=(1,), max_weight=1, max_n=2)
+    suites.suite_kernels(alphas=ALPHA, sizes=((2, 2),))
+    suites.suite_hermite(max_n=1, max_weight=1)
+    assert jack._shared
+    warm = [f"{name}.{attr}"
+            for name, module in list(sys.modules.items())
+            if name == "nsjack" or name.startswith("nsjack.")
+            for attr, value in vars(module).items()
+            if attr.startswith("_") and not attr.startswith("__")
+            and isinstance(value, (dict, set, list)) and value
+            and (name, attr) != ("nsjack.jack", "_shared")]
+    assert warm == []
