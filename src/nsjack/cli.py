@@ -127,15 +127,32 @@ def _write_cache(path, key, value):
         os.close(lock)
 
 
-def _with_cache(path, key, compute):
-    """Look up a polynomial in an optional JSON cache file."""
+def _decode(entry, n):
+    """The polynomial in a cache entry, or None unless the entry is one in
+    n variables, exactly as ``to_json_dict`` writes it."""
+    try:
+        poly = SparsePoly.from_json_dict(entry)
+        if poly.n == n and poly.to_json_dict() == entry:
+            return poly
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        pass
+    return None
+
+
+def _with_cache(path, eta, compute):
+    """The polynomial of label ``eta``, looked up under ``str(eta)`` in an
+    optional JSON cache file.
+
+    Like a corrupt file, an entry that does not decode to a polynomial in
+    len(eta) variables only costs a recomputation, which is written back.
+    """
     if path is None:
         return compute()
-    table = _read_cache(path)
-    if key in table:
-        return SparsePoly.from_json_dict(table[key])
-    poly = compute()
-    _write_cache(path, key, poly.to_json_dict())
+    key = str(eta)
+    poly = _decode(_read_cache(path).get(key), len(eta))
+    if poly is None:
+        poly = compute()
+        _write_cache(path, key, poly.to_json_dict())
     return poly
 
 
@@ -253,7 +270,7 @@ def _dispatch(args):
         a = parse_fraction(args.a) if kind == "laguerre" else None
         family = {"jack": lambda: jb, "hermite": jb.hermite,
                   "laguerre": lambda: jb.laguerre(a)}[kind]
-        poly = _with_cache(_cache_path(kind, n, alpha, a), str(eta),
+        poly = _with_cache(_cache_path(kind, n, alpha, a), eta,
                            lambda: family().E(eta))
         if kind == "laguerre" and args.x_squared:
             poly = poly.scale_exponents(2)

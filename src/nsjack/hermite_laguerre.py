@@ -1,7 +1,8 @@
 """Non-symmetric Hermite and Laguerre polynomials.
 
-Both families are images of the Jack basis under a terminating
-exponential of (a quarter of) the relevant Laplacian, so one class,
+Both families are images of the Jack basis under the terminating
+exponential exp(-lap/4) of the relevant Laplacian, which lowers the
+degree, so each E_eta is one ``poly.exp_series`` call and one class,
 ``DeformedBasis``, holds the construction, the pairing and the harmonic
 decomposition; ``HermiteBasis`` and ``LaguerreBasis`` add their ladders
 and closed forms.  The Laguerre family lives natively in the squared
@@ -15,21 +16,7 @@ from math import factorial
 
 from . import combinat as comb
 from .operators import Operators
-from .poly import linear_combination, power_sum, rising
-
-
-def _exp_minus_quarter(lap, p):
-    """Apply exp(-lap/4) where ``lap`` strictly lowers degree (finite sum)."""
-    def terms():
-        # (-1/4)^m / m! times lap^m p, for m = 0, 1, ... until lap^m p = 0
-        c, term, m = Fraction(1), p, 0
-        while not term.is_zero:
-            yield c, term
-            m += 1
-            c /= -4 * m
-            term = lap(term)
-
-    return linear_combination(p.n, terms())
+from .poly import exp_series, linear_combination, power_sum, rising
 
 
 def laguerre_1d_coeffs(m, a):
@@ -66,7 +53,7 @@ class DeformedBasis:
         eta = tuple(eta)
         got = self._cache.get(eta)
         if got is None:
-            got = _exp_minus_quarter(self.laplacian, self.jack.E(eta))
+            got = exp_series(self.jack.E(eta), self.laplacian, Fraction(-1, 4))
             self._cache[eta] = got
         return got
 

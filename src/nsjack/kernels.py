@@ -15,10 +15,11 @@ from the basis, built once per basis; so do K_A and K_B, which several
 checks read, while the single-use 1K1 and 2K1 kernels are built per
 call.  The substitutions on one block of variables (rescaling,
 embedding, power sums, symmetrizing) are those of ``poly``, and every
-product truncated in a block is a ``SparsePoly.mul_truncated``.  The checks that run label by label report
-through one first-failing-label driver, and their sums of
-c(nu) E_nu over binomial coefficients are ``binomial_expansion``.  A
-deformed family (a ``DeformedBasis``) plugs into the checks through:
+product truncated in a block is a ``SparsePoly.mul_truncated``.  The
+checks that run label by label report through one first-failing-label
+driver, and their sums of c(nu) E_nu over binomial coefficients are
+``binomial_expansion``.  A deformed family (a ``DeformedBasis``) plugs
+into the checks through:
 
 - its generating function: the bilinear sum of E^family_eta(x) E_eta(z)
   with the kernel weight times a family factor (2^|eta| for Hermite,

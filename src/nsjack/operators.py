@@ -46,12 +46,12 @@ def _linear(formula):
             hits.append((c, img))
         den = lcm(*[d for _, (_, d) in hits])
         out = {}
+        get = out.get
         for c, (num, d) in hits:
             c *= den // d
             for f, v in num.items():
-                s = out.get(f)
-                out[f] = c * v if s is None else s + c * v
-        return _from_num(p.n, {f: v for f, v in out.items() if v}, den * p.den)
+                out[f] = get(f, 0) + c * v
+        return _from_num(p.n, out, den * p.den)
 
     apply.__name__ = name
     apply.__qualname__ = formula.__qualname__
@@ -75,11 +75,7 @@ def divided_difference(p, i, j):
             ne[i] = a - 1 - t
             ne[j] = b + t
             key = tuple(ne)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
     return _from_num(p.n, out, p.den)
 
 
@@ -101,21 +97,13 @@ def divide_by_difference(p, i, j):
             ne[i] = k - 1 - t
             ne[j] = e[j] + t
             key = tuple(ne)
-            s = quot.get(key, 0) + c
-            if s:
-                quot[key] = s
-            else:
-                quot.pop(key, None)
+            quot[key] = quot.get(key, 0) + c
         ne = list(e)
         ne[i] = 0
         ne[j] = e[j] + k
         key = tuple(ne)
-        s = rem.get(key, 0) + c
-        if s:
-            rem[key] = s
-        else:
-            rem.pop(key, None)
-    if rem:
+        rem[key] = rem.get(key, 0) + c
+    if any(rem.values()):
         raise ArithmeticError("polynomial not divisible by (x_i - x_j)")
     return _from_num(p.n, quot, p.den)
 

@@ -10,12 +10,18 @@ boundary: constructors and scalars take it, and ``terms``, ``coeff`` and
 the serializers hand it out.  Everything here is pure and exact; floats
 never appear.
 
+The one reduction to canonical form, ``_from_num``, is also the only
+place that drops zero numerators, so the loops that accumulate numerators
+(sums, products, substitutions, and the operators built on them) store
+every partial sum without testing it.
+
 A sum of many polynomials is one ``linear_combination(n, pairs)`` call,
 which merges every summand's numerators into one dict over a running
 denominator and reduces once, instead of a chain of ``+`` that copies and
-rescales the partial sum at every step.  Multiplying by a power of one
-variable is ``SparsePoly.mul_var``, an exponent shift rather than a
-product.
+rescales the partial sum at every step.  A terminating exponential
+exp(c step) p is one ``exp_series(p, step, c)`` call, its terms streamed
+through that accumulator.  Multiplying by a power of one variable is
+``SparsePoly.mul_var``, an exponent shift rather than a product.
 """
 
 from __future__ import annotations
@@ -41,9 +47,12 @@ def _raw(n, num, den):
 def _from_num(n, num, den=1):
     """The polynomial ``num / den``, reduced to canonical form.
 
-    ``num`` must hold no zero numerator and ``den`` must be positive; the
-    dict is taken over, not copied.
+    Zero numerators are dropped here, so the loops that accumulate into
+    ``num`` never test for them.  ``den`` must be positive; the dict is
+    taken over, not copied.
     """
+    if 0 in num.values():
+        num = {e: c for e, c in num.items() if c}
     if den != 1:
         g = gcd(den, *num.values()) if num else den
         if g != 1:
@@ -230,11 +239,7 @@ class SparsePoly:
             m1, m2 = den // d1, sign * (den // d2)
             out = {e: c * m1 for e, c in self.num.items()}
         for e, c in other.num.items():
-            s = out.get(e, 0) + c * m2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c * m2
         return _from_num(self.n, out, den)
 
     __radd__ = __add__
@@ -278,11 +283,7 @@ class SparsePoly:
         for e1, c1 in self.num.items():
             for e2, c2 in other.num.items():
                 e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return _from_num(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -308,11 +309,7 @@ class SparsePoly:
                     break
                 for e2, c2 in terms:
                     e = tuple(map(add, e1, e2))
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
+                    out[e] = out.get(e, 0) + c1 * c2
         return _from_num(self.n, out, self.den * other.den)
 
     def __truediv__(self, scalar):
@@ -332,8 +329,12 @@ class SparsePoly:
         return out
 
     def __eq__(self, other):
+        """Equality by value with a polynomial or a rational constant; any
+        other operand is left to Python (so ``p == "1"`` is False)."""
         if isinstance(other, SparsePoly):
             return self.n == other.n and self.den == other.den and self.num == other.num
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return self.is_zero if other == 0 else self == SparsePoly.constant(self.n, other)
 
     def __hash__(self):
@@ -431,11 +432,7 @@ class SparsePoly:
                     ne = list(e)
                     ne[i] = j
                     key = tuple(ne)
-                    s = out.get(key, 0) + c * comb(k, j)
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    out[key] = out.get(key, 0) + c * comb(k, j)
             p = _from_num(self.n, out, p.den)
         return p
 
@@ -491,7 +488,8 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, d):
-        terms = {tuple(e): Fraction(int(num), int(den)) for e, num, den in d["terms"]}
+        terms = {tuple(map(int, e)): Fraction(int(num), int(den))
+                 for e, num, den in d["terms"]}
         return cls(d["n"], terms)
 
     def __repr__(self):
@@ -541,11 +539,7 @@ def linear_combination(n, pairs):
         m = a * (den // d)
         get = out.get
         for e, v in p.num.items():
-            s = get(e, 0) + v * m
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            out[e] = get(e, 0) + v * m
     return _from_num(n, out, den)
 
 
@@ -610,21 +604,34 @@ def exp_truncated(p, cap, block=None):
     """exp(p) truncated to degree ``cap`` in the variables ``block`` (all
     variables if None).
 
-    ``p`` must have no constant term and strictly positive degree in the
-    block, so truncation commutes with the series.
+    Every term of ``p`` must have strictly positive degree in the block
+    (so p has no constant term): then truncation commutes with the series,
+    and the series ends.
     """
-    if p.constant_term() != 0:
-        raise ValueError("exp series needs a polynomial without constant term")
-    result = SparsePoly.one(p.n)
-    term = SparsePoly.one(p.n)
-    m = 0
-    while True:
-        m += 1
-        term = term.mul_truncated(p, block, cap) / m
-        if term.is_zero:
-            break
-        result = result + term
-    return result
+    bdeg = _block_degree(block, p.n)
+    if not all(bdeg(e) > 0 for e in p.num):
+        raise ValueError("exp series needs every term of positive degree in the block")
+    return exp_series(SparsePoly.one(p.n),
+                      lambda q: q.mul_truncated(p, block, cap))
+
+
+def exp_series(p, step, c=1):
+    """exp(c * step) applied to p: the sum over m >= 0 of c^m / m! times
+    step^m(p), for a linear map ``step`` that sends p to 0 after finitely
+    many applications.
+
+    The terms stream through one ``linear_combination`` and stop at the
+    first step^m(p) that is zero.
+    """
+    def terms():
+        coeff, term, m = ONE, p, 0
+        while not term.is_zero:
+            yield coeff, term
+            m += 1
+            coeff = coeff * c / m
+            term = step(term)
+
+    return linear_combination(p.n, terms())
 
 
 def geometric_substitution(p, var_indices, cap, block=None):
@@ -657,10 +664,6 @@ def geometric_substitution(p, var_indices, cap, block=None):
                 ne = list(e)
                 ne[v] = k + m
                 key = tuple(ne)
-                s = acc.get(key, 0) + c * comb(k - 1 + m, m)
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                acc[key] = acc.get(key, 0) + c * comb(k - 1 + m, m)
         out = _from_num(p.n, acc, out.den)
     return out

@@ -172,19 +172,37 @@ def test_ct_norm_accepts_matching_or_omitted_alpha():
     assert omitted.stdout == explicit.stdout == '"10/3"\n'
 
 
-def test_corrupt_cache_file_is_a_miss(tmp_path):
-    uncached = run_cli("jack", "--eta", "2,1", "--alpha", "1/2")
+def assert_corrupt_cache_is_a_miss(tmp_path, eta, corrupt_text):
+    """After the cache file is overwritten with ``corrupt_text``, the label
+    is recomputed, printed as without a cache, and written back."""
+    args = ("jack", "--eta", ",".join(map(str, eta)), "--alpha", "1/2")
+    uncached = run_cli(*args)
     env = {"NSJACK_CACHE_DIR": str(tmp_path)}
-    first = run_cli("jack", "--eta", "2,1", "--alpha", "1/2", env=env)
+    first = run_cli(*args, env=env)
     [cache_file] = list(tmp_path.iterdir())
-    cache_file.write_text("{bad")
-    r = run_cli("jack", "--eta", "2,1", "--alpha", "1/2", env=env)
+    cache_file.write_text(corrupt_text)
+    r = run_cli(*args, env=env)
     assert r.returncode == 0, r.stderr[-300:]
     assert r.stdout == first.stdout == uncached.stdout
     # the file was rewritten as a valid table holding the entry
     table = json.loads(cache_file.read_text())
-    assert table == {"(2, 1)": json.loads(uncached.stdout)}
+    assert table == {str(eta): json.loads(uncached.stdout)}
     assert list(tmp_path.iterdir()) == [cache_file]
+
+
+def test_corrupt_cache_file_is_a_miss(tmp_path):
+    assert_corrupt_cache_is_a_miss(tmp_path, (2, 1), "{bad")
+
+
+@pytest.mark.parametrize("entry", [
+    {"n": 2, "terms": "garbage"},
+    [1, 2],
+    # a valid polynomial, but in 3 variables for a 2-variable label
+    {"n": 3, "terms": [[[1, 0, 0], "1", "1"]]},
+], ids=["bad-terms", "not-a-dict", "wrong-n"])
+def test_corrupt_cache_entry_is_a_miss(tmp_path, entry):
+    assert_corrupt_cache_is_a_miss(tmp_path, (1, 0),
+                                   json.dumps({"(1, 0)": entry}))
 
 
 def test_cache_writes_leave_no_temp_files(tmp_path):

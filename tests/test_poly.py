@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsjack.poly import (SparsePoly, exp_truncated, geometric_substitution,
-                         linear_combination, power_sum, rising,
-                         series_binomial, symmetrize)
+from nsjack.operators import (Operators, divide_by_difference,
+                              divided_difference)
+from nsjack.poly import (SparsePoly, exp_series, exp_truncated,
+                         geometric_substitution, linear_combination,
+                         power_sum, rising, series_binomial, symmetrize)
 
 
 def P(n, terms):
@@ -112,11 +114,25 @@ def test_exp_and_geometric_truncate_in_a_block():
     expect = (SparsePoly.one(2) + p + p * p / 2).filter_terms(
         lambda e: e[1] <= 2)
     assert exp_truncated(p, 2, block=(1,)) == expect
+    # a term of degree <= 0 in the block would never leave the series
+    for bad in (p + 1, p + x0, p + x0.mul_var(1, -1)):
+        with pytest.raises(ValueError):
+            exp_truncated(bad, 2, block=(1,))
     # x0 x1 / (1 - x1) through x1-degree 3, whatever the x0-degree
     assert geometric_substitution(x0 * x1, [1], 3, block=(1,)) == P(
         2, {(1, 1): 1, (1, 2): 1, (1, 3): 1})
     with pytest.raises(ValueError):
         geometric_substitution(x0 * x1, [1], 3, block=(0,))
+
+
+def test_equality_with_other_types():
+    one = SparsePoly.one(2)
+    assert one == 1 and 1 == one and one == F(1) and one != 2
+    assert SparsePoly.zero(2) == 0 and SparsePoly.zero(2) == F(0)
+    # only polynomials, ints and Fractions compare by value
+    assert (one == "1") is False and (one == "x") is False
+    assert (one == None) is False and one != None  # noqa: E711
+    assert one in [None, "1", one] and None not in [one]
 
 
 def test_json_round_trip_and_order():
@@ -443,3 +459,126 @@ def test_mul_var_is_the_product_with_a_monomial(a, i, k):
     assert sorted(got.num.values()) == sorted(p.num.values())
     with pytest.raises(ValueError):
         p.mul_var(3, k)
+
+
+# -- zero numerators are dropped only in _from_num ---------------------------
+# Each of these loops accumulates without a zero test; the inputs are chosen
+# so that terms cancel, and every result must still be canonical.
+
+pairs3 = st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent3, pairs3)
+# p symmetric in (x0, x1): every term of the divided difference cancels
+@example({(2, 0, 0): 1, (0, 2, 0): 1}, (0, 1))
+@example({(2, -1, 1): F(1, 3), (-1, 2, 1): F(1, 3), (1, 0, 0): 2}, (1, 0))
+def test_divided_difference_matches_its_definition(a, ij):
+    i, j = ij
+    p = SparsePoly(3, a)
+    xi, xj = SparsePoly.variable(3, i), SparsePoly.variable(3, j)
+    got = canonical(divided_difference(p, i, j))
+    assert got * (xi - xj) == p - p.swap_vars(i, j)
+    sym = canonical(divided_difference(p + p.swap_vars(i, j), i, j))
+    assert sym == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms3, pairs3, scalars)
+@example({(1, 1, 0): 1, (0, 2, 0): 1}, (0, 1), F(-2, 3))
+def test_divide_by_difference_recovers_the_factor(a, ij, c):
+    i, j = ij
+    p = SparsePoly(3, a)
+    xi, xj = SparsePoly.variable(3, i), SparsePoly.variable(3, j)
+    prod = p * (xi - xj)
+    assert canonical(divide_by_difference(prod, i, j)) == p
+    # c x_j^2 does not vanish at x_i = x_j, so the remainder is non-zero
+    with pytest.raises(ArithmeticError):
+        divide_by_difference(prod + c * xj ** 2, i, j)
+
+
+def ref_geometric(p, var_indices, cap, block):
+    """x_v -> x_v + ... + x_v^cap for each v, then truncation in the block."""
+    series = {v: linear_combination(3, ((1, SparsePoly.variable(3, v) ** m)
+                                        for m in range(1, cap + 1)))
+              for v in var_indices}
+    total = SparsePoly.zero(3)
+    for e, c in p.terms.items():
+        term = SparsePoly.constant(3, c)
+        for v, k in enumerate(e):
+            term = term * (series[v] ** k if v in series
+                           else SparsePoly.variable(3, v) ** k)
+        total = total + term
+    in_block = range(3) if block is None else block
+    return total.filter_terms(lambda e: sum(e[i] for i in in_block) <= cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms3, st.sampled_from([(0,), (2,), (0, 2), (2, 0)]),
+       st.integers(0, 5), st.sampled_from([None, (0, 1, 2), (0, 2)]))
+# x/(1-x) - x^2/(1-x)^2 = x - x^3 - 2x^4 - ...: the x^2 terms cancel
+@example({(1, 0, 0): 1, (2, 0, 0): -1}, (0,), 4, None)
+def test_geometric_substitution_matches_the_series(a, var_indices, cap, block):
+    p = SparsePoly(3, a)
+    got = canonical(geometric_substitution(p, var_indices, cap, block))
+    assert got == ref_geometric(p, var_indices, cap, block)
+
+
+def test_operator_images_that_cancel():
+    alpha = F(7, 5)
+    x = [SparsePoly.variable(3, i) for i in range(3)]
+    ops = Operators(3, alpha)
+    # T_0 x_0 = 1 + 2/alpha and T_0 x_1 = T_0 x_2 = -1/alpha
+    assert ops.dunkl(x[0], 0) == 1 + 2 / alpha
+    p = x[0] + (alpha + 1) * x[1] + x[2]
+    assert canonical(ops.dunkl(p, 0)) == 0
+    q = p + x[0] * x[1]
+    assert canonical(ops.dunkl(q, 0)) == ops.dunkl(x[0] * x[1], 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms3, st.sampled_from(["dunkl", "cherednik", "b_op"]),
+       st.integers(0, 2))
+# the images of x_0, x_1 and x_2 under T_0 cancel
+@example({(1, 0, 0): 1, (0, 1, 0): F(12, 5), (0, 0, 1): 1}, "dunkl", 0)
+def test_operator_is_the_sum_of_its_monomial_images(a, name, i):
+    p = SparsePoly(3, a)
+    op = getattr(Operators(3, F(7, 5), a=F(1, 2)), name)
+    fresh = getattr(Operators(3, F(7, 5), a=F(1, 2)), name)
+    chain = SparsePoly.zero(3)
+    for e, c in p.terms.items():
+        chain = chain + c * fresh(SparsePoly.monomial(3, e), i)
+    assert canonical(op(p, i)) == chain
+
+
+def ref_exp_series(p, step, c):
+    total, term, m, coeff = SparsePoly.zero(p.n), p, 0, F(1)
+    while not term.is_zero:
+        total = total + coeff * term
+        m += 1
+        coeff = coeff * c / m
+        term = step(term)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms3, st.integers(0, 2), mixed_coeff)
+def test_exp_series_matches_the_explicit_sum(a, i, c):
+    p = SparsePoly(3, a)
+    step = lambda q: q.diff(i)
+    got = canonical(exp_series(p, step, c))
+    assert got == ref_exp_series(p, step, c)
+    # exp(c d/dx_i) is the shift x_i -> x_i + c
+    if c == 1:
+        assert got == p.shift_by_one(only=[i])
+
+
+def test_exp_series_cancellation_and_laplacian():
+    x0 = SparsePoly.variable(1, 0)
+    # exp(2 d/dx) (x - 2)^3 = x^3: every lower term cancels
+    assert canonical(exp_series((x0 - 2) ** 3, lambda q: q.diff(0), 2)) == x0 ** 3
+    assert exp_series(SparsePoly.zero(2), lambda q: q.diff(0)) == 0
+    ops = Operators(2, F(7, 5))
+    p = SparsePoly(2, {(3, 1): 1, (0, 2): F(-2, 3), (1, 0): 5})
+    got = canonical(exp_series(p, ops.laplacian_A, F(-1, 4)))
+    assert got == ref_exp_series(p, ops.laplacian_A, F(-1, 4))

@@ -237,13 +237,13 @@ def test_kernel_suite_builds_each_family_label_once(monkeypatch):
     from nsjack import hermite_laguerre, jack
 
     built = Counter()
-    right = hermite_laguerre._exp_minus_quarter
+    right = hermite_laguerre.exp_series
 
-    def counted(lap, p):
+    def counted(p, lap, c):
         built[lap.__name__, lap.__self__.a, tuple(p.sorted_terms())] += 1
-        return right(lap, p)
+        return right(p, lap, c)
 
-    monkeypatch.setattr(hermite_laguerre, "_exp_minus_quarter", counted)
+    monkeypatch.setattr(hermite_laguerre, "exp_series", counted)
     monkeypatch.setattr(jack, "_shared", {})
     reports = suites.suite_kernels(alphas=ALPHA, sizes=((2, 3),))
     assert all(r["status"] == "pass" for r in reports)
