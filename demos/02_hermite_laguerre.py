@@ -24,7 +24,7 @@ eta = (1, 1)
 print(f"E_{eta}          = {jb.E(eta)}")
 print(f"Hermite E_{eta}  = {hb.E(eta)}")
 print(f"Laguerre E_{eta} = {lb.E(eta)}   (in squared variables)")
-print(f"same, in x       = {lb.E_x_squared(eta)}\n")
+print(f"same, in x       = {lb.E(eta).scale_exponents(2)}\n")
 
 # raising: one operator application moves the label up the spiral
 up = phi_map(eta)

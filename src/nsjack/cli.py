@@ -248,13 +248,10 @@ def _dispatch(args):
             K = kernels.kernel_KB(jb, parse_fraction(args.a), D)
         elif fam == "0F0":
             K = kernels.hyper_0F0(jb, D)
-        elif fam == "1K1":
-            K = kernels.kernel_1K1(jb, parse_fraction(args.a),
-                                   parse_fraction(args.c), D)
         else:
-            K = kernels.kernel_2K1(jb, parse_fraction(args.a),
-                                   parse_fraction(args.b),
-                                   parse_fraction(args.c), D)
+            up = (args.a,) if fam == "1K1" else (args.a, args.b)
+            K = kernels.kernel_series(jb, tuple(map(parse_fraction, up)),
+                                      (parse_fraction(args.c),), D)
         _emit(K.to_json_dict(), args.format, args.out)
         return 0
 

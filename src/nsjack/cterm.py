@@ -21,6 +21,9 @@ from .jack import JackBasis
 from .linalg import solve_exact
 from .poly import SparsePoly, rising, series_binomial
 
+# the smallest degree the beta weight of kadell_ratio_check is pruned to
+KADELL_DEPTH = 4
+
 
 def _pair_factor(n, i, j, k):
     """[(1 - x_i/x_j)(1 - x_j/x_i)]^k as a Laurent polynomial."""
@@ -124,18 +127,18 @@ def _beta_weight(n, a, b, k, depth):
     return prod
 
 
-def kadell_ratio_check(jack, eta, a, b, k, depth=4):
+def kadell_ratio_check(jack, eta, a, b, k):
     """Ratio of beta-weighted constant terms against the closed product form.
 
     Exact check of the Selberg-type evaluation for integer exponents a, b
-    and integer coupling k = 1/alpha.
+    and integer coupling k = 1/alpha; the beta weight is pruned to degree
+    max(KADELL_DEPTH, |eta|).
     """
     eta = tuple(eta)
     n = jack.n
     if jack.alpha != Fraction(1, k):
         raise ValueError("basis coupling must equal 1/k")
-    if sum(eta) > depth:
-        depth = sum(eta)
+    depth = max(KADELL_DEPTH, sum(eta))
     P = jack._memo(("beta_weight", a, b, depth), _beta_weight, n, a, b, k, depth)
     lhs = _ct_product(jack.E(eta), P) / P.constant_term()
     kappa = comb.eta_plus(eta)
@@ -219,13 +222,25 @@ class SahiInner:
         self.D = D
         self.p = power_sum_basis(n, alpha, D)
 
-    def _expand(self, f):
-        """Coefficients of f over {p_eta} of its degree, by exact solve."""
+    def _degree(self, f):
+        """The degree d of f, which must be homogeneous with d <= D and every
+        monomial in the table of degree d."""
         if not f.is_homogeneous():
             raise ValueError("inner product arguments must be homogeneous")
         d = f.total_degree()
         if d > self.D:
             raise ValueError("degree exceeds the prepared table")
+        # the generating function is symmetric in x and y, so the labels of
+        # weight d are also the monomials of the p_eta of degree d
+        outside = [e for e in f.terms if e not in self.p]
+        if outside:
+            raise ValueError(f"monomial {outside[0]} is outside the degree-{d} "
+                             "table")
+        return d
+
+    def _expand(self, f):
+        """Coefficients of f over {p_eta} of its degree, by exact solve."""
+        d = self._degree(f)
         etas = [eta for eta in self.p if sum(eta) == d]
         monos = sorted({e for eta in etas for e in self.p[eta].terms})
         rows = [[self.p[eta].terms.get(m, Fraction(0)) for eta in etas]
@@ -239,19 +254,13 @@ class SahiInner:
         return dict(zip(etas, sol))
 
     def inner(self, f, g):
-        """<f, g>: expand both over p_eta and contract through the monomial
-        coefficients of p."""
+        """<f, g> = sum_nu f_nu c_nu, where f_nu are the monomial
+        coefficients of f and g = sum_nu c_nu p_nu: the monomials are dual
+        to the p_nu, so only g is expanded."""
         if f.is_zero or g.is_zero:
             return Fraction(0)
         if f.total_degree() != g.total_degree():
             return Fraction(0)
-        fc = self._expand(f)
+        self._degree(f)
         gc = self._expand(g)
-        total = Fraction(0)
-        # contraction of both p-expansions through the monomial matrix of p
-        for eta, fe in fc.items():
-            for nu, gn in gc.items():
-                a = self.p[eta].terms.get(nu)
-                if a:
-                    total += fe * a * gn
-        return total
+        return sum((c * gc[e] for e, c in f.terms.items()), Fraction(0))

@@ -210,10 +210,6 @@ class LaguerreBasis(DeformedBasis):
         """The combination a + 1 + (n-1)/alpha entering every formula."""
         return self.a + 1 + Fraction(self.n - 1) / self.alpha
 
-    def E_x_squared(self, eta):
-        """The same polynomial written in the original variables."""
-        return self.E(eta).scale_exponents(2)
-
     def norm_ratio(self, eta):
         """Norm divided by the ground-state normalization; the weight
         y^a exp(-y) is integrable only for a > -1."""

@@ -7,9 +7,11 @@ the bilinear sum over labels, so an identity involving multiplication by
 an exponential or a binomial series is compared only on the degree range
 where both sides are complete; each check states its own range.
 
-Every bilinear sum here, the kernels and the sides of the generating-
-function and summation checks alike, is one call of ``_bilinear_sum``,
-and the kernels weigh a label by ``_weight`` = alpha^|eta| d/(d' e).  The
+Every kernel-shaped sum here is one ``kernel_series`` call: the kernels
+K_A, K_B, 1K1 and 2K1, and the kernel side of each generating function,
+with up and down weights [u]_eta and [v]_eta on top of the kernel weight
+``_weight`` = alpha^|eta| d/(d' e).  All bilinear sums, ``kernel_series``,
+``hyper_0F0`` and the summation sides, go through ``_bilinear_sum``.  The
 label constants, the binomial rows and the deformed families all come
 from the basis, built once per basis; so do K_A and K_B, which several
 checks read, while the single-use 1K1 and 2K1 kernels are built per
@@ -21,9 +23,14 @@ driver, and their sums of c(nu) E_nu over binomial coefficients are
 ``binomial_expansion``.  A deformed family (a ``DeformedBasis``) plugs
 into the checks through:
 
-- its generating function: the bilinear sum of E^family_eta(x) E_eta(z)
-  with the kernel weight times a family factor (2^|eta| for Hermite,
-  (-1)^|eta| / [a + q]_eta for Laguerre), against a transformed kernel;
+- its generating function: ``kernel_series`` with the family's E in the
+  x slot.  E_eta is homogeneous, so a per-label factor 2^|eta| or
+  (-1)^|eta| is the substitution y -> 2y or y -> -y, and [a + q]_eta is a
+  down weight.  Hermite and Laguerre (``_exp_gf``) compare it with K_A,
+  or K_B(a), times an exponential in y; the 1K1 generating function
+  (``_geometric_gf``) compares it with 1K1 at a geometric change of
+  argument, and the K_A-Laguerre one is the same identity at c = a,
+  where 1K1 is K_A;
 - its summation formula (``_summation``): the norm-weighted bilinear sum
   of E^family_eta(x) E^family_eta(y) t^|eta|, through t-degree D, against
   (1 - t^rho)^(-gamma) exp(-u (p_rho(x) + p_rho(y))) times the kernel
@@ -47,11 +54,6 @@ from .poly import (ZERO, SparsePoly, exp_truncated, geometric_substitution,
 
 # ---------------------------------------------------------------------------
 # blocks and labels
-
-
-def bilinear(px, py, n):
-    """px in the x block times py in the y block of 2n variables."""
-    return px.embed(2 * n, 0) * py.embed(2 * n, n)
 
 
 def xdeg(e, n):
@@ -84,27 +86,22 @@ def _weight(jack, eta):
         jack.d_prime_const(eta) * jack.e_const(eta))
 
 
-def _bilinear_sum(jack, F, G, weight, D, extra=0):
-    """sum_{|eta| <= D} weight(eta) F(eta)(x) G(eta)(y) in 2n + ``extra``
-    variables; ``weight`` may return a scalar or a polynomial in them."""
-    n, m = jack.n, 2 * jack.n + extra
-
-    def terms():
-        for eta in _labels(n, range(D + 1)):
-            w = weight(eta)
-            term = F(eta).embed(m, 0) * G(eta).embed(m, n)
-            if isinstance(w, SparsePoly):
-                yield 1, w * term
-            else:
-                yield w, term
-
-    return linear_combination(m, terms())
+def _bilinear_sum(n, F, G, weight, labels, extra=0):
+    """sum over ``labels`` of weight(label) F(label)(x) G(label)(y) in
+    2n + ``extra`` variables: F fills the first n, G those from n on, and
+    the weights are scalars."""
+    m = 2 * n + extra
+    return linear_combination(m, (
+        (weight(eta), F(eta).embed(m, 0) * G(eta).embed(m, n))
+        for eta in labels))
 
 
-def kernel_series(jack, up, down, D):
+def kernel_series(jack, up, down, D, x_family=None):
     """Truncated bilinear series sum_{|eta| <= D} of
 
-    alpha^{|eta|} * prod [u]_eta / prod [v]_eta * d/(d'e) * E_eta(x) E_eta(y).
+    alpha^{|eta|} * prod [u]_eta / prod [v]_eta * d/(d'e) * F_eta(x) E_eta(y),
+
+    where F_eta = x_family(eta), the basis's E_eta by default.
 
     Raises if a denominator factor vanishes, naming the offending label.
     """
@@ -119,7 +116,8 @@ def kernel_series(jack, up, down, D):
             coeff /= gv
         return coeff
 
-    return _bilinear_sum(jack, jack.E, jack.E, weight, D)
+    return _bilinear_sum(jack.n, x_family or jack.E, jack.E, weight,
+                         _labels(jack.n, range(D + 1)))
 
 
 def kernel_KA(jack, D):
@@ -132,27 +130,13 @@ def kernel_KB(jack, a, D):
     return jack._memo(("K_B", a, D), kernel_series, jack, (), (a + q,), D)
 
 
-def kernel_2K1(jack, a, b, c, D):
-    return kernel_series(jack, [a, b], [c], D)
-
-
-def kernel_1K1(jack, a, c, D):
-    return kernel_series(jack, [a], [c], D)
-
-
 def hyper_0F0(jack, D):
     """Truncated symmetric hypergeometric kernel built from the J basis."""
     n = jack.n
-
-    def terms():
-        for w in range(D + 1):
-            for kappa in comb.partitions(w, n):
-                J = jack.J(kappa)
-                yield (jack.alpha ** w
-                       / (jack.hook_norm_j(kappa) * jack.J_ones(kappa)),
-                       bilinear(J, J, n))
-
-    return linear_combination(2 * n, terms())
+    return _bilinear_sum(
+        n, jack.J, jack.J, lambda kappa: jack.alpha ** sum(kappa)
+        / (jack.hook_norm_j(kappa) * jack.J_ones(kappa)),
+        (kappa for w in range(D + 1) for kappa in comb.partitions(w, n)))
 
 
 def kernel_slices(kernel, n, D):
@@ -309,17 +293,26 @@ def check_exp_shift(jack, D, **_):
     return _verdict("kernel-exp-shift", jack, D, {}, lhs - rhs)
 
 
-def check_hermite_gf(jack, D, **_):
-    """Generating function of the Gaussian-deformed family."""
+def _exp_gf(identity, jack, fb, D, kernel, down, s, c, params):
+    """Generating function of the deformed family ``fb``: the kernel with
+    fb in its x slot and weights 1 / prod [v]_eta (v in ``down``) equals
+    ``kernel`` (the same series with the basis in its x slot) times
+    exp(c p_rho(y)), once y -> s y on both, through y-degree D.  Here rho
+    is the family's ``radius_degree``."""
     n = jack.n
-    hb = jack.hermite()
-    lhs = _bilinear_sum(jack, hb.E, jack.E,
-                        lambda eta: 2 ** sum(eta) * _weight(jack, eta), D)
-    K2x = kernel_KA(jack, D).scale_vars(2, range(n))
     ys = range(n, 2 * n)
-    expz = exp_truncated(-power_sum(2 * n, 2, ys), D, block=ys)
-    rhs = K2x.mul_truncated(expz, ys, D)
-    return _verdict("hermite-generating-function", jack, D, {}, lhs - rhs)
+    lhs = kernel_series(jack, (), down, D, fb.E).scale_vars(s, ys)
+    expz = exp_truncated(c * power_sum(2 * n, fb.radius_degree, ys), D,
+                         block=ys)
+    rhs = kernel.scale_vars(s, ys).mul_truncated(expz, ys, D)
+    return _verdict(identity, jack, D, params, lhs - rhs)
+
+
+def check_hermite_gf(jack, D, **_):
+    """Generating function of the Gaussian-deformed family:
+    sum 2^|eta| w_eta E^H_eta(x) E_eta(y) = K_A(x, 2y) exp(-p_2(y))."""
+    return _exp_gf("hermite-generating-function", jack, jack.hermite(), D,
+                   kernel_KA(jack, D), (), 2, -1, {})
 
 
 def check_symmetrization(jack, D, **_):
@@ -413,7 +406,7 @@ def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
     a = Fraction(a if a is not None else Fraction(1, 2))
     b = Fraction(b if b is not None else Fraction(4, 3))
     c = Fraction(c if c is not None else n + 2)
-    F = kernel_2K1(jack, a, b, c, D)
+    F = kernel_series(jack, (a, b), (c,), D)
     opx = Operators(n, al, block=range(n))
     opy = Operators(n, al, block=range(n, 2 * n))
     nm1 = Fraction(n - 1) / al
@@ -429,64 +422,55 @@ def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
 
 
 def check_laguerre_gf(jack, D, a=Fraction(1, 2), **_):
-    """Principal Laguerre generating function via the type-B kernel."""
+    """Principal Laguerre generating function via the type-B kernel:
+    sum (-1)^|eta| w_eta / [aq]_eta E^L_eta(x) E_eta(y)
+    = K_B(x, -y) exp(p_1(y))."""
+    lb = jack.laguerre(a)
+    return _exp_gf("laguerre-generating-function", jack, lb, D,
+                   kernel_KB(jack, lb.a, D), (lb.shifted_a,), -1, 1,
+                   {"a": lb.a})
+
+
+def _geometric_gf(identity, jack, a, c, D, params):
+    """Laguerre generating function through the one-parameter kernel
+    1K1(cq; aq), with aq = a + 1 + (n-1)/alpha and cq likewise from c.
+
+    The left side is prod_i (1 - z_i)^(-cq) 1K1(-x, z/(1-z)), the right side
+    1K1 with the Laguerre family in its x slot at (x, -z), both through
+    z-degree D.  At c = a the kernel is K_A, read from the basis's memo.
+    """
     n = jack.n
     lb = jack.laguerre(a)
     aq = lb.shifted_a
-    lhs = _bilinear_sum(
-        jack, lb.E, jack.E, lambda eta: (-1) ** sum(eta) * _weight(jack, eta)
-        / jack.gen_fact(aq, eta), D)
-    ys = range(n, 2 * n)
-    KB = kernel_KB(jack, lb.a, D).scale_vars(-1, ys)
-    expz = exp_truncated(power_sum(2 * n, 1, ys), D, block=ys)
-    rhs = KB.mul_truncated(expz, ys, D)
-    return _verdict("laguerre-generating-function", jack, D, {"a": lb.a},
-                    lhs - rhs)
-
-
-def _geometric_gf(jack, lb, K, exponent, factor, D):
-    """lhs - rhs of a Laguerre generating function through the kernel K.
-
-    The left side is prod_i (1 - z_i)^(-exponent) K(-x, z/(1-z)), the
-    right side the bilinear sum of E^L_eta(x) E_eta(z) weighted by
-    (-1)^|eta| factor(eta) times the kernel weight, both through z-degree D.
-    """
-    n = jack.n
+    cq = Fraction(c) + 1 + Fraction(n - 1) / jack.alpha
+    K = (kernel_KA(jack, D) if cq == aq
+         else kernel_series(jack, (cq,), (aq,), D))
     ys = range(n, 2 * n)
     pref = SparsePoly.one(2 * n)
     for i in range(n):
-        pref = pref.mul_truncated(_series(2 * n, n + i, exponent, 1, D), ys, D)
+        pref = pref.mul_truncated(_series(2 * n, n + i, cq, 1, D), ys, D)
     lhs = pref.mul_truncated(
         geometric_substitution(K.scale_vars(-1, range(n)), ys, D, block=ys),
         ys, D)
-    rhs = _bilinear_sum(
-        jack, lb.E, jack.E,
-        lambda eta: (-1) ** sum(eta) * factor(eta) * _weight(jack, eta), D)
-    return lhs - rhs
+    rhs = kernel_series(jack, (cq,), (aq,), D, lb.E).scale_vars(-1, ys)
+    return _verdict(identity, jack, D, params, lhs - rhs)
 
 
 def check_1k1_gf(jack, D, a=Fraction(1, 2), c=None, **_):
     """Laguerre generating function through the one-parameter kernel with a
     geometric change of argument."""
-    n, al = jack.n, jack.alpha
-    lb = jack.laguerre(a)
-    aq = lb.shifted_a
+    a = Fraction(a)
     c = Fraction(c if c is not None else Fraction(3, 2))
-    cq = c + 1 + Fraction(n - 1) / al
-    diff = _geometric_gf(
-        jack, lb, kernel_1K1(jack, cq, aq, D), cq,
-        lambda eta: jack.gen_fact(cq, eta) / jack.gen_fact(aq, eta), D)
-    return _verdict("1k1-generating-function", jack, D, {"a": lb.a, "c": c},
-                    diff)
+    return _geometric_gf("1k1-generating-function", jack, a, c, D,
+                         {"a": a, "c": c})
 
 
 def check_ka_laguerre_gf(jack, D, a=Fraction(1, 2), **_):
-    """Laguerre generating function through the type-A kernel."""
-    lb = jack.laguerre(a)
-    diff = _geometric_gf(jack, lb, kernel_KA(jack, D), lb.shifted_a,
-                         lambda eta: 1, D)
-    return _verdict("ka-laguerre-generating-function", jack, D,
-                    {"a": lb.a}, diff)
+    """Laguerre generating function through the type-A kernel: the 1K1
+    identity at c = a, where [aq]_eta / [aq]_eta = 1."""
+    a = Fraction(a)
+    return _geometric_gf("ka-laguerre-generating-function", jack, a, a, D,
+                         {"a": a})
 
 
 def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), **_):
@@ -562,12 +546,12 @@ def _summation(identity, jack, fb, D, kernel, x_scale, params):
     total = 2 * n + 1
     tvar = 2 * n
     ts = (tvar,)
-    t = SparsePoly.variable(total, tvar)
     rho = fb.radius_degree
 
-    lhs = _bilinear_sum(jack, fb.E, fb.E,
-                        lambda eta: t ** sum(eta) / fb.norm_ratio(eta), D,
-                        extra=1)
+    # t^|eta| rides on the y side: E^family_eta(y) t^|eta| in n + 1 variables
+    lhs = _bilinear_sum(
+        n, fb.E, lambda eta: fb.E(eta).embed(n + 1).mul_var(n, sum(eta)),
+        lambda eta: 1 / fb.norm_ratio(eta), _labels(n, range(D + 1)), extra=1)
 
     # exp(-u (p_rho(x) + p_rho(y))) with u = t^rho / (1 - t^rho) truncated
     u = _series(total, tvar, 1, rho, D) - 1

@@ -279,22 +279,6 @@ class Operators:
             ((1, self._x(self.dunkl(ti, i), i)), (a + 1, ti)),
             ((inv, self.swap(ti, i, k)) for k in range(self.n) if k != i)))
 
-    # the Cherednik operator keeps its form under the squared-variable
-    # substitution, so the y-space version is the same callable
-    cherednik_hat = cherednik
-
-    @_linear
-    def dunkl_B_even(self, p, i):
-        """Type-B Dunkl operator applied to an even polynomial.
-
-        ``p`` is given in squared variables; the result is odd, so it is
-        returned in the original variables: 2 x_i (T_i p)(x^2).  The
-        reflection-charge parameter only enters through odd intermediates,
-        so it plays no role here.
-        """
-        ti = self.dunkl(p, i).scale_exponents(2)
-        return 2 * self._x(ti, i)
-
     @_linear
     def laplacian_B(self, p):
         """Type-B Laplacian on squared-variable polynomials (equals 4 sum B_i)."""

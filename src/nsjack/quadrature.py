@@ -25,6 +25,21 @@ from . import combinat as comb
 from .kernels import kernel_KA, kernel_KB
 from .poly import SparsePoly
 
+# relative tolerances: the ground states, the Laplace transforms and the
+# Gram off-diagonal share TOL
+TOL = 1e-8
+GRAM_DIAGONAL_TOL = 1e-7
+SELBERG_TOL = 1e-9
+CLASSICAL_TOL = 1e-10
+SELBERG_NPTS = 48
+# the kernel arguments of the transform checks, first n components
+GAUSSIAN_Z = (0.4, -0.3)
+LAGUERRE_Z = (0.3, 0.15)
+LAPLACE_TAU = 1.5
+# the one-variable layer of check_classical_reductions
+CLASSICAL_ALPHA = 1.0
+CLASSICAL_A = 0.5
+
 
 def evaluator(p):
     """Compile a sparse polynomial to a broadcasting numeric callable."""
@@ -113,18 +128,18 @@ def laguerre_weighted_integral(h, alpha, a, deg, n, rate=1.0, npts=None):
     return total * scale
 
 
-def quad_inner_H(f, g, alpha, npts=None):
+def quad_inner_H(f, g, alpha):
     """Gaussian-measure inner product of two polynomials (n <= 2)."""
     p = f * g
     return gaussian_weighted_integral(evaluator(p), alpha, p.total_degree(),
-                                      p.n, npts)
+                                      p.n)
 
 
-def quad_inner_L(f, g, alpha, a, npts=None):
+def quad_inner_L(f, g, alpha, a):
     """Laguerre-measure inner product of two squared-variable polynomials."""
     p = f * g
     return laguerre_weighted_integral(evaluator(p), alpha, a,
-                                      p.total_degree(), p.n, npts=npts)
+                                      p.total_degree(), p.n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +197,24 @@ def _report(check, n, alpha, lhs, rhs, tol, a=None, D=None, extra=None):
 # checks
 
 
-def check_ground_state_H(n, alpha, tol=1e-8):
+def check_ground_state_H(n, alpha):
     one = SparsePoly.one(n)
     got = quad_inner_H(one, one, alpha)
     return _report("ground-state-gaussian", n, alpha, got,
-                   ground_state_H(n, alpha), tol)
+                   ground_state_H(n, alpha), TOL)
 
 
-def check_ground_state_L(n, alpha, a, tol=1e-8):
+def check_ground_state_L(n, alpha, a):
     one = SparsePoly.one(n)
     got = quad_inner_L(one, one, alpha, a)
     return _report("ground-state-laguerre", n, alpha, got,
-                   ground_state_L(n, alpha, a), tol, a=a)
+                   ground_state_L(n, alpha, a), TOL, a=a)
 
 
-def _check_gram(family, max_weight, inner, n0, prefix, a, tol_diag, tol_off):
+def _check_gram(family, max_weight, inner, n0, prefix, a):
     """Numeric Gram matrix of a deformed family under ``inner`` against the
-    exact norm ratios times the ground state ``n0``: diagonal to tol_diag,
-    off-diagonal to tol_off (relative)."""
+    exact norm ratios times the ground state ``n0``: diagonal to
+    GRAM_DIAGONAL_TOL, off-diagonal to TOL (relative)."""
     jack = family.jack
     n, alpha = jack.n, jack.alpha
     etas = comb.compositions_up_to(n, max_weight)
@@ -210,33 +225,31 @@ def _check_gram(family, max_weight, inner, n0, prefix, a, tol_diag, tol_off):
             if eta == nu:
                 want = float(family.norm_ratio(eta)) * n0
                 rep = _report(f"{prefix}-gram-diagonal", n, alpha, got, want,
-                              tol_diag, a=a, extra={"eta": list(eta)})
+                              GRAM_DIAGONAL_TOL, a=a, extra={"eta": list(eta)})
             else:
                 scale = n0 * sqrt(float(family.norm_ratio(eta))
                                   * float(family.norm_ratio(nu)))
                 rep = _report(f"{prefix}-gram-offdiagonal", n, alpha,
-                              got / scale, 0.0, tol_off, a=a,
+                              got / scale, 0.0, TOL, a=a,
                               extra={"eta": list(eta), "nu": list(nu)})
             out.append(rep)
     return out
 
 
-def check_gram_H(hermite, max_weight, tol_diag=1e-7, tol_off=1e-8):
+def check_gram_H(hermite, max_weight):
     """Gram check of the Gaussian family."""
     n, alpha = hermite.n, hermite.alpha
     return _check_gram(hermite, max_weight,
                        lambda f, g: quad_inner_H(f, g, alpha),
-                       ground_state_H(n, alpha), "gaussian", None,
-                       tol_diag, tol_off)
+                       ground_state_H(n, alpha), "gaussian", None)
 
 
-def check_gram_L(laguerre, max_weight, tol_diag=1e-7, tol_off=1e-8):
+def check_gram_L(laguerre, max_weight):
     """Gram check of the Laguerre-type family."""
     n, alpha, a = laguerre.n, laguerre.alpha, laguerre.a
     return _check_gram(laguerre, max_weight,
                        lambda f, g: quad_inner_L(f, g, alpha, a),
-                       ground_state_L(n, alpha, a), "laguerre", a,
-                       tol_diag, tol_off)
+                       ground_state_L(n, alpha, a), "laguerre", a)
 
 
 def _check_transform(check, family, eta, D, zval, kernel, integral, inner,
@@ -283,12 +296,12 @@ def _gaussian_transform(check, hermite, eta, D, zval, inner, zpt, rhs,
         inner, zpt, rhs, rot=rot)
 
 
-def check_hermite_transform(hermite, eta, D, zval=None):
+def check_hermite_transform(hermite, eta, D):
     """Gaussian-kernel integral of the deformed polynomial reproduces the
     plain one at the kernel argument (exp-weighted)."""
     jack = hermite.jack
     n, alpha = jack.n, jack.alpha
-    zval = zval or ([0.4] if n == 1 else [0.4, -0.3])
+    zval = list(GAUSSIAN_Z[:n])
     rhs = (ground_state_H(n, alpha)
            * np.exp(sum(z * z for z in zval))
            * evaluator(jack.E(eta))(*zval))
@@ -296,12 +309,12 @@ def check_hermite_transform(hermite, eta, D, zval=None):
                                zval, hermite.E(eta), list(zval), rhs)
 
 
-def check_hermite_transform_imaginary(hermite, eta, D, zval=None):
+def check_hermite_transform_imaginary(hermite, eta, D):
     """Rotated variant: integrating the plain polynomial at imaginary
     argument reproduces the deformed one."""
     jack = hermite.jack
     n, alpha = jack.n, jack.alpha
-    zval = zval or ([0.4] if n == 1 else [0.4, -0.3])
+    zval = list(GAUSSIAN_Z[:n])
     rhs = (ground_state_H(n, alpha)
            * np.exp(-sum(z * z for z in zval))
            * evaluator(hermite.E(eta))(*zval))
@@ -310,13 +323,13 @@ def check_hermite_transform_imaginary(hermite, eta, D, zval=None):
                                [-1j * z for z in zval], rhs, rot=1j)
 
 
-def check_laguerre_transform(laguerre, eta, D, zval=None):
+def check_laguerre_transform(laguerre, eta, D):
     """Laguerre-kernel integral of the plain polynomial at negated argument
     reproduces the deformed one."""
     jack = laguerre.jack
     n, alpha = jack.n, jack.alpha
     a = laguerre.a
-    zval = zval or ([0.3] if n == 1 else [0.3, 0.15])
+    zval = list(LAGUERRE_Z[:n])
     rhs = (ground_state_L(n, alpha, a) * np.exp(-sum(zval))
            * evaluator(laguerre.E(eta))(*zval))
     return _check_transform(
@@ -326,9 +339,10 @@ def check_laguerre_transform(laguerre, eta, D, zval=None):
         jack.E(eta).scale_vars(-1), [-z for z in zval], rhs, a=a)
 
 
-def check_laplace_transform(laguerre, eta, which, tau=1.5, tol=1e-8):
+def check_laplace_transform(laguerre, eta, which):
     """Laplace transform evaluations at equal components t = tau * (1,..,1),
-    where the type-A kernel collapses exactly to exp(-tau * sum x).
+    tau = LAPLACE_TAU, where the type-A kernel collapses exactly to
+    exp(-tau * sum x).
 
     ``which`` selects the deformed ('laguerre') or plain ('jack') input.
     """
@@ -336,6 +350,7 @@ def check_laplace_transform(laguerre, eta, which, tau=1.5, tol=1e-8):
     n, alpha = jack.n, jack.alpha
     a = laguerre.a
     aq = laguerre.shifted_a
+    tau = LAPLACE_TAU
     if which == "laguerre":
         inner = laguerre.E(eta)
         rhs_poly = jack.E(eta)
@@ -350,11 +365,11 @@ def check_laplace_transform(laguerre, eta, which, tau=1.5, tol=1e-8):
                                      inner.total_degree(), n, rate=tau)
     rhs = (float(comb.gen_fact(aq, eta, alpha)) * ground_state_L(n, alpha, a)
            * tau ** (-n * float(aq)) * evaluator(rhs_poly)(*rhs_arg))
-    return _report(f"laplace-transform-{which}", n, alpha, lhs, rhs, tol,
+    return _report(f"laplace-transform-{which}", n, alpha, lhs, rhs, TOL,
                    a=a, extra={"eta": list(eta), "tau": tau})
 
 
-def check_selberg_ratio(jack, eta, lam1, lam2, tol=1e-9, npts=48):
+def check_selberg_ratio(jack, eta, lam1, lam2):
     """Beta-weighted integral ratio over the unit cube (n <= 2):
 
     the average of E_eta under t^lam1 (1-t)^lam2 |t_i - t_j|^(2/alpha)
@@ -368,16 +383,17 @@ def check_selberg_ratio(jack, eta, lam1, lam2, tol=1e-9, npts=48):
     ev = evaluator(jack.E(tuple(eta)))
 
     if n == 1:
-        x, w = roots_jacobi(npts, lam2f, lam1f)
+        x, w = roots_jacobi(SELBERG_NPTS, lam2f, lam1f)
         t = (1.0 + x) / 2.0
         num = float(np.sum(w * ev(t)))
         den = float(np.sum(w))
     elif n == 2:
         # fold to t1 > t2 and substitute t2 = t1 * s: both axes get
         # Jacobi weights, the leftover (1 - t1 s)^lam2 is polynomial
-        xo, wo = roots_jacobi(npts, lam2f, 2.0 * lam1f + 2.0 / alf + 1.0)
+        xo, wo = roots_jacobi(SELBERG_NPTS, lam2f,
+                              2.0 * lam1f + 2.0 / alf + 1.0)
         t1 = (1.0 + xo) / 2.0
-        xi, wi = roots_jacobi(npts, 2.0 / alf, lam1f)
+        xi, wi = roots_jacobi(SELBERG_NPTS, 2.0 / alf, lam1f)
         s = (1.0 + xi) / 2.0
 
         def fold(f):
@@ -405,13 +421,14 @@ def check_selberg_ratio(jack, eta, lam1, lam2, tol=1e-9, npts=48):
         kappa, jack.alpha)
     rhs = float(comb.e_const(eta, jack.alpha) / comb.d_const(eta, jack.alpha)
                 * top / bot)
-    return _report("selberg-integral-ratio", n, alpha, lhs, rhs, tol,
+    return _report("selberg-integral-ratio", n, alpha, lhs, rhs, SELBERG_TOL,
                    extra={"eta": list(eta), "lam1": str(lam1),
                           "lam2": str(lam2)})
 
 
-def check_classical_reductions(alpha=1.0, a=0.5, tol=1e-10):
+def check_classical_reductions():
     """n = 1 sanity layer: the machinery reduces to textbook values."""
+    alpha, a, tol = CLASSICAL_ALPHA, CLASSICAL_A, CLASSICAL_TOL
     out = []
     one = SparsePoly.one(1)
     got = quad_inner_H(one, one, alpha)
@@ -443,8 +460,3 @@ def check_classical_reductions(alpha=1.0, a=0.5, tol=1e-10):
                            lhs, rhs, tol, extra={"k": k}))
     return out
 
-
-def refinement_deltas(integral_fn, sizes):
-    """Successive refinement changes; a convergence diagnostic."""
-    vals = [integral_fn(N) for N in sizes]
-    return [abs(b - a) for a, b in zip(vals, vals[1:])]

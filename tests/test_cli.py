@@ -70,6 +70,28 @@ def test_kernel_command():
         "terms": [[[2, 2], "1", "2"], [[1, 1], "1", "1"], [[0, 0], "1", "1"]]}
 
 
+KERNEL_DIGESTS = {
+    # sha256 of the stdout of kernel --family F --degree 3 --n 2 --alpha 7/5
+    "A": "da71342837f4a9c7c2a7a14230f1d15c5ef921226ece0d5cd2c3497dec602d37",
+    "B": "ab91f4a56756fff3399e6e179905ac587917e0fc3454e6b5f6e3872bad75c79c",
+    "0F0": "78d94ae3c0cba279fdca13e6b7ba15aea1fc7f17b8cb47a6c18ae0f0d825484b",
+    "1K1": "fa5b198f03d1e772e102bf445b41504f1f70e25da41e22d7534845759257e349",
+    "2K1": "7ad2c11482c33ef8ba2d5edd06fa9d98b4e14f939e743af8eed9879d1c5bcc0d",
+}
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_DIGESTS))
+def test_kernel_command_output_pinned(family, capsys):
+    import hashlib
+
+    from nsjack import cli
+
+    assert cli.main(["kernel", "--family", family, "--degree", "3", "--n",
+                     "2", "--alpha", "7/5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_DIGESTS[family]
+
+
 def test_usage_errors_exit_2():
     assert run_cli("jack", "--eta", "1,x", "--n", "2").returncode == 2
     assert run_cli("jack", "--eta", "1,0", "--n", "3").returncode == 2

@@ -86,6 +86,17 @@ def test_sahi_inner_on_basis():
             assert got == want
 
 
+def test_sahi_inner_rejects_monomials_outside_the_table():
+    si = SahiInner(2, F(7, 5), 3)
+    x0 = SparsePoly.variable(2, 0)
+    laurent = SparsePoly.monomial(2, (2, -1))
+    for f, g in ((laurent, x0), (laurent + x0, x0), (x0, laurent + x0)):
+        with pytest.raises(ValueError, match="outside the degree-1 table"):
+            si.inner(f, g)
+    with pytest.raises(ValueError, match="homogeneous"):
+        si.inner(x0 * x0 + SparsePoly.variable(2, 1), x0 * x0)
+
+
 def test_pairing_proportional_to_sahi():
     alpha = F(2)
     jb = JackBasis(2, alpha)

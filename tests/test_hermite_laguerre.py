@@ -40,7 +40,7 @@ def test_laguerre_low_degree(jack2):
 
 def test_x_squared_serialization(jack2):
     lb = LaguerreBasis(jack2, F(1, 2))
-    p = lb.E_x_squared((1, 0))
+    p = lb.E((1, 0)).scale_exponents(2)
     assert set(p.terms) == {(2, 0), (0, 2), (0, 0)}
 
 

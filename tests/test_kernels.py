@@ -5,12 +5,13 @@ from math import factorial
 
 import pytest
 
+import nsjack.combinat as comb
 from nsjack.jack import JackBasis
 from nsjack.kernels import (IDENTITY_CHECKS, binomial_coeff,
                             binomial_n_independence, check_binomial_sum_rules,
-                            hyper_0F0, kernel_2K1, kernel_KA, kernel_slices,
+                            hyper_0F0, kernel_KA, kernel_series, kernel_slices,
                             sym_binomial, verify_kernel_identity)
-from nsjack.poly import SparsePoly
+from nsjack.poly import SparsePoly, linear_combination
 
 ALPHA = F(7, 5)
 
@@ -33,8 +34,6 @@ def test_kernel_degree_zero(jack2):
 
 
 def test_kernel_weight_one_slice(jack2):
-    import nsjack.combinat as comb
-
     K = kernel_KA(jack2, 1)
     slice1 = kernel_slices(K, 2, 1)[1]
     want = SparsePoly.zero(4)
@@ -42,15 +41,62 @@ def test_kernel_weight_one_slice(jack2):
         coeff = ALPHA * comb.d_const(eta, ALPHA) / (
             comb.d_prime_const(eta, ALPHA) * comb.e_const(eta, ALPHA))
         E = jack2.E(eta)
-        from nsjack.kernels import bilinear
-
-        want = want + coeff * bilinear(E, E, 2)
+        want = want + coeff * E.embed(4, 0) * E.embed(4, 2)
     assert slice1 == want
 
 
 def test_singular_parameter_rejected(jack2):
     with pytest.raises(ValueError):
-        kernel_2K1(jack2, F(1, 2), F(1, 2), F(0), 2)
+        kernel_series(jack2, (F(1, 2), F(1, 2)), (F(0),), 2)
+
+
+def _family_factor_sum(jb, family_E, factor, D):
+    """sum_{|eta| <= D} factor(eta) w_eta F_eta(x) E_eta(y), w the kernel
+    weight: a generating-function side written label by label."""
+    n, al = jb.n, jb.alpha
+    return linear_combination(2 * n, (
+        (factor(eta) * al ** sum(eta) * jb.d_const(eta)
+         / (jb.d_prime_const(eta) * jb.e_const(eta)),
+         family_E(eta).embed(2 * n, 0) * jb.E(eta).embed(2 * n, n))
+        for eta in comb.compositions_up_to(n, D)))
+
+
+def _gf_cases(jb):
+    """(family, up, down, y-scale, family factor) of the four generating
+    functions, at a = 1/2 and c = 3/2."""
+    lb = jb.laguerre(F(1, 2))
+    aq = lb.shifted_a
+    cq = F(3, 2) + 1 + F(jb.n - 1) / jb.alpha
+
+    def sign(eta):
+        return (-1) ** sum(eta)
+
+    return {
+        "hermite": (jb.hermite(), (), (), 2, lambda eta: 2 ** sum(eta)),
+        "laguerre": (lb, (), (aq,), -1,
+                     lambda eta: sign(eta) / jb.gen_fact(aq, eta)),
+        "1k1": (lb, (cq,), (aq,), -1, lambda eta: sign(eta)
+                * jb.gen_fact(cq, eta) / jb.gen_fact(aq, eta)),
+        "ka-laguerre": (lb, (aq,), (aq,), -1, sign),
+    }
+
+
+@pytest.mark.parametrize("n, D", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("case", ["hermite", "laguerre", "1k1", "ka-laguerre"])
+def test_family_factor_is_a_y_rescaling(n, D, case):
+    """A family in the x slot of kernel_series, with y -> s y, is the
+    per-label sum with the family factor s^|eta| times the up/down ratio."""
+    jb = JackBasis(n, ALPHA)
+    fb, up, down, s, factor = _gf_cases(jb)[case]
+    got = kernel_series(jb, up, down, D, fb.E).scale_vars(s, range(n, 2 * n))
+    assert got == _family_factor_sum(jb, fb.E, factor, D)
+
+
+@pytest.mark.parametrize("n, D", [(2, 4), (3, 3)])
+def test_equal_up_and_down_parameters_give_ka(n, D):
+    jb = JackBasis(n, ALPHA)
+    aq = jb.laguerre(F(1, 2)).shifted_a
+    assert kernel_series(jb, (aq,), (aq,), D) == kernel_KA(jb, D)
 
 
 def test_binomial_values(jack2):

@@ -84,17 +84,6 @@ def test_b_operator_examples():
     assert ops.b_op(SparsePoly.one(2), 0).is_zero
 
 
-def test_dunkl_b_even_and_cherednik_alias():
-    al = F(7, 5)
-    ops1 = Operators(1, al)
-    y = SparsePoly.variable(1, 0)
-    # one variable: 2x * d/dy of y^k at y = x^2
-    assert ops1.dunkl_B_even(y ** 3, 0) == SparsePoly.monomial(1, (5,), 6)
-    ops = Operators(2, al, a=F(1, 2))
-    p = SparsePoly.variable(2, 0)
-    assert ops.cherednik_hat(p, 0) == ops.cherednik(p, 0)
-
-
 def test_psi_examples():
     al, a = F(7, 5), F(1, 2)
     ops = Operators(2, al, a=a)
@@ -155,7 +144,6 @@ MEMOIZED = {
     "d1_tilde": [()],
     "d2_tilde": [()],
     "b_op": [(0,), (2,)],
-    "dunkl_B_even": [(1,)],
     "laplacian_B": [()],
     "l_op": [(0,), (1,)],
     "psi_hat": [()],
