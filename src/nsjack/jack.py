@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from . import combinat as comb
 from .hermite_laguerre import HermiteBasis, LaguerreBasis
@@ -67,13 +67,23 @@ class JackBasis:
 
     # -- the recursion ---------------------------------------------------
 
-    def E(self, eta):
-        """The monic simultaneous eigenfunction labelled by eta."""
+    def _label(self, eta):
+        """eta as a tuple, checked to be a composition with n parts."""
         eta = tuple(eta)
         if len(eta) != self.n:
             raise ValueError("composition length must equal the variable count")
         if any(x < 0 for x in eta):
             raise ValueError("composition parts must be non-negative")
+        return eta
+
+    def E(self, eta):
+        """The monic simultaneous eigenfunction labelled by eta.
+
+        Each recursion step is one pass over the source's numerators: the
+        raising map is one rotation of the exponents (``Operators.phi``),
+        and the transposition step s_i E - E/gap is one ``swap_add``.
+        """
+        eta = self._label(eta)
         cache = self._cache
         got = cache.get(eta)
         if got is not None:
@@ -100,7 +110,7 @@ class JackBasis:
                 poly = self.ops.phi(e_src)
             else:
                 gap = comb.delta_gap(source, i, self.alpha)
-                poly = self.ops.s(e_src, i) - e_src / gap
+                poly = e_src.swap_add(i, i + 1, -1 / gap)
             cache[label] = poly
         return cache[eta]
 
@@ -113,9 +123,11 @@ class JackBasis:
         linear algebra, independently of the recursion above.  Column s of
         the i-th block is the image of x^basis[s] under
         ``cherednik_direct(., i)``, read from the operators' image cache,
-        so labels of one weight share their columns.
+        so labels of one weight share their columns.  Each block is built
+        as integer rows over one common denominator, that of its images
+        and of the eigenvalue.
         """
-        eta = tuple(eta)
+        eta = self._label(eta)
         w = sum(eta)
         basis = [nu for nu in comb.compositions(self.n, w)
                  if nu == eta or comb.precedes(nu, eta)]
@@ -124,27 +136,30 @@ class JackBasis:
         m = len(basis)
         evec = comb.eta_bar_vec(eta, self.alpha)
 
-        rows, rhs = [], []
         # normalization row: coefficient of x^eta is 1
-        row = [Fraction(0)] * m
-        row[index[eta]] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
+        row = [0] * m
+        row[index[eta]] = 1
+        rows, rhs = [row], [1]
         for i in range(self.n):
-            # (Y_i - eta_bar_i) p = 0, one row per basis monomial
-            block = [[Fraction(0)] * m for _ in range(m)]
-            for s, nu in enumerate(basis):
-                img = self.ops.cherednik_direct(SparsePoly.monomial(self.n, nu), i)
-                for e, c in img.terms.items():
+            # (Y_i - eta_bar_i) p = 0, one row per basis monomial, times den
+            images = [self.ops.cherednik_direct(SparsePoly.monomial(self.n, nu), i)
+                      for nu in basis]
+            ev = evec[i]
+            den = lcm(ev.denominator, *[img.den for img in images])
+            block = [[0] * m for _ in range(m)]
+            for s, img in enumerate(images):
+                scale = den // img.den
+                for e, c in img.num.items():
                     t = index.get(e)
                     if t is None:
                         raise ArithmeticError(
                             "operator image left the triangular span; operator bug")
-                    block[t][s] = c
+                    block[t][s] = c * scale
+            diag = ev.numerator * (den // ev.denominator)
             for t in range(m):
-                block[t][t] -= evec[i]
+                block[t][t] -= diag
             rows.extend(block)
-            rhs.extend([Fraction(0)] * m)
+            rhs.extend([0] * m)
         sol = solve_exact(rows, rhs)
         return SparsePoly(self.n, {nu: sol[index[nu]] for nu in basis})
 

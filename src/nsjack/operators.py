@@ -6,10 +6,12 @@ differences and exact polynomial division, so polynomials stay
 polynomials and coefficients stay rational.
 
 Variables are 0-based throughout.  An ``Operators`` instance may act on a
-chosen block of the ambient variables (used for two-argument kernels);
-by default the block is all of them.  Type-B objects act on polynomials
-in the squared variables y_i = x_i^2, where the squared-variable Dunkl
-operator is just the type-A one.
+contiguous block of the ambient variables (used for two-argument kernels);
+by default the block is all of them.  The swap cycle s_0, ..., s_(n-2),
+its reverse, and the raising map built on it are each one rotation of the
+block's exponents (``SparsePoly.rotate_vars``).  Type-B objects act on
+polynomials in the squared variables y_i = x_i^2, where the
+squared-variable Dunkl operator is just the type-A one.
 """
 
 from __future__ import annotations
@@ -112,10 +114,10 @@ class Operators:
     """All operator actions for a fixed variable count and coupling.
 
     ``block`` selects which ambient variables the n logical variables map
-    to.  The optional parameter ``a`` enters only the type-B operators.
-    Instances are immutable apart from an append-only image cache (the
-    image of each monomial under each operator, see ``_linear``) and are
-    safe to share.
+    to; it must be a contiguous range.  The optional parameter ``a`` enters
+    only the type-B operators.  Instances are immutable apart from an
+    append-only image cache (the image of each monomial under each
+    operator, see ``_linear``) and are safe to share.
     """
 
     def __init__(self, n, alpha, a=None, block=None):
@@ -128,6 +130,10 @@ class Operators:
         self.vars = tuple(block) if block is not None else tuple(range(n))
         if len(self.vars) != n:
             raise ValueError("block size must equal the logical variable count")
+        self._lo = self.vars[0] if n else 0
+        self._hi = self._lo + n
+        if self.vars != tuple(range(self._lo, self._hi)):
+            raise ValueError("block must be a contiguous range of variables")
         self._images = {}
 
     def _require_a(self):
@@ -150,18 +156,6 @@ class Operators:
 
     def dd(self, p, i, j):
         return divided_difference(p, self.vars[i], self.vars[j])
-
-    def _chain_up(self, p, f):
-        """Apply f(., 0), f(., 1), ..., f(., n-2) in that order."""
-        for i in range(self.n - 1):
-            p = f(p, i)
-        return p
-
-    def _chain_down(self, p, f):
-        """Apply f(., n-2), ..., f(., 1), f(., 0) in that order."""
-        for i in range(self.n - 2, -1, -1):
-            p = f(p, i)
-        return p
 
     # -- type A --------------------------------------------------------
 
@@ -200,20 +194,19 @@ class Operators:
 
     def phi(self, p):
         """Raising operator: multiply by the last variable after the swap cycle."""
-        return self._x(self._chain_up(p, self.s), self.n - 1)
+        return p.rotate_vars(self._lo, self._hi, 1, 1)
 
     @_linear
     def phi_hat(self, p):
         """Lowering operator: T_0 after the reverse swap cycle."""
-        q = self._chain_down(p, self.s)
-        return self.dunkl(q, 0)
+        return self.dunkl(p.rotate_vars(self._lo, self._hi, -1), 0)
 
     @_linear
     def phi_hat_star(self, p):
         """Adjoint of the lowering operator for the Gaussian pairing."""
         q = linear_combination(p.n, ((2, self._x(p, 0)),
                                      (-1, self.dunkl(p, 0))))
-        return self._chain_up(q, self.s)
+        return q.rotate_vars(self._lo, self._hi, 1)
 
     @_linear
     def h_op(self, p, i):
@@ -297,8 +290,7 @@ class Operators:
     @_linear
     def psi_hat(self, p):
         """Type-B lowering operator: B_0 after the reverse swap cycle."""
-        q = self._chain_down(p, self.s)
-        return self.b_op(q, 0)
+        return self.b_op(p.rotate_vars(self._lo, self._hi, -1), 0)
 
     @_linear
     def psi_hat_star(self, p):
@@ -306,6 +298,8 @@ class Operators:
 
         Psi + (1/4) [Psi, Delta_B] + (swap cycle) B_0.
         """
-        comm = self.psi(self.laplacian_B(p)) - self.laplacian_B(self.psi(p))
-        tail = self._chain_up(self.b_op(p, 0), self.s)
-        return self.psi(p) + comm / 4 + tail
+        up = self.psi(p)
+        return linear_combination(p.n, (
+            (1, up), (Fraction(1, 4), self.psi(self.laplacian_B(p))),
+            (Fraction(-1, 4), self.laplacian_B(up)),
+            (1, self.b_op(p, 0).rotate_vars(self._lo, self._hi, 1))))

@@ -13,7 +13,10 @@ never appear.
 The one reduction to canonical form, ``_from_num``, is also the only
 place that drops zero numerators, so the loops that accumulate numerators
 (sums, products, substitutions, and the operators built on them) store
-every partial sum without testing it.
+every partial sum without testing it.  Maps that send distinct terms to
+distinct terms and keep every numerator non-zero (``diff``,
+``filter_terms``, ``scale_vars``) skip that scan and only divide out the
+common factor, through ``_reduce``.
 
 A sum of many polynomials is one ``linear_combination(n, pairs)`` call,
 which merges every summand's numerators into one dict over a running
@@ -53,6 +56,13 @@ def _from_num(n, num, den=1):
     """
     if 0 in num.values():
         num = {e: c for e, c in num.items() if c}
+    return _reduce(n, num, den)
+
+
+def _reduce(n, num, den):
+    """``_from_num`` for numerators that are already all non-zero, as a
+    one-to-one map of a canonical polynomial's terms leaves them: only the
+    common factor with ``den`` is divided out."""
     if den != 1:
         g = gcd(den, *num.values()) if num else den
         if g != 1:
@@ -357,6 +367,51 @@ class SparsePoly:
         order[i], order[j] = j, i
         return self._reorder(order)
 
+    def swap_add(self, i, j, c):
+        """s_ij(self) + c * self, built on the integer numerators with no
+        intermediate polynomial.
+
+        With c = -b/a in lowest terms, the sum is (a s_ij(num) - b num) /
+        (a den); terms that the swap fixes or sends onto another term
+        merge, so the result goes through ``_from_num``.
+        """
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if i == j:  # also the only case in one variable
+            return self._scale(1 + c)
+        a, b = c.denominator, -c.numerator
+        order = list(range(self.n))
+        order[i], order[j] = j, i
+        relabel = itemgetter(*order)
+        num = self.num
+        out = {relabel(e): a * v for e, v in num.items()}
+        get = out.get
+        for e, v in num.items():
+            out[e] = get(e, 0) - b * v
+        return _from_num(self.n, out, self.den * a)
+
+    def rotate_vars(self, lo, hi, k, power=0):
+        """Cycle the variables lo, ..., hi-1 by k places, then multiply by
+        x_(hi-1)^power, in one relabel of the exponents.
+
+        The exponents b = e[lo:hi] of the block become b[k:] + b[:k]: k = 1
+        is the swap cycle s_(hi-2) ... s_lo, which moves x_lo to x_(hi-1),
+        and k = -1 is its inverse.
+        """
+        if not 0 <= lo < hi <= self.n:
+            raise ValueError(f"no block {lo}..{hi - 1} among {self.n} variables")
+        cut = lo + k % (hi - lo)
+        if cut == lo:
+            return self.mul_var(hi - 1, power)
+        if power:
+            last = cut - 1
+            num = {e[:lo] + e[cut:hi] + e[lo:last] + (e[last] + power,) + e[hi:]: c
+                   for e, c in self.num.items()}
+        else:
+            num = {e[:lo] + e[cut:hi] + e[lo:cut] + e[hi:]: c
+                   for e, c in self.num.items()}
+        return _raw(self.n, num, self.den)
+
     def permute_vars(self, sigma):
         """Substitute x_i -> x_{sigma[i]} for every variable simultaneously."""
         if sorted(sigma) != list(range(self.n)):
@@ -385,7 +440,7 @@ class SparsePoly:
         den = self.den * a ** -lo * b ** hi
         if den < 0:
             den, num = -den, {e: -c for e, c in num.items()}
-        return _from_num(self.n, num, den)
+        return _reduce(self.n, num, den)
 
     def embed(self, total, offset=0):
         """The same polynomial in ``total`` variables: variable i becomes
@@ -446,7 +501,7 @@ class SparsePoly:
             ne = list(e)
             ne[i] = k - 1
             out[tuple(ne)] = c * k
-        return _from_num(self.n, out, self.den)
+        return _reduce(self.n, out, self.den)
 
     def eval_exact(self, point):
         """Evaluate at a point of rationals, exactly.
@@ -473,7 +528,7 @@ class SparsePoly:
 
     def filter_terms(self, keep):
         """Sub-polynomial of the terms whose exponent vector satisfies ``keep``."""
-        return _from_num(
+        return _reduce(
             self.n, {e: c for e, c in self.num.items() if keep(e)}, self.den)
 
     # -- serialization --------------------------------------------------

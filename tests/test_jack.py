@@ -283,3 +283,10 @@ def test_basis_holds_one_family_of_each_kind():
     assert jb.laguerre(0).a == 0 and jb.hermite().jack is jb
     # another basis at the same (n, alpha) owns its own families
     assert JackBasis(2, F(7, 5)).hermite() is not jb.hermite()
+
+
+@pytest.mark.parametrize("method", ["E", "E_oracle"])
+@pytest.mark.parametrize("eta", [(1, 2), (1, 2, 0, 0), (1, -1, 2), (0, 0, -1)])
+def test_recursion_and_oracle_reject_a_bad_label(method, eta):
+    with pytest.raises(ValueError, match="composition"):
+        getattr(JackBasis(3, 2), method)(eta)

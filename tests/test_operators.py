@@ -217,3 +217,49 @@ def test_cherednik_forms_do_not_share_images(monkeypatch):
     forms = [r for r in reports if r["check"] == "cherednik-forms-agree"]
     assert forms and all(r["status"] == "fail" and "witness" in r
                          for r in forms)
+
+
+def _cycle_up(ops, p):
+    """s_0, s_1, ..., s_(n-2) applied in that order."""
+    for i in range(ops.n - 1):
+        p = ops.s(p, i)
+    return p
+
+
+def _cycle_down(ops, p):
+    """s_(n-2), ..., s_1, s_0 applied in that order."""
+    for i in range(ops.n - 2, -1, -1):
+        p = ops.s(p, i)
+    return p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_raising_and_lowering_on_a_block_match_the_swap_chain(n):
+    al, a = F(7, 5), F(1, 2)
+    ops = Operators(n, al, a=a, block=range(n, 2 * n))
+    ref = Operators(n, al, a=a, block=range(n, 2 * n))
+
+    def phi(q):
+        return _cycle_up(ref, q).mul_var(2 * n - 1)
+
+    polys = [SparsePoly(2 * n, {tuple(range(1, 2 * n + 1)): F(3, 4),
+                                (0,) * n + (2,) + (0,) * (n - 1): -2,
+                                (1,) * (2 * n): F(1, 3)}),
+             SparsePoly(2 * n, {(2,) + (0,) * (2 * n - 2) + (1,): 5,
+                                (0,) * (2 * n - 1) + (3,): F(-2, 7)})]
+    for p in polys:
+        assert ops.phi(p) == phi(p)
+        assert ops.psi(p) == phi(p)
+        assert ops.phi_hat(p) == ref.dunkl(_cycle_down(ref, p), 0)
+        assert ops.psi_hat(p) == ref.b_op(_cycle_down(ref, p), 0)
+        assert ops.phi_hat_star(p) == _cycle_up(
+            ref, 2 * ref._x(p, 0) - ref.dunkl(p, 0))
+        comm = phi(ref.laplacian_B(p)) - ref.laplacian_B(phi(p))
+        assert ops.psi_hat_star(p) == (
+            phi(p) + comm / 4 + _cycle_up(ref, ref.b_op(p, 0)))
+
+
+@pytest.mark.parametrize("block", [(0, 2), (1, 0), (2, 1, 0), (0, 1, 3)])
+def test_block_must_be_a_contiguous_range(block):
+    with pytest.raises(ValueError, match="contiguous"):
+        Operators(len(block), F(7, 5), block=block)

@@ -582,3 +582,66 @@ def test_exp_series_cancellation_and_laplacian():
     p = SparsePoly(2, {(3, 1): 1, (0, 2): F(-2, 3), (1, 0): 5})
     got = canonical(exp_series(p, ops.laplacian_A, F(-1, 4)))
     assert got == ref_exp_series(p, ops.laplacian_A, F(-1, 4))
+
+
+# -- the fused transposition step and the block rotations ---------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent3, pairs3, mixed_coeff)
+# p symmetric in (x0, x1) and c = -1: every term cancels
+@example({(2, 0, 0): 1, (0, 2, 0): 1, (1, 1, 2): F(2, 3)}, (0, 1), F(-1))
+# the terms off the diagonal cancel, and the fixed term is left with
+# (1 + c) times its coefficient, so the common factor changes
+@example({(2, 0, 1): F(3, 4), (0, 2, 1): F(3, 2), (1, 1, 0): F(3, 4)},
+         (0, 1), F(-1, 2))
+# a negative c with a denominator
+@example({(1, 0, -2): F(5, 6), (0, 1, 0): F(-5, 6), (3, 1, 1): 2},
+         (1, 0), F(-7, 3))
+# c = 0 is the plain swap
+@example({(1, 0, 2): F(1, 3)}, (0, 2), F(0))
+def test_swap_add_is_the_swap_plus_a_multiple(a, ij, c):
+    i, j = ij
+    p = SparsePoly(3, a)
+    assert canonical(p.swap_add(i, j, c)) == p.swap_vars(i, j) + c * p
+    assert canonical(p.swap_add(i, i, c)) == p + c * p
+
+
+def test_swap_add_cancellation_is_canonical():
+    p = SparsePoly(2, {(2, 0): F(1, 6), (0, 2): F(1, 6), (1, 1): F(-1, 4)})
+    got = canonical(p.swap_add(0, 1, -1))
+    assert got.is_zero and got.den == 1
+    # s(p) - p/2 = p/2 for symmetric p: the halving is reduced away
+    assert canonical(p.swap_add(0, 1, F(-1, 2))) == p / 2
+
+
+def swap_cycle(p, lo, hi, k):
+    """The rotation as a chain of adjacent swaps: s_lo, ..., s_(hi-2) in
+    that order for k = 1, the reverse order for k = -1."""
+    steps = range(lo, hi - 1)
+    for i in (steps if k == 1 else reversed(steps)):
+        p = p.swap_vars(i, i + 1)
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent3, st.sampled_from([(0, 3), (1, 3), (0, 2), (2, 3)]),
+       st.sampled_from([1, -1]), st.integers(-2, 2))
+@example({(1, 0, 2): F(1, 3), (-2, 3, 0): F(-5, 6)}, (0, 3), 1, 1)
+@example({(1, 0, 2): F(1, 3), (-2, 3, 0): F(-5, 6)}, (1, 3), -1, 0)
+def test_rotate_vars_is_the_swap_cycle(a, block, k, power):
+    lo, hi = block
+    p = SparsePoly(3, a)
+    got = canonical(p.rotate_vars(lo, hi, k, power))
+    assert got == swap_cycle(p, lo, hi, k).mul_var(hi - 1, power)
+    assert got.den == p.den
+    # a full turn is the identity
+    assert p.rotate_vars(lo, hi, hi - lo) == p
+    assert p.rotate_vars(lo, hi, k).rotate_vars(lo, hi, -k) == p
+
+
+def test_rotate_vars_rejects_a_block_outside_the_variables():
+    p = SparsePoly.variable(3, 0)
+    for lo, hi in [(0, 4), (2, 2), (-1, 2)]:
+        with pytest.raises(ValueError):
+            p.rotate_vars(lo, hi, 1)
