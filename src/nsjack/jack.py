@@ -1,8 +1,13 @@
 """Construction of the non-symmetric Jack basis and its symmetrization.
 
 The basis polynomials E_eta are built by the raising/transposition
-recursion; an independent oracle recovers the same polynomials by solving
-the joint eigenproblem of the Cherednik operators directly on monomials.
+recursion.  ``JackBasis.E`` keeps the label it was asked for and, of the
+labels its chain passes through, only those no heavier than the heaviest
+label asked for before, so a single long chain does not pin every
+intermediate in memory (a chain wholly below an earlier, heavier request
+is still kept whole).  An independent oracle recovers the same
+polynomials by solving the joint eigenproblem of the Cherednik operators
+directly on monomials.
 The basis owns everything derived at its (n, alpha) and keeps it in one
 memo, ``JackBasis._memo``: the label constants (d, d', e, f, the
 generalized factorials, the hook norm j_kappa and J_kappa(1^n)), the
@@ -18,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
+from operator import index
 
 from . import combinat as comb
 from .hermite_laguerre import HermiteBasis, LaguerreBasis
@@ -55,6 +61,7 @@ class JackBasis:
         self.alpha = alpha
         self.ops = Operators(n, alpha)
         self._cache = {(0,) * n: SparsePoly.one(n)}
+        self._top = 0
         self._consts = {}
 
     def _memo(self, key, build, *args):
@@ -68,8 +75,11 @@ class JackBasis:
     # -- the recursion ---------------------------------------------------
 
     def _label(self, eta):
-        """eta as a tuple, checked to be a composition with n parts."""
-        eta = tuple(eta)
+        """eta as a tuple of ints, checked to be a composition with n parts."""
+        try:
+            eta = tuple(map(index, eta))
+        except TypeError:
+            raise ValueError("composition parts must be integers") from None
         if len(eta) != self.n:
             raise ValueError("composition length must equal the variable count")
         if any(x < 0 for x in eta):
@@ -82,6 +92,14 @@ class JackBasis:
         Each recursion step is one pass over the source's numerators: the
         raising map is one rotation of the exponents (``Operators.phi``),
         and the transposition step s_i E - E/gap is one ``swap_add``.
+
+        The requested label is always kept in ``_cache``.  A label passed
+        on the way is kept only if its weight is at most ``_top``, the
+        heaviest weight asked for before this call, so a family built
+        weight by weight keeps what its later requests reuse, while one
+        long chain above everything asked so far keeps only its result.
+        A chain lying wholly below an earlier, heavier request is still
+        kept whole: ``E((0,0,199))`` after ``E((0,0,200))``.
         """
         eta = self._label(eta)
         cache = self._cache
@@ -104,15 +122,19 @@ class JackBasis:
                 source = comb.si_map(label, i)
             chain.append((label, source, i))
             label = source
+        top = self._top
+        poly = cache[label]
         for label, source, i in reversed(chain):
-            e_src = cache[source]
             if i is None:
-                poly = self.ops.phi(e_src)
+                poly = self.ops.phi(poly)
             else:
                 gap = comb.delta_gap(source, i, self.alpha)
-                poly = e_src.swap_add(i, i + 1, -1 / gap)
-            cache[label] = poly
-        return cache[eta]
+                poly = poly.swap_add(i, i + 1, -1 / gap)
+            if sum(label) <= top:
+                cache[label] = poly
+        cache[eta] = poly
+        self._top = max(top, sum(eta))
+        return poly
 
     # -- independent oracle ------------------------------------------------
 

@@ -68,7 +68,12 @@ def _reduce(n, num, den):
         if g != 1:
             den //= g
             num = {e: c // g for e, c in num.items()}
-    return _raw(n, num, den)
+    # ``_raw`` inlined: one call fewer on every reduction
+    p = object.__new__(SparsePoly)
+    p.n = n
+    p.num = num
+    p.den = den
+    return p
 
 
 class _Terms:

@@ -151,9 +151,8 @@ def test_eigenvector_check_four_variables():
                 assert jb.ops.cherednik(E, i) == comb.eta_bar(eta, i, alpha) * E
 
 
-def test_long_lowering_chain_needs_no_recursion():
-    """E((0, 0, 60)) sits 180 labels above the constant; building it must
-    not depend on the interpreter's recursion limit."""
+def _python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this nsjack."""
     import os
     import subprocess
     import sys
@@ -164,27 +163,82 @@ def test_long_lowering_chain_needs_no_recursion():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys\n"
-            "from nsjack.jack import JackBasis\n"
-            "sys.setrecursionlimit(150)\n"
-            "print(len(JackBasis(3, 1).E((0, 0, 60)).terms))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env, timeout=300)
     assert r.returncode == 0, r.stderr[-500:]
-    assert r.stdout.strip() == "1830"
+    return r.stdout
+
+
+def test_long_lowering_chain_needs_no_recursion():
+    """E((0, 0, 60)) sits 180 labels above the constant; building it must
+    not depend on the interpreter's recursion limit."""
+    out = _python("import sys\n"
+                  "from nsjack.jack import JackBasis\n"
+                  "sys.setrecursionlimit(150)\n"
+                  "print(len(JackBasis(3, 1).E((0, 0, 60)).terms))\n")
+    assert out.strip() == "1830"
 
 
 def test_work_list_fills_the_cache_bottom_up():
     jb = JackBasis(3, F(7, 5))
     top = jb.E((0, 0, 2))
-    # each label is built from the one before it, from the constant up
-    assert list(jb._cache) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
-                               (0, 0, 2)]
+    # the chain is built from the constant up, but its labels are heavier
+    # than anything asked for before, so only the requested label is kept
+    assert list(jb._cache) == [(0, 0, 0), (0, 0, 2)]
     assert jb.E((0, 0, 2)) is top
     assert jb.ops.phi(jb.E((1, 0, 0))) == top
+    # now below the heaviest request, the chain of (1, 0, 0) is kept
+    assert list(jb._cache) == [(0, 0, 0), (0, 0, 2), (0, 0, 1), (0, 1, 0),
+                               (1, 0, 0)]
     # a second label reuses the cached part of its chain
     jb.E((0, 2, 0))
     assert list(jb._cache)[-1] == (0, 2, 0) and len(jb._cache) == 6
+
+
+def test_long_chain_keeps_only_its_result():
+    """E((0, 0, 120)) passes 359 labels; keeping them all peaked at about
+    120 MB.  The child reports its own peak: not RUSAGE_CHILDREN, which
+    the children of other tests would raise, and on Linux not its
+    ru_maxrss either, which keeps the peak of the process it was forked
+    from across the exec; VmHWM starts afresh with the new image."""
+    out = _python("import resource\n"
+                  "from nsjack.jack import JackBasis\n"
+                  "jb = JackBasis(3, 1)\n"
+                  "print(len(jb.E((0, 0, 120)).terms), len(jb._cache))\n"
+                  "try:\n"
+                  "    with open('/proc/self/status') as f:\n"
+                  "        print(next(int(line.split()[1]) for line in f\n"
+                  "                   if line.startswith('VmHWM:')))\n"
+                  "except OSError:\n"
+                  "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    counts, peak_kb = out.split("\n")[:2]
+    assert counts == "7260 2"
+    assert int(peak_kb) < 60 * 1024
+
+
+def test_labels_after_a_long_chain_match_a_fresh_basis():
+    jb = JackBasis(3, F(7, 5))
+    jb.E((0, 0, 60))
+    fresh = JackBasis(3, F(7, 5))
+    for k in range(9):
+        for eta in ((0, 0, k), (0, k, 0), (k, 0, 0)):
+            assert jb.E(eta) == fresh.E(eta), eta
+
+
+def test_second_pass_over_a_family_makes_no_recursion_step(monkeypatch):
+    jb = JackBasis(4, F(7, 5))
+    labels = list(comb.compositions_up_to(4, 4))
+    first = [jb.E(eta) for eta in labels]
+    # built weight by weight, every label kept was asked for
+    assert set(jb._cache) == set(labels)
+
+    def no_step(*args):
+        raise AssertionError("recursion step on a second pass")
+
+    monkeypatch.setattr(jb.ops, "phi", no_step)
+    monkeypatch.setattr(SparsePoly, "swap_add", no_step)
+    assert all(jb.E(eta) is p for eta, p in zip(labels, first))
+    assert set(jb._cache) == set(labels)
 
 
 MEMO_ALPHAS = (F(1), F(7, 5), F(5, 7), F(1, 3))
@@ -286,7 +340,8 @@ def test_basis_holds_one_family_of_each_kind():
 
 
 @pytest.mark.parametrize("method", ["E", "E_oracle"])
-@pytest.mark.parametrize("eta", [(1, 2), (1, 2, 0, 0), (1, -1, 2), (0, 0, -1)])
+@pytest.mark.parametrize("eta", [(1, 2), (1, 2, 0, 0), (1, -1, 2), (0, 0, -1),
+                                 (1.5, 0, 0), ("1", 0, 0)])
 def test_recursion_and_oracle_reject_a_bad_label(method, eta):
     with pytest.raises(ValueError, match="composition"):
         getattr(JackBasis(3, 2), method)(eta)
