@@ -6,8 +6,8 @@ labels its chain passes through, only those no heavier than the heaviest
 label asked for before, so a single long chain does not pin every
 intermediate in memory (a chain wholly below an earlier, heavier request
 is still kept whole).  An independent oracle recovers the same
-polynomials by solving the joint eigenproblem of the Cherednik operators
-directly on monomials.
+polynomials from the joint Cherednik eigenproblem on monomials, by
+back-substitution over the labels below, where the operators are triangular.
 The basis owns everything derived at its (n, alpha) and keeps it in one
 memo, ``JackBasis._memo``: the label constants (d, d', e, f, the
 generalized factorials, the hook norm j_kappa and J_kappa(1^n)), the
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial
 from operator import index
 
 from . import combinat as comb
 from .hermite_laguerre import HermiteBasis, LaguerreBasis
-from .linalg import solve_exact
 from .operators import Operators
 from .poly import SparsePoly, linear_combination
 
@@ -141,49 +140,46 @@ class JackBasis:
     def E_oracle(self, eta):
         """Solve the joint Cherednik eigenproblem directly on monomials.
 
-        Uses only the divided-difference form of the operators and exact
-        linear algebra, independently of the recursion above.  Column s of
-        the i-th block is the image of x^basis[s] under
-        ``cherednik_direct(., i)``, read from the operators' image cache,
-        so labels of one weight share their columns.  Each block is built
-        as integer rows over one common denominator, that of its images
-        and of the eigenvalue.
+        Uses only the divided-difference operators, through their image
+        cache, independently of the recursion above.  They are triangular
+        on the compositions nu below eta, so walking nu down ``order_key``
+        from v_eta = 1, one division by the first pivot
+        Y_i[nu][nu] - eta_bar_i != 0 makes the carried residual
+        R_i = (Y_i - eta_bar_i) p vanish at x^nu.  At the end every R_i
+        is exactly (Y_i - eta_bar_i) p over all monomials and must be 0.
         """
         eta = self._label(eta)
-        w = sum(eta)
-        basis = [nu for nu in comb.compositions(self.n, w)
+        n = self.n
+        basis = [nu for nu in comb.compositions(n, sum(eta))
                  if nu == eta or comb.precedes(nu, eta)]
-        basis.sort(key=comb.order_key)
-        index = {nu: t for t, nu in enumerate(basis)}
-        m = len(basis)
+        basis.sort(key=comb.order_key, reverse=True)
+        span = set(basis)
         evec = comb.eta_bar_vec(eta, self.alpha)
-
-        # normalization row: coefficient of x^eta is 1
-        row = [0] * m
-        row[index[eta]] = 1
-        rows, rhs = [row], [1]
-        for i in range(self.n):
-            # (Y_i - eta_bar_i) p = 0, one row per basis monomial, times den
-            images = [self.ops.cherednik_direct(SparsePoly.monomial(self.n, nu), i)
-                      for nu in basis]
-            ev = evec[i]
-            den = lcm(ev.denominator, *[img.den for img in images])
-            block = [[0] * m for _ in range(m)]
-            for s, img in enumerate(images):
-                scale = den // img.den
-                for e, c in img.num.items():
-                    t = index.get(e)
-                    if t is None:
-                        raise ArithmeticError(
-                            "operator image left the triangular span; operator bug")
-                    block[t][s] = c * scale
-            diag = ev.numerator * (den // ev.denominator)
-            for t in range(m):
-                block[t][t] -= diag
-            rows.extend(block)
-            rhs.extend([0] * m)
-        sol = solve_exact(rows, rhs)
-        return SparsePoly(self.n, {nu: sol[index[nu]] for nu in basis})
+        coeffs = {}
+        residuals = [SparsePoly.zero(n)] * n
+        for nu in basis:
+            x = SparsePoly.monomial(n, nu)
+            images = [self.ops.cherednik_direct(x, i) for i in range(n)]
+            if not all(span.issuperset(img.num) for img in images):
+                raise ArithmeticError(
+                    "operator image left the triangular span; operator bug")
+            if nu == eta:
+                v = 1
+            else:
+                for R, img, ev in zip(residuals, images, evec):
+                    pivot = img.coeff(nu) - ev
+                    if pivot:
+                        break
+                else:
+                    raise ArithmeticError(f"no Cherednik eigenvalue separates {nu}")
+                v = -R.coeff(nu) / pivot
+            coeffs[nu] = v
+            residuals = [linear_combination(n, ((1, R), (v, img), (-v * ev, x)))
+                         for R, img, ev in zip(residuals, images, evec)]
+        if not all(R.is_zero for R in residuals):
+            raise ArithmeticError(
+                f"back-substitution for {eta} left a non-zero eigen-residual")
+        return SparsePoly(n, coeffs)
 
     # -- label constants -----------------------------------------------------
     # With alpha = p/q every node factor of d, d', e and j_kappa is an

@@ -151,8 +151,9 @@ def kernel_slices(kernel, n, D):
 
 def binomial_coeff(jack, eta, nu):
     """The generalized binomial coefficient (eta over nu), read from the
-    basis's row of eta."""
-    return jack.binomial_row(eta).get(tuple(nu), ZERO)
+    basis's row of eta; a lower label that is not a composition with n
+    parts raises ``ValueError`` instead of reading as 0."""
+    return jack.binomial_row(eta).get(jack._label(nu), ZERO)
 
 
 def binomial_expansion(jack, eta, weights, factor, E=None, raising=False):
@@ -199,8 +200,9 @@ def binomial_n_independence(eta, nu, alpha, n1, n2):
 
 def sym_binomial(jack, kappa, sigma):
     """Symmetric binomial coefficient (kappa over sigma), read from the
-    basis's row of kappa."""
-    pad = tuple(sigma) + (0,) * (jack.n - len(sigma))
+    basis's row of kappa; sigma is padded with zeros to n parts, and one
+    that is not a composition after padding raises ``ValueError``."""
+    pad = jack._label(tuple(sigma) + (0,) * (jack.n - len(sigma)))
     return jack.sym_binomial_row(kappa).get(comb.eta_plus(pad), ZERO)
 
 

@@ -30,6 +30,50 @@ def test_oracle_standalone_values(alpha):
     assert jb.E_oracle((0, 1)) == SparsePoly.variable(2, 1)
 
 
+def test_oracle_matches_recursion_through_weight_six():
+    jb = JackBasis(4, F(7, 5))
+    labels = comb.compositions_up_to(4, 6)
+    assert len(labels) == 210
+    for eta in labels:
+        assert jb.E_oracle(eta) == jb.E(eta), eta
+
+
+def test_oracle_rejects_an_image_outside_the_triangular_span(monkeypatch):
+    jb = JackBasis(3, F(7, 5))
+    direct = jb.ops.cherednik_direct
+    # (3, 0, 0) is not below (2, 0, 1): its rearrangement dominates (2, 1, 0)
+    stray = SparsePoly.monomial(3, (3, 0, 0))
+    monkeypatch.setattr(jb.ops, "cherednik_direct",
+                        lambda p, i: direct(p, i) + stray)
+    with pytest.raises(ArithmeticError, match="triangular span"):
+        jb.E_oracle((2, 0, 1))
+
+
+def test_oracle_residual_check_catches_a_wrong_eigenvalue(monkeypatch):
+    true = comb.eta_bar_vec
+
+    def shifted(eta, alpha):
+        ev = true(eta, alpha)
+        return (ev[0] + F(1, 3),) + ev[1:]
+
+    # no spectral difference at alpha = 7/5 is 1/3, so every pivot stays
+    # non-zero and only the final residual check can see the error
+    monkeypatch.setattr(comb, "eta_bar_vec", shifted)
+    for eta in [(2, 0, 1), (0, 1, 2), (1, 1, 1)]:
+        with pytest.raises(ArithmeticError, match="eigen-residual"):
+            JackBasis(3, F(7, 5)).E_oracle(eta)
+
+
+def test_oracle_rejects_an_eigenvalue_no_operator_separates(monkeypatch):
+    # the spectral vector of (1, 0, 2), a label below (2, 0, 1), makes
+    # every pivot of that label zero
+    true = comb.eta_bar_vec
+    monkeypatch.setattr(comb, "eta_bar_vec",
+                        lambda eta, alpha: true((1, 0, 2), alpha))
+    with pytest.raises(ArithmeticError, match="separates"):
+        JackBasis(3, F(7, 5)).E_oracle((2, 0, 1))
+
+
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         JackBasis(2, 0)

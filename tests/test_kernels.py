@@ -125,6 +125,21 @@ def test_sym_binomial_degenerate(jack2):
     assert sym_binomial(jack2, (2, 1), ()) == 1
 
 
+@pytest.mark.parametrize("nu, match", [
+    ((0,), "length"), ((0, 0, 0), "length"), ((-1, 2), "non-negative"),
+    ((F(1, 2), 0), "integers")])
+def test_binomial_rejects_a_foreign_lower_label(jack2, nu, match):
+    with pytest.raises(ValueError, match=match):
+        binomial_coeff(jack2, (1, 0), nu)
+
+
+@pytest.mark.parametrize("sigma, match", [
+    ((1, 0, 0), "length"), ((-1,), "non-negative")])
+def test_sym_binomial_rejects_a_foreign_lower_label(jack2, sigma, match):
+    with pytest.raises(ValueError, match=match):
+        sym_binomial(jack2, (1,), sigma)
+
+
 def test_exp_shift_univariate_classical():
     jb = JackBasis(1, F(3))
     rep = verify_kernel_identity("kernel-exp-shift", jb, 3)

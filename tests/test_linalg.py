@@ -1,5 +1,5 @@
-"""Exact linear solver: agreement with Fraction Gauss-Jordan, failures, and
-the eigenproblem oracle that is built on it."""
+"""Exact linear solver: agreement with Fraction Gauss-Jordan, and the
+failures it reports for inconsistent and singular systems."""
 
 from fractions import Fraction as F
 
@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nsjack.combinat as comb
-from nsjack.jack import JackBasis
 from nsjack.linalg import solve_exact
 
 
@@ -78,11 +76,3 @@ def test_singular_system_raises():
 def test_rational_solution_over_integer_rows():
     assert solve_exact([[3, 1], [1, 2]], [1, 0]) == [F(2, 5), F(-1, 5)]
     assert solve_exact([[F(1, 3)]], [F(1, 7)]) == [F(3, 7)]
-
-
-def test_oracle_matches_recursion_through_weight_four():
-    jb = JackBasis(4, F(7, 5))
-    labels = comb.compositions_up_to(4, 4)
-    assert len(labels) == 70
-    for eta in labels:
-        assert jb.E_oracle(eta) == jb.E(eta), eta
