@@ -4,6 +4,18 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (an ``OSError``, such as an unwritable ``NSJACK_CACHE_DIR``, or any
 other unexpected exception, such as a ``MemoryError``).  Output is
 deterministic byte-for-byte for fixed flags (canonical term ordering).
+
+Each command imports only the layers it runs.  ``jack``, ``hermite``,
+``laguerre``, ``eval-ones`` and ``norm --family hermite|laguerre`` load
+``poly``, ``combinat``, ``operators``, ``jack`` and ``hermite_laguerre``;
+``kernel`` and ``binomial`` add ``kernels``, ``norm --family ct`` adds
+``cterm`` and ``linalg``, and ``verify`` adds ``suites`` (with both).  When
+no bytecode cache can be written (``PYTHONDONTWRITEBYTECODE``, a read-only
+install), a cold call compiles every module it loads from source, so a
+module not loaded is compile time saved.
+
+A negative rational may follow ``--a``, ``--b``, ``--c`` or ``--alpha`` as
+its own argument (``--a -1/2``), the same as ``--a=-1/2``.
 """
 
 from __future__ import annotations
@@ -12,14 +24,15 @@ import argparse
 import fcntl
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
-from . import kernels
-from .cterm import ct_inner, ct_norm_formula
 from .jack import JackBasis
 from .poly import SparsePoly
-from .suites import run_suite
+
+_RATIONAL_FLAGS = ("--a", "--b", "--c", "--alpha")
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
 
 
 class UsageError(Exception):
@@ -228,6 +241,8 @@ def _dispatch(args):
             kwargs["max_weight"] = args.max_weight
         if args.max_n is not None:
             kwargs["max_n"] = args.max_n
+        from .suites import run_suite
+
         ok, reports = run_suite(args.suite, **kwargs)
         _emit(reports, args.format, args.out)
         return 0 if ok else 1
@@ -236,6 +251,8 @@ def _dispatch(args):
     if args.n is not None and args.n < 1:
         raise UsageError("--n must be a positive integer")
     if args.command == "kernel":
+        from . import kernels
+
         n = 2 if args.n is None else args.n
         jb = JackBasis(n, alpha)
         D = args.degree
@@ -278,6 +295,8 @@ def _dispatch(args):
         return 0
     if args.command == "norm":
         if args.family == "ct":
+            from .cterm import ct_inner, ct_norm_formula
+
             k = args.k
             if k < 1:
                 raise UsageError("--k must be a positive integer")
@@ -297,6 +316,8 @@ def _dispatch(args):
         _emit(str(value), args.format, args.out)
         return 0
     if args.command == "binomial":
+        from . import kernels
+
         nu = parse_composition(args.nu)
         if len(nu) != n:
             raise UsageError("--nu must have the same length as --eta")
@@ -305,10 +326,28 @@ def _dispatch(args):
     raise UsageError(f"unknown command {args.command!r}")
 
 
+def _join_negative_rationals(argv):
+    """``argv`` with each ``--a -1/2`` (a flag of ``_RATIONAL_FLAGS``
+    followed by a negative p/q) joined into ``--a=-1/2``.
+
+    argparse reads only ``-N`` and ``-N.M`` as negative numbers and takes
+    ``-1/2`` for an option, so the flag would be left without its value.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1] in _RATIONAL_FLAGS
+                and _NEGATIVE_RATIONAL.fullmatch(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_rationals(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

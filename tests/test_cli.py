@@ -65,6 +65,7 @@ def test_binomial_command():
 def test_kernel_command():
     r = run_cli("kernel", "--family", "A", "--degree", "2", "--n", "1",
                 "--alpha", "1")
+    assert r.returncode == 0, r.stderr[-300:]
     assert json.loads(r.stdout) == {
         "n": 2,
         "terms": [[[2, 2], "1", "2"], [[1, 1], "1", "1"], [[0, 0], "1", "1"]]}
@@ -106,6 +107,18 @@ def test_verify_suite_exit_0():
     assert r.returncode == 0
     reports = json.loads(r.stdout)
     assert reports and all(rep["status"] == "pass" for rep in reports)
+
+
+def test_verify_jack_output_pinned():
+    # the first import of suites in a fresh process, as for the
+    # run_cli tests of kernel, binomial and norm --family ct
+    import hashlib
+
+    r = run_cli("verify", "--suite", "jack", "--max-n", "2", "--max-weight",
+                "1", "--alpha-set", "1")
+    assert r.returncode == 0, r.stderr[-300:]
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "cf208c12092568459fae83113232a5c47dec3d2f372d15d5804c9260baa39447")
 
 
 def test_verify_csv_and_out(tmp_path):
@@ -153,6 +166,31 @@ def test_laguerre_norm_outside_integrable_range_is_usage_error(a):
     assert r.stderr == f"error: the Laguerre norm needs a > -1, got a = {a}\n"
     # the polynomial itself exists for every a
     assert run_cli("laguerre", "--eta", "1,0", "--a", a).returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("laguerre", "--eta", "1,0", "--a", "-1/2"),
+    ("norm", "--family", "laguerre", "--eta", "1,0", "--a", "-1/2"),
+    ("kernel", "--family", "1K1", "--degree", "2", "--n", "1", "--a", "-1/2"),
+    ("kernel", "--family", "2K1", "--degree", "2", "--n", "1", "--a", "-1/2",
+     "--b", "-3/2", "--c", "-5/2"),
+], ids=["laguerre", "norm", "1K1", "2K1"])
+def test_negative_rational_after_flag_is_its_value(args):
+    joined = list(args)
+    for flag in ("--a", "--b", "--c"):
+        if flag in joined:
+            i = joined.index(flag)
+            joined[i:i + 2] = [f"{flag}={joined[i + 1]}"]
+    separate, together = run_cli(*args), run_cli(*joined)
+    assert separate.returncode == together.returncode == 0, separate.stderr
+    assert separate.stdout == together.stdout
+
+
+def test_negative_rational_alpha_is_rejected_as_non_positive():
+    for alpha in (("--alpha", "-1/2"), ("--alpha=-1/2",)):
+        r = run_cli("jack", "--eta", "1,0", *alpha)
+        assert r.returncode == 2, (alpha, r.stdout[:200], r.stderr[-300:])
+        assert r.stderr == "error: alpha must be positive\n"
 
 
 def test_zero_ct_coupling_is_usage_error():

@@ -1,4 +1,5 @@
-"""Import-time guards: the exact layers start without numpy and scipy."""
+"""Import-time guards: the exact layers start without numpy and scipy,
+and each CLI command loads only the layers it runs."""
 
 import subprocess
 import sys
@@ -6,11 +7,14 @@ import sys
 import pytest
 
 HEAVY = ("numpy", "scipy", "nsjack.quadrature")
+# layers the construction commands (E, its Hermite and Laguerre images,
+# their norms and values) never run
+LAZY = ("nsjack.suites", "nsjack.kernels", "nsjack.cterm", "nsjack.linalg")
 
 
-def _loaded_after(statement):
+def _loaded_after(statement, modules=HEAVY):
     code = (f"import sys\n{statement}\n"
-            f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))")
+            f"print(','.join(m for m in {modules!r} if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert r.returncode == 0, r.stderr[-500:]
@@ -26,3 +30,43 @@ def test_cli_and_suites_import_without_quadrature(statement):
 def test_construction_modules_import_without_quadrature():
     assert _loaded_after("import nsjack.jack, nsjack.hermite_laguerre") == ""
 
+
+def test_cli_import_loads_no_lazy_layer():
+    assert _loaded_after("import nsjack.cli", LAZY) == ""
+
+
+def _loaded_by_command(*argv):
+    """LAZY and HEAVY modules loaded by one ``cli.main`` call, run as the
+    first thing a fresh process does."""
+    statement = ("import contextlib, io\n"
+                 "from nsjack import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = cli.main({list(argv)!r})\n"
+                 "if code:\n"
+                 "    sys.exit(code)")
+    return _loaded_after(statement, LAZY + HEAVY)
+
+
+@pytest.mark.parametrize("argv", [
+    ("jack", "--eta", "2,1,0"),
+    ("hermite", "--eta", "2,1,0"),
+    ("laguerre", "--eta", "2,1,0", "--a", "1/2"),
+    ("eval-ones", "--eta", "2,1,0"),
+    ("norm", "--family", "laguerre", "--eta", "1,0", "--a", "1/2"),
+    ("norm", "--family", "hermite", "--eta", "1,0"),
+], ids=lambda argv: " ".join(argv[:3]))
+def test_construction_commands_load_no_lazy_layer(argv, monkeypatch):
+    monkeypatch.delenv("NSJACK_CACHE_DIR", raising=False)
+    assert _loaded_by_command(*argv) == ""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("kernel", "--family", "A", "--degree", "2"), "nsjack.kernels"),
+    (("binomial", "--eta", "1,1", "--nu", "1,0"), "nsjack.kernels"),
+    (("norm", "--family", "ct", "--eta", "1,0"), "nsjack.cterm,nsjack.linalg"),
+    (("verify", "--suite", "jack", "--max-n", "2", "--max-weight", "1"),
+     ",".join(LAZY)),
+], ids=["kernel", "binomial", "norm-ct", "verify"])
+def test_other_commands_load_what_they_run(argv, loaded, monkeypatch):
+    monkeypatch.delenv("NSJACK_CACHE_DIR", raising=False)
+    assert _loaded_by_command(*argv) == loaded
