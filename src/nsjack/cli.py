@@ -35,8 +35,8 @@ _RATIONAL_FLAGS = ("--a", "--b", "--c", "--alpha")
 _NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad flag value; like every ``ValueError`` of a command, exit 2."""
 
 
 def parse_fraction(text):
@@ -352,9 +352,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from math import factorial
 
 from . import combinat as comb
 from .operators import Operators
-from .poly import exp_series, linear_combination, power_sum, rising
+from .poly import SparsePoly, exp_series, linear_combination, power_sum, rising
 
 
 def laguerre_1d_coeffs(m, a):
@@ -112,40 +112,39 @@ class DeformedBasis:
 
     # -- harmonic decomposition ---------------------------------------------
 
-    def _projector(self, q, k):
-        """Harmonic projector of degree k applied to a degree-k polynomial."""
-        rho = self.radius_degree
-        r = power_sum(self.n, rho)
-
-        def terms():
-            img = q
-            for j in range(k // rho + 1):
-                if j > 0:
-                    img = self.laplacian(img)
-                denom = (Fraction(4) ** j * factorial(j)
-                         * rising(-self.gamma - (2 // rho) * k + 2, j))
-                yield 1 / denom, r ** j * img
-
-        return linear_combination(self.n, terms())
+    def _radius_powers(self, top):
+        """The powers r^0, ..., r^top of the radius, in native variables."""
+        r = power_sum(self.n, self.radius_degree)
+        powers = [SparsePoly.one(self.n)]
+        for _ in range(top):
+            powers.append(powers[-1] * r)
+        return powers
 
     def harmonic_components(self, eta):
         """Decompose E_eta (the Jack polynomial) as the sum over m of the
         m-th power of the radius times a harmonic piece.
 
         Returns [(m, component)] with every component annihilated by the
-        family's Laplacian.
+        family's Laplacian.  Each L_t = lap^t E_eta (t <= d // rho) is built
+        once; component m, the harmonic part of L_m, sums the r^j L_(m+j).
         """
         eta = tuple(eta)
         d = sum(eta)
         rho = self.radius_degree
+        top = d // rho
+        tower = [self.jack.E(eta)]
+        for _ in range(top):
+            tower.append(self.laplacian(tower[-1]))
+        rpow = self._radius_powers(top)
         out = []
-        img = self.jack.E(eta)
-        for m in range(d // rho + 1):
-            if m > 0:
-                img = self.laplacian(img)
-            denom = (Fraction(4) ** m * factorial(m)
-                     * rising(self.gamma + (2 // rho) * d - 2 * m, m))
-            out.append((m, self._projector(img, d - rho * m) / denom))
+        for m in range(top + 1):
+            lead = factorial(m) * rising(
+                self.gamma + (2 // rho) * d - 2 * m, m)
+            shift = 2 - self.gamma - (2 // rho) * (d - rho * m)
+            out.append((m, linear_combination(self.n, (
+                (1 / (Fraction(4) ** (m + j) * lead * factorial(j)
+                      * rising(shift, j)), rpow[j] * tower[m + j])
+                for j in range(top - m + 1)))))
         return out
 
     def from_harmonics(self, eta, components=None):
@@ -154,7 +153,7 @@ class DeformedBasis:
         eta = tuple(eta)
         d = sum(eta)
         rho = self.radius_degree
-        r = power_sum(self.n, rho)
+        rpow = self._radius_powers(d // rho)
 
         def terms():
             for m, component in (components or self.harmonic_components(eta)):
@@ -162,7 +161,7 @@ class DeformedBasis:
                 lag = laguerre_1d_coeffs(
                     m, (2 // rho) * (d - rho * m) + self.gamma - 1)
                 lpoly = linear_combination(
-                    self.n, ((c, r ** k) for k, c in enumerate(lag)))
+                    self.n, ((c, rpow[k]) for k, c in enumerate(lag)))
                 yield (-1) ** m * factorial(m), lpoly * component
 
         return linear_combination(self.n, terms())

@@ -96,7 +96,7 @@ def gaussian_weighted_integral(h, alpha, deg, n, npts=None):
     return _scalar(total) * scale
 
 
-def laguerre_weighted_integral(h, alpha, a, deg, n, rate=1.0, npts=None):
+def laguerre_weighted_integral(h, alpha, a, deg, n, rate=1.0):
     """Integral of h against prod y_i^a exp(-rate*y_i) * prod |y_i-y_j|^(2/alpha)
     over [0, inf)^n, for n in {1, 2}; a complex integrand gives a complex
     value."""
@@ -104,12 +104,12 @@ def laguerre_weighted_integral(h, alpha, a, deg, n, rate=1.0, npts=None):
     a = float(a)
     rate = float(rate)
     if n == 1:
-        N = npts or max(deg + 6, 12)
+        N = max(deg + 6, 12)
         s, w = roots_genlaguerre(N, a)
         total = _scalar(np.sum(w * h(s / rate)))
         scale = rate ** (-a - 1.0)
     elif n == 2:
-        N = npts or max(deg + 10, 24)
+        N = max(deg + 10, 24)
         gam = 2.0 * a + 2.0 / alpha + 1.0
         s, ws = roots_genlaguerre(N, gam)
         u = s / rate

@@ -8,7 +8,7 @@ import nsjack.combinat as comb
 from nsjack.hermite_laguerre import (HermiteBasis, LaguerreBasis,
                                      laguerre_1d_coeffs)
 from nsjack.jack import JackBasis
-from nsjack.poly import SparsePoly
+from nsjack.poly import SparsePoly, linear_combination, power_sum
 from nsjack.suites import suite_hermite, suite_laguerre
 
 ALPHA = F(7, 5)
@@ -95,6 +95,45 @@ def test_harmonic_single_component(jack2):
     assert len(comps) == 1
     assert comps[0][0] == 0
     assert comps[0][1] == jack2.E((1, 0))
+
+
+@pytest.mark.parametrize("family, eta, calls", [
+    ("hermite", (0, 0, 4), 2), ("laguerre", (0, 0, 4), 4),
+    ("hermite", (3, 0, 3), 3), ("laguerre", (3, 0, 3), 6),
+])
+def test_harmonic_components_apply_each_laplacian_power_once(
+        family, eta, calls):
+    """One decomposition forms lap^t E_eta for t = 1 .. |eta| // rho once
+    each, rho being the radius degree (2 for Hermite, 1 for Laguerre)."""
+    jb = JackBasis(3, ALPHA)
+    fb = jb.hermite() if family == "hermite" else jb.laguerre(F(1, 2))
+    right = fb.laplacian
+    seen = []
+
+    def counted(p):
+        seen.append(p)
+        return right(p)
+
+    fb.laplacian = counted
+    fb.harmonic_components(eta)
+    assert len(seen) == calls == sum(eta) // fb.radius_degree
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_harmonic_rebuild_is_exact_through_weight_8(family):
+    """Weight 8 runs the Laguerre decomposition through 9 components, past
+    the weight 4 that the family suites reach."""
+    jb = JackBasis(2, ALPHA)
+    fb = jb.hermite() if family == "hermite" else jb.laguerre(F(1, 2))
+    r = power_sum(2, fb.radius_degree)
+    etas = comb.compositions_up_to(2, 8)
+    assert len(etas) == 45
+    for eta in etas:
+        comps = fb.harmonic_components(eta)
+        assert all(fb.laplacian(c).is_zero for _, c in comps), eta
+        assert linear_combination(
+            2, ((1, r ** m * c) for m, c in comps)) == jb.E(eta), eta
+        assert fb.from_harmonics(eta) == fb.E(eta), eta
 
 
 def test_classical_laguerre_coeffs():

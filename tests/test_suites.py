@@ -202,6 +202,58 @@ def test_failing_family_report_names_the_label(monkeypatch, cls, suite, kwargs):
     assert all("witness" not in r for r in reports if r["status"] == "pass")
 
 
+@pytest.mark.parametrize("cls, name, failing", [
+    (HermiteBasis, "gamma", {"hermite-harmonic-decomposition",
+                             "hermite-summation"}),
+    (LaguerreBasis, "gamma", {"laguerre-harmonic-decomposition",
+                              "laguerre-summation"}),
+    (HermiteBasis, "lower_constant", {"hermite-ladder"}),
+    (LaguerreBasis, "lower_constant", {"laguerre-ladder"}),
+    (HermiteBasis, "raise_op", {"hermite-ladder"}),
+    (LaguerreBasis, "raise_op", {"laguerre-ladder"}),
+    (LaguerreBasis, "_lower_factor", {"laguerre-ladder"}),
+    (LaguerreBasis, "at_zero", {"laguerre-value-at-origin"}),
+    (HermiteBasis, "norm_ratio", {"hermite-summation"}),
+    (LaguerreBasis, "norm_ratio", {"laguerre-summation"}),
+])
+def test_each_family_value_fails_exactly_the_checks_that_read_it(
+        monkeypatch, cls, name, failing):
+    """A family value off by the factor 98/97 fails these reports of
+    ``suite_hermite``, ``suite_laguerre`` and the two summation checks.
+
+    The documented survivor: a wrong ``norm_ratio`` passes both family
+    suites.  The Hermite norm step compares ratios of norms, so a uniform
+    factor cancels, and the Laguerre suite never reads the norm; only the
+    summation check of the family (kernel checks at n = 2, D = 4) fails.
+    """
+    from nsjack import jack
+
+    if name == "gamma":
+        init = cls.__init__
+
+        def wrong_init(self, *args):
+            init(self, *args)
+            self.gamma *= F(98, 97)
+
+        monkeypatch.setattr(cls, "__init__", wrong_init)
+    else:
+        right = getattr(cls, name)
+
+        def wrong(self, *args):
+            return right(self, *args) * F(98, 97)
+
+        monkeypatch.setattr(cls, name, wrong)
+    monkeypatch.setattr(jack, "_shared", {})
+    reports = (suites.suite_hermite(alphas=ALPHA, max_weight=3, max_n=2)
+               + suites.suite_laguerre(alphas=ALPHA, max_weight=3, max_n=2,
+                                       a_set=(F(1, 2),)))
+    jb = JackBasis(2, ALPHA[0])
+    reports += [kernels.verify_kernel_identity(identity, jb, 4)
+                for identity in ("hermite-summation", "laguerre-summation")]
+    assert {r.get("check") or r["identity"] for r in reports
+            if r["status"] == "fail"} == failing
+
+
 @pytest.mark.parametrize("cls, identity", [
     (HermiteBasis, "hermite-summation"),
     (LaguerreBasis, "laguerre-summation"),
