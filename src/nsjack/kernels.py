@@ -211,8 +211,10 @@ def eps_eigenvalue(eta, alpha):
     alpha = Fraction(alpha)
     n = len(eta)
     kappa = comb.eta_plus(eta)
-    return sum(Fraction(k * (k - 1)) + 2 * Fraction(n - 1 - j) * k / alpha
-               for j, k in enumerate(kappa))
+    # sum over parts of k(k-1) + 2(n-1-j)k/alpha, with a single division
+    diag = sum(k * (k - 1) for k in kappa)
+    off = sum(2 * (n - 1 - j) * k for j, k in enumerate(kappa))
+    return diag + off / alpha
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +279,7 @@ def check_symmetry_and_multiplication(jack, D, **_):
         if not diff.is_zero:
             return _verdict(name, jack, D, {}, diff, "swap equivariance")
     for i in range(n):
-        xi = SparsePoly.variable(2 * n, i)
-        diff = (opy.dunkl(K, i) - xi * K).filter_terms(
+        diff = (opy.dunkl(K, i) - K.mul_var(i)).filter_terms(
             lambda e: xdeg(e, n) <= D)
         if not diff.is_zero:
             return _verdict(name, jack, D, {}, diff, "dunkl multiplication")

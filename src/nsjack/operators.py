@@ -7,7 +7,10 @@ polynomials and coefficients stay rational.
 
 Variables are 0-based throughout.  An ``Operators`` instance may act on a
 contiguous block of the ambient variables (used for two-argument kernels);
-by default the block is all of them.  The swap cycle s_0, ..., s_(n-2),
+by default the block is all of them.  Every operator commutes with
+multiplication by monomials in the variables outside its block, so the
+cached image of a monomial is keyed by the block's exponents alone (see
+``_linear``).  The swap cycle s_0, ..., s_(n-2),
 its reverse, and the raising map built on it are each one rotation of the
 block's exponents (``SparsePoly.rotate_vars``).  Type-B objects act on
 polynomials in the squared variables y_i = x_i^2, where the
@@ -27,33 +30,55 @@ def _linear(formula):
     """Turn ``formula(self, p, *idx)``, a linear operator, into a method
     that applies it term by term through the instance's image cache.
 
-    The image of each monomial x^e is computed once per instance, keyed by
-    (operator name, index arguments, e), and kept as its (numerators,
-    denominator) pair; a call then brings the images it needs over one
-    common denominator (a single lcm) and merges them on integers.  The
-    name keeps operators with equal arguments apart (``cherednik`` and
+    The operator acts on the instance's block of variables and commutes
+    with multiplication by monomials in the others (Laurent ones too), so
+    the image of x^e depends only on the block exponents b = e[lo:hi].  It
+    is computed once per instance, keyed by (operator name, index
+    arguments, b), and kept as a (numerators, denominator) pair whose
+    exponents are the block's, so one image serves every ambient variable
+    count; a call then brings the images it needs over one common
+    denominator and merges them on integers, writing e[:lo] + f + e[hi:]
+    for each image exponent f.  When the block is the whole ambient space,
+    b is e itself and the merge writes f unchanged.  The name keeps
+    operators with equal arguments apart (``cherednik`` and
     ``cherednik_direct`` never share images).
     """
     name = formula.__name__
 
     def apply(self, p, *idx):
         images = self._images
+        n, lo, hi = p.n, self._lo, self._hi
+        whole = lo == 0 and hi == n
         hits = []
+        den = 1
         for e, c in p.num.items():
-            key = (name, idx, e)
+            b = e if whole else e[lo:hi]
+            key = (name, idx, b)
             img = images.get(key)
             if img is None:
-                q = formula(self, SparsePoly.monomial(p.n, e), *idx)
-                img = images[key] = (q.num, q.den)
-            hits.append((c, img))
-        den = lcm(*[d for _, (_, d) in hits])
+                if whole:
+                    q = formula(self, SparsePoly.monomial(n, e), *idx)
+                    img = (q.num, q.den)
+                else:
+                    x_b = (0,) * lo + b + (0,) * (n - hi)
+                    q = formula(self, SparsePoly.monomial(n, x_b), *idx)
+                    img = ({f[lo:hi]: v for f, v in q.num.items()}, q.den)
+                images[key] = img
+            hits.append((c, e, img))
+            den = lcm(den, img[1])
         out = {}
         get = out.get
-        for c, (num, d) in hits:
+        for c, e, (num, d) in hits:
             c *= den // d
-            for f, v in num.items():
-                out[f] = get(f, 0) + c * v
-        return _from_num(p.n, out, den * p.den)
+            if whole:
+                for f, v in num.items():
+                    out[f] = get(f, 0) + c * v
+            else:
+                head, tail = e[:lo], e[hi:]
+                for f, v in num.items():
+                    f = head + f + tail
+                    out[f] = get(f, 0) + c * v
+        return _from_num(n, out, den * p.den)
 
     apply.__name__ = name
     apply.__qualname__ = formula.__qualname__
@@ -116,8 +141,8 @@ class Operators:
     ``block`` selects which ambient variables the n logical variables map
     to; it must be a contiguous range.  The optional parameter ``a`` enters
     only the type-B operators.  Instances are immutable apart from an
-    append-only image cache (the image of each monomial under each
-    operator, see ``_linear``) and are safe to share.
+    append-only image cache (the image of each monomial in the block's
+    variables under each operator, see ``_linear``) and are safe to share.
     """
 
     def __init__(self, n, alpha, a=None, block=None):

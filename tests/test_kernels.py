@@ -9,8 +9,9 @@ import nsjack.combinat as comb
 from nsjack.jack import JackBasis
 from nsjack.kernels import (IDENTITY_CHECKS, binomial_coeff,
                             binomial_n_independence, check_binomial_sum_rules,
-                            hyper_0F0, kernel_KA, kernel_series, kernel_slices,
-                            sym_binomial, verify_kernel_identity)
+                            eps_eigenvalue, hyper_0F0, kernel_KA,
+                            kernel_series, kernel_slices, sym_binomial,
+                            verify_kernel_identity)
 from nsjack.poly import SparsePoly, linear_combination
 
 ALPHA = F(7, 5)
@@ -181,6 +182,17 @@ def test_kernel_block_swap_symmetry(jack2):
     K = kernel_KA(jack2, 4)
     swapped = K.permute_vars((2, 3, 0, 1))
     assert swapped == K
+
+
+@pytest.mark.parametrize("alpha", [F(7, 5), F(1)])
+def test_eps_eigenvalue_matches_the_per_part_sum(alpha):
+    for n in range(1, 5):
+        for eta in comb.compositions_up_to(n, 6):
+            kappa = comb.eta_plus(eta)
+            want = sum(F(k * (k - 1)) + 2 * F(n - 1 - j) * k / alpha
+                       for j, k in enumerate(kappa))
+            got = eps_eigenvalue(eta, alpha)
+            assert isinstance(got, F) and got == want, eta
 
 
 def test_kernel_bound_sanity(jack2):

@@ -6,7 +6,7 @@ import pytest
 
 from nsjack.operators import (Operators, divide_by_difference,
                               divided_difference)
-from nsjack.poly import SparsePoly
+from nsjack.poly import SparsePoly, linear_combination
 from nsjack.suites import suite_operators
 
 x0 = SparsePoly.variable(2, 0)
@@ -217,6 +217,66 @@ def test_cherednik_forms_do_not_share_images(monkeypatch):
     forms = [r for r in reports if r["check"] == "cherednik-forms-agree"]
     assert forms and all(r["status"] == "fail" and "witness" in r
                          for r in forms)
+
+
+def _block_poly(n, terms):
+    return linear_combination(n, ((c, SparsePoly.monomial(n, e[:n]))
+                                  for e, c in terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_block_instances_act_linearly_over_the_passive_variables(n, name):
+    """On x (block 0..n-1), y (block n..2n-1) and a Laurent variable t, an
+    operator on the x block maps f(x) g(y) t^k to (its n-variable image of
+    f) g(y) t^k, and one on the y block maps it to f(x) (image of g) t^k."""
+    al, a, total = F(7, 5), F(1, 2), 2 * n + 1
+    f = _block_poly(n, [((2, 1, 0), F(3, 4)), ((0, 1, 2), -2),
+                        ((1, 0, 1), F(1, 3)), ((0, 0, 0), 5)])
+    g = _block_poly(n, [((1, 2, 1), F(-5, 2)), ((3, 0, 0), 1),
+                        ((0, 2, 0), F(2, 7))])
+    fx, gy = f.embed(total, 0), g.embed(total, n)
+    p = (fx * gy).mul_var(2 * n, -2)
+    full = Operators(n, al, a=a)
+    on_x = Operators(n, al, a=a, block=range(n))
+    on_y = Operators(n, al, a=a, block=range(n, 2 * n))
+    for idx in MEMOIZED[name]:
+        if any(i >= n for i in idx):
+            continue
+        f_image = getattr(full, name)(f, *idx)
+        g_image = getattr(full, name)(g, *idx)
+        want_x = f_image.embed(total, 0) * gy
+        want_y = fx * g_image.embed(total, n)
+        assert getattr(on_x, name)(p, *idx) == want_x.mul_var(2 * n, -2)
+        assert getattr(on_y, name)(p, *idx) == want_y.mul_var(2 * n, -2)
+        # the cached images are the block's, so they also serve other
+        # ambient variable counts: f alone (the whole space for on_x) and
+        # f(x) g(y) without t
+        assert getattr(on_x, name)(f, *idx) == f_image
+        fx2 = f.embed(2 * n)
+        assert getattr(on_y, name)(fx2 * g.embed(2 * n, n), *idx) == (
+            fx2 * g_image.embed(2 * n, n))
+
+
+@pytest.mark.parametrize("name, block", [("d1_tilde", range(3)),
+                                         ("dunkl", range(3, 6))])
+def test_block_instance_derives_one_image_per_block_exponent(name, block):
+    from nsjack.jack import JackBasis
+    from nsjack.kernels import kernel_KA
+
+    K = kernel_KA(JackBasis(3, F(7, 5)), 4)
+    ops = Operators(3, F(7, 5), block=block)
+    idx = (0,) if name == "dunkl" else ()
+    got = getattr(ops, name)(K, *idx)
+    # 371 terms, 35 distinct exponents (x-degree <= 4) on either block
+    assert len(K.terms) == 371
+    assert len({e[block.start:block.stop] for e in K.terms}) == 35
+    assert sum(1 for key in ops._images if key[0] == name) == 35
+    # each term through an instance of its own, so no image is shared
+    assert got == linear_combination(6, (
+        (c, getattr(Operators(3, F(7, 5), block=block), name)(
+            SparsePoly.monomial(6, e), *idx))
+        for e, c in K.terms.items()))
 
 
 def _cycle_up(ops, p):
