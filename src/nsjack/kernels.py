@@ -211,7 +211,6 @@ def eps_eigenvalue(eta, alpha):
     alpha = Fraction(alpha)
     n = len(eta)
     kappa = comb.eta_plus(eta)
-    # sum over parts of k(k-1) + 2(n-1-j)k/alpha, with a single division
     diag = sum(k * (k - 1) for k in kappa)
     off = sum(2 * (n - 1 - j) * k for j, k in enumerate(kappa))
     return diag + off / alpha
