@@ -5,60 +5,38 @@ rational arithmetic and mechanically verifies their norm formulas, kernel
 identities, binomial expansions and constant-term evaluations, plus a
 small quadrature layer for the integral statements that are genuinely
 analytic.
+
+The names below are resolved on first access (PEP 562), so importing one
+submodule, as each CLI command does, loads only the layers it runs.
 """
 
 from fractions import Fraction
+from importlib import import_module as _import_module
 
-from .poly import SparsePoly, symmetrize, series_binomial, rising
-from .combinat import (
-    compositions,
-    compositions_up_to,
-    eta_plus,
-    precedes,
-    eta_bar,
-    eta_bar_vec,
-    d_const,
-    d_prime_const,
-    e_const,
-    f_const,
-    gen_fact,
-    rf_partition,
-    hook_norm_j,
-    phi_map,
-    phi_hat_map,
-    si_map,
+# (submodule, the names it provides)
+_EXPORTS = (
+    ("poly", ("SparsePoly", "symmetrize", "series_binomial", "rising")),
+    ("combinat", ("compositions", "compositions_up_to", "eta_plus",
+                  "precedes", "eta_bar", "eta_bar_vec", "d_const",
+                  "d_prime_const", "e_const", "f_const", "gen_fact",
+                  "rf_partition", "hook_norm_j", "phi_map", "phi_hat_map",
+                  "si_map")),
+    ("operators", ("Operators", "divided_difference",
+                   "divide_by_difference")),
+    ("jack", ("JackBasis",)),
+    ("hermite_laguerre", ("DeformedBasis", "HermiteBasis", "LaguerreBasis")),
 )
-from .operators import Operators, divided_difference, divide_by_difference
-from .jack import JackBasis
-from .hermite_laguerre import DeformedBasis, HermiteBasis, LaguerreBasis
 
-__all__ = [
-    "Fraction",
-    "SparsePoly",
-    "symmetrize",
-    "series_binomial",
-    "rising",
-    "compositions",
-    "compositions_up_to",
-    "eta_plus",
-    "precedes",
-    "eta_bar",
-    "eta_bar_vec",
-    "d_const",
-    "d_prime_const",
-    "e_const",
-    "f_const",
-    "gen_fact",
-    "rf_partition",
-    "hook_norm_j",
-    "phi_map",
-    "phi_hat_map",
-    "si_map",
-    "Operators",
-    "divided_difference",
-    "divide_by_difference",
-    "JackBasis",
-    "DeformedBasis",
-    "HermiteBasis",
-    "LaguerreBasis",
-]
+__all__ = ["Fraction", *(name for _, names in _EXPORTS for name in names)]
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS:
+        if name == module:
+            # importing a submodule binds it as a package attribute
+            return _import_module(f".{name}", __name__)
+        if name in names:
+            value = getattr(_import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,11 +5,12 @@ error (an ``OSError``, such as an unwritable ``NSJACK_CACHE_DIR``, or any
 other unexpected exception, such as a ``MemoryError``).  Output is
 deterministic byte-for-byte for fixed flags (canonical term ordering).
 
-Each command imports only the layers it runs.  ``jack``, ``hermite``,
-``laguerre``, ``eval-ones`` and ``norm --family hermite|laguerre`` load
-``poly``, ``combinat``, ``operators``, ``jack`` and ``hermite_laguerre``;
-``kernel`` and ``binomial`` add ``kernels``, ``norm --family ct`` adds
-``cterm`` and ``linalg``, and ``verify`` adds ``suites`` (with both).  When
+Each command imports only the layers it runs.  ``jack`` and ``eval-ones``
+load ``poly``, ``combinat``, ``operators`` and ``jack``; ``hermite``,
+``laguerre`` and ``norm --family hermite|laguerre`` add
+``hermite_laguerre``, ``kernel`` and ``binomial`` add ``kernels``, ``norm
+--family ct`` adds ``cterm`` and ``linalg``, and ``verify`` adds ``suites``
+(with all three).  When
 no bytecode cache can be written (``PYTHONDONTWRITEBYTECODE``, a read-only
 install), a cold call compiles every module it loads from source, so a
 module not loaded is compile time saved.

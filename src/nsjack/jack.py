@@ -23,12 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from operator import index
+from operator import index, neg
 
 from . import combinat as comb
-from .hermite_laguerre import HermiteBasis, LaguerreBasis
 from .operators import Operators
-from .poly import SparsePoly, linear_combination
+from .poly import SparsePoly, _bring_over, linear_combination
 
 
 _shared = {}
@@ -269,12 +268,19 @@ class JackBasis:
 
     # -- deformed families -----------------------------------------------------
 
+    # ``hermite_laguerre`` is imported on first use, so the commands that
+    # never build a deformed family do not load it
+
     def hermite(self):
         """The Hermite family exp(-Delta_A/4) E_eta on this basis."""
+        from .hermite_laguerre import HermiteBasis
+
         return self._memo(("hermite",), HermiteBasis, self)
 
     def laguerre(self, a):
         """The Laguerre family exp(-Delta_B/4) E_eta with parameter a."""
+        from .hermite_laguerre import LaguerreBasis
+
         a = Fraction(a)
         return self._memo(("laguerre", a), LaguerreBasis, self, a)
 
@@ -313,28 +319,55 @@ class JackBasis:
     def expand_in_E(self, p):
         """Expand a polynomial in the E basis; returns {eta: coefficient}.
 
-        Peels the triangular leading terms degree by degree in descending
-        order, so only exact subtraction is needed.  The leading label must
-        strictly decrease in ``order_key``; if it does not, E is not
-        triangular (a bug) and the peeling would never end, so it raises
-        ``ArithmeticError`` instead.
+        Peels the triangular leading terms in descending ``order_key``, so
+        only exact subtraction is needed.  The residual is one dict of
+        integer numerators over a running denominator, each E_eta is
+        subtracted from it in place, and a heap hands out its labels, so
+        each label's key is computed once.  A subtraction that writes a
+        term at or above the label being peeled means E is not triangular
+        (a bug, and the peeling would never end), so it raises
+        ``ArithmeticError`` instead.  The result lists the labels in the
+        order they were peeled.
         """
+        from heapq import heapify, heappop, heappush
+
         if not p.is_laurent_free():
             raise ValueError("can only expand genuine polynomials")
+
+        def rank(e):
+            # the entries of order_key(e), negated and flattened: the heap
+            # pops the largest label first
+            w, plus, _ = comb.order_key(e)
+            return (-w, *map(neg, plus), *map(neg, e))
+
+        num, den = dict(p.num), p.den
+        heap = [(rank(e), e) for e in num]
+        heapify(heap)
         out = {}
-        residual = p
-        last = None
-        while not residual.is_zero:
-            eta = max(residual.terms, key=comb.order_key)
-            key = comb.order_key(eta)
-            if last is not None and key >= last:
-                raise ArithmeticError(
-                    f"peeling E{last[2]} left the leading label {eta}; "
-                    "E is not triangular")
-            last = key
-            c = residual.terms[eta]
+        while heap:
+            top, eta = heappop(heap)
+            a = num[eta]
+            if not a:
+                del num[eta]
+                continue
+            c = Fraction(a, den)
             out[eta] = c
-            residual = residual - c * self.E(eta)
+            E = self.E(eta)
+            den, a = _bring_over(num, den, c, E.den)
+            for e, v in E.num.items():
+                got = num.get(e)
+                if got is None:
+                    key = rank(e)
+                    if key <= top:
+                        raise ArithmeticError(
+                            f"peeling E{eta} wrote the term {e} at or above "
+                            "it; E is not triangular")
+                    heappush(heap, (key, e))
+                    got = 0
+                num[e] = got - a * v
+            if num.pop(eta):
+                raise ArithmeticError(
+                    f"peeling E{eta} left its own term; E is not triangular")
         return out
 
     # -- generalized binomial coefficients -------------------------------------

@@ -11,14 +11,18 @@ Every kernel-shaped sum here is one ``kernel_series`` call: the kernels
 K_A, K_B, 1K1 and 2K1, and the kernel side of each generating function,
 with up and down weights [u]_eta and [v]_eta on top of the kernel weight
 ``_weight`` = alpha^|eta| d/(d' e).  All bilinear sums, ``kernel_series``,
-``hyper_0F0`` and the summation sides, go through ``_bilinear_sum``.  The
-label constants, the binomial rows and the deformed families all come
-from the basis, built once per basis; so do K_A and K_B, which several
-checks read, while the single-use 1K1 and 2K1 kernels are built per
-call.  The substitutions on one block of variables (rescaling,
-embedding, power sums, symmetrizing) are those of ``poly``, and every
-product truncated in a block is a ``SparsePoly.mul_truncated``.  The
-checks that run label by label report through one first-failing-label
+``hyper_0F0`` and the summation sides, go through ``_bilinear_sum``, which
+writes each label's F_eta(x) G_eta(y) as an outer product of the two
+numerator dicts into one integer accumulator, with no embedded copies or
+per-label product.  The label constants, the binomial rows and the
+deformed families all come from the basis, built once per basis; so do
+K_A and K_B, which several checks read, while the single-use 1K1 and 2K1
+kernels are built per call.  The x- and y-block operators of the checks
+are views of the basis's ``jack.ops`` (``Operators.on_block``), so they
+share its monomial images.  The substitutions on one block of variables
+(rescaling, embedding, power sums, symmetrizing) are those of ``poly``,
+and every product truncated in a block is a ``SparsePoly.mul_truncated``.
+The checks that run label by label report through one first-failing-label
 driver, and their sums of c(nu) E_nu over binomial coefficients are
 ``binomial_expansion``.  A deformed family (a ``DeformedBasis``) plugs
 into the checks through:
@@ -44,13 +48,12 @@ into the checks through:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from . import combinat as comb
-from .operators import Operators
-from .poly import (ZERO, SparsePoly, exp_truncated, geometric_substitution,
-                   linear_combination, power_sum, series_binomial, symmetrize)
+from .poly import (ZERO, SparsePoly, _bring_over, _from_num, exp_truncated,
+                   geometric_substitution, linear_combination, power_sum,
+                   series_binomial, symmetrize)
 
 # ---------------------------------------------------------------------------
 # blocks and labels
@@ -88,12 +91,36 @@ def _weight(jack, eta):
 
 def _bilinear_sum(n, F, G, weight, labels, extra=0):
     """sum over ``labels`` of weight(label) F(label)(x) G(label)(y) in
-    2n + ``extra`` variables: F fills the first n, G those from n on, and
-    the weights are scalars."""
+    2n + ``extra`` variables: F (in n variables) fills the first n, G
+    those from n on, and the weights are scalars.
+
+    Each label's term is an outer product written straight into one dict
+    of integer numerators over a running denominator, as in
+    ``linear_combination``: the exponent of a pair is e1 + e2, padded
+    with zeros up to 2n + ``extra``, and the sum is reduced once."""
     m = 2 * n + extra
-    return linear_combination(m, (
-        (weight(eta), F(eta).embed(m, 0) * G(eta).embed(m, n))
-        for eta in labels))
+    out = {}
+    den = 1
+    get = out.get
+    for eta in labels:
+        c = Fraction(weight(eta))
+        f, g = F(eta), G(eta)
+        room = m - n - g.n
+        if f.n != n or room < 0:
+            raise ValueError(f"{f.n} + {g.n} variables do not fit in {m}")
+        if not c or not f.num or not g.num:
+            continue
+        den, k = _bring_over(out, den, c, f.den * g.den)
+        gterms = g.num.items()
+        if room:
+            pad = (0,) * room
+            gterms = [(e2 + pad, v2) for e2, v2 in gterms]
+        for e1, v1 in f.num.items():
+            k1 = k * v1
+            for e2, v2 in gterms:
+                e = e1 + e2
+                out[e] = get(e, 0) + k1 * v2
+    return _from_num(m, out, den)
 
 
 def kernel_series(jack, up, down, D, x_family=None):
@@ -270,8 +297,8 @@ def check_symmetry_and_multiplication(jack, D, **_):
     y-block Dunkl operators."""
     n = jack.n
     K = kernel_KA(jack, D)
-    opx = Operators(n, jack.alpha, block=range(n))
-    opy = Operators(n, jack.alpha, block=range(n, 2 * n))
+    opx = jack.ops.on_block(range(n))
+    opy = jack.ops.on_block(range(n, 2 * n))
     name = "kernel-symmetry-multiplication"
     for i in range(n - 1):
         diff = opx.s(K, i) - opy.s(K, i)
@@ -409,8 +436,8 @@ def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
     b = Fraction(b if b is not None else Fraction(4, 3))
     c = Fraction(c if c is not None else n + 2)
     F = kernel_series(jack, (a, b), (c,), D)
-    opx = Operators(n, al, block=range(n))
-    opy = Operators(n, al, block=range(n, 2 * n))
+    opx = jack.ops.on_block(range(n))
+    opy = jack.ops.on_block(range(n, 2 * n))
     nm1 = Fraction(n - 1) / al
     # the y-raising terms (euler(., 2), its commutator, p1(y) *) reach past
     # y-degree D from the top slice of F, so they act on the slices below it
@@ -503,8 +530,23 @@ def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), **_):
 
 def check_binomial_sum_rules(jack, D, **_):
     """Orbit sums of the coefficients against their symmetric counterparts,
-    including the weighted variant."""
+    including the weighted variant.
+
+    Each row is read once: its entries are added up by the orbit eta_plus(nu)
+    of their lower label nu into the plain sums of the row's label, and
+    scattered, times e_eta / f_eta of the row's label eta, into the
+    weighted sums of their lower label."""
     n = jack.n
+    plain, weighted = {}, {}
+    for eta in _labels(n, range(D + 1)):
+        sums = plain[eta] = {}
+        up = jack.e_const(eta) / jack.f_const(eta)
+        kappa = comb.eta_plus(eta)
+        for nu, b in jack.binomial_row(eta).items():
+            mu = comb.eta_plus(nu)
+            sums[mu] = sums.get(mu, ZERO) + b
+            low = weighted.setdefault(nu, {})
+            low[kappa] = low.get(kappa, ZERO) + b * up
 
     def labels():
         """(eta, mu, weighted): for each eta the orbit sums over mu up to
@@ -518,16 +560,14 @@ def check_binomial_sum_rules(jack, D, **_):
                         for mu in comb.partitions(w2, n))
 
     def fails(label):
-        eta, mu, weighted = label
+        eta, mu, is_weighted = label
         kappa = comb.eta_plus(eta)
-        orbit = set(permutations(tuple(mu) + (0,) * (n - len(mu))))
-        if not weighted:
-            total = sum((binomial_coeff(jack, eta, nu) for nu in orbit),
-                        Fraction(0))
+        orbit = tuple(mu) + (0,) * (n - len(mu))
+        if not is_weighted:
+            total = plain[eta].get(orbit, ZERO)
             holds = total == sym_binomial(jack, kappa, mu)
             return None if holds else {"check": "orbit sum"}
-        total = sum((binomial_coeff(jack, nu, eta) * jack.e_const(nu)
-                     / jack.f_const(nu) for nu in orbit), Fraction(0))
+        total = weighted.get(eta, {}).get(orbit, ZERO)
         lhs = (jack.f_const(eta) / jack.e_const(eta)
                * jack.hook_norm_j(mu) * jack.J_ones(kappa)
                / jack.hook_norm_j(kappa) / jack.J_ones(mu) * total)

@@ -10,7 +10,9 @@ contiguous block of the ambient variables (used for two-argument kernels);
 by default the block is all of them.  Every operator commutes with
 multiplication by monomials in the variables outside its block, so the
 cached image of a monomial is keyed by the block's exponents alone (see
-``_linear``).  The swap cycle s_0, ..., s_(n-2),
+``_linear``); an image derived on one block is the whole-space image, so
+the views ``Operators.on_block`` returns at the same (n, alpha, a) share
+one image table.  The swap cycle s_0, ..., s_(n-2),
 its reverse, and the raising map built on it are each one rotation of the
 block's exponents (``SparsePoly.rotate_vars``).  Type-B objects act on
 polynomials in the squared variables y_i = x_i^2, where the
@@ -160,6 +162,16 @@ class Operators:
         if self.vars != tuple(range(self._lo, self._hi)):
             raise ValueError("block must be a contiguous range of variables")
         self._images = {}
+
+    def on_block(self, block):
+        """These operators at the same (n, alpha, a), acting on ``block``.
+
+        The view shares this instance's image table: images are keyed and
+        stored by block exponents, so an image derived on any block is the
+        whole-space image, and each is derived once for all the views."""
+        view = Operators(self.n, self.alpha, self.a, block)
+        view._images = self._images
+        return view
 
     def _require_a(self):
         if self.a is None:

@@ -584,23 +584,31 @@ def linear_combination(n, pairs):
             raise ValueError(f"ambient dimension mismatch: {p.n} vs {n}")
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        a, b = c.numerator, c.denominator
-        if not a or not p.num:
+        if not c or not p.num:
             continue
-        # c * p = a * p.num / (b * p.den); drop the factor a shares with p.den
-        g = gcd(a, p.den)
-        a, d = a // g, b * (p.den // g)
-        if den % d:
-            new = lcm(den, d)
-            r = new // den
-            for e, v in out.items():
-                out[e] = v * r
-            den = new
-        m = a * (den // d)
+        # c * p = m * p.num / den
+        den, m = _bring_over(out, den, c, p.den)
         get = out.get
         for e, v in p.num.items():
             out[e] = get(e, 0) + v * m
     return _from_num(n, out, den)
+
+
+def _bring_over(out, den, c, d):
+    """Put the rational c over ``d`` on the running denominator ``den`` of
+    the integer numerators ``out``: returns (den', m) with c / d = m / den',
+    where den' is den, or their lcm with ``out`` rescaled in place.  The
+    factor that c's numerator shares with d is dropped first."""
+    a = c.numerator
+    g = gcd(a, d)
+    a, d = a // g, c.denominator * (d // g)
+    if den % d:
+        new = lcm(den, d)
+        r = new // den
+        for e, v in out.items():
+            out[e] = v * r
+        den = new
+    return den, a * (den // d)
 
 
 def symmetrize(p, block=None):

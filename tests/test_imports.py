@@ -70,3 +70,36 @@ def test_construction_commands_load_no_lazy_layer(argv, monkeypatch):
 def test_other_commands_load_what_they_run(argv, loaded, monkeypatch):
     monkeypatch.delenv("NSJACK_CACHE_DIR", raising=False)
     assert _loaded_by_command(*argv) == loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("jack", "--eta", "2,1,0"),
+    ("eval-ones", "--eta", "2,1,0"),
+    ("binomial", "--eta", "1,1", "--nu", "1,0"),
+    ("kernel", "--family", "A", "--degree", "2"),
+], ids=lambda argv: " ".join(argv[:3]))
+def test_commands_without_a_deformed_family_do_not_load_it(argv, monkeypatch):
+    """The package resolves its names on first use and ``JackBasis``
+    imports the Hermite and Laguerre families when it first builds one, so
+    these commands never compile ``nsjack.hermite_laguerre``.  (``verify``
+    does: ``suites`` imports every layer a suite runs up front.)"""
+    monkeypatch.delenv("NSJACK_CACHE_DIR", raising=False)
+    statement = ("import contextlib, io\n"
+                 "from nsjack import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = cli.main({list(argv)!r})\n"
+                 "if code:\n"
+                 "    sys.exit(code)")
+    assert _loaded_after(statement, ("nsjack.hermite_laguerre",)) == ""
+
+
+def test_package_resolves_its_names_and_submodules_on_first_access():
+    code = ("import nsjack\n"
+            "assert nsjack.jack.JackBasis is nsjack.JackBasis\n"
+            "assert nsjack.poly.SparsePoly is nsjack.SparsePoly\n"
+            "assert nsjack.hermite_laguerre.HermiteBasis is nsjack.HermiteBasis\n"
+            "assert not hasattr(nsjack, 'import_module')\n"
+            "assert all(hasattr(nsjack, name) for name in nsjack.__all__)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr[-500:]

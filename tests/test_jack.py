@@ -6,7 +6,7 @@ import pytest
 
 import nsjack.combinat as comb
 from nsjack.jack import JackBasis
-from nsjack.poly import SparsePoly, symmetrize
+from nsjack.poly import SparsePoly, linear_combination, symmetrize
 from nsjack.suites import suite_jack
 
 ALPHAS = (F(1), F(7, 5), F(1, 2))
@@ -119,6 +119,42 @@ def test_expand_in_E_round_trip():
     rebuilt = sum((c * jb.E(eta) for eta, c in coeffs.items()),
                   SparsePoly.zero(3))
     assert rebuilt == p
+
+
+def _peel_by_subtraction(jb, p):
+    """The expansion by repeated polynomial subtraction of c E at the
+    residual's largest label."""
+    out = {}
+    while not p.is_zero:
+        eta = max(p.terms, key=comb.order_key)
+        out[eta] = c = p.terms[eta]
+        p = p - c * jb.E(eta)
+    return out
+
+
+def test_expand_in_E_round_trips_several_weights():
+    jb = JackBasis(3, F(7, 5))
+    x = [SparsePoly.variable(3, i) for i in range(3)]
+    p = (F(2, 3) * x[0] * x[2] ** 3 - 4 * x[1] ** 2 * x[0] + x[2] ** 2
+         + F(-5, 9) * x[1] + 7)
+    coeffs = jb.expand_in_E(p)
+    assert {sum(eta) for eta in coeffs} == {0, 1, 2, 3, 4}
+    assert all(coeffs.values())
+    assert list(coeffs) == sorted(coeffs, key=comb.order_key, reverse=True)
+    assert linear_combination(3, ((c, jb.E(eta)) for eta, c in
+                                  coeffs.items())) == p
+    assert jb.expand_in_E(SparsePoly.zero(3)) == {}
+
+
+def test_expand_in_E_matches_peeling_by_subtraction_at_n4():
+    """Every binomial row of weight <= 3 at n = 4: the same coefficients in
+    the same order as peeling one polynomial subtraction at a time."""
+    jb = JackBasis(4, F(7, 5))
+    for eta in comb.compositions_up_to(4, 3):
+        shifted = jb.E(eta).shift_by_one()
+        got = jb.expand_in_E(shifted)
+        want = _peel_by_subtraction(jb, shifted)
+        assert list(got.items()) == list(want.items()), eta
 
 
 def test_expand_in_E_rejects_a_basis_that_is_not_triangular():

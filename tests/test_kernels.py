@@ -7,7 +7,7 @@ import pytest
 
 import nsjack.combinat as comb
 from nsjack.jack import JackBasis
-from nsjack.kernels import (IDENTITY_CHECKS, binomial_coeff,
+from nsjack.kernels import (IDENTITY_CHECKS, _bilinear_sum, binomial_coeff,
                             binomial_n_independence, check_binomial_sum_rules,
                             eps_eigenvalue, hyper_0F0, kernel_KA,
                             kernel_series, kernel_slices, sym_binomial,
@@ -171,6 +171,65 @@ def test_identity_suite_n3_spot():
 def test_sum_rules_small(jack2):
     rep = check_binomial_sum_rules(jack2, 3)
     assert rep["status"] == "pass", rep
+
+
+@pytest.mark.parametrize("eta, nu, witness", [
+    # the entry feeds a weighted sum of its lower label first
+    ((2, 1), (1, 0), {"eta": "(1, 0)", "mu": "(2, 1)"}),
+    # the diagonal entry feeds the row's own plain sum first
+    ((1, 1), (1, 1), {"eta": "(1, 1)", "mu": "(1, 1)"}),
+    ((0, 2, 1), (0, 1, 0), {"eta": "(0, 1, 0)", "mu": "(2, 1)"}),
+], ids=["weighted", "plain", "n3"])
+def test_sum_rules_name_the_first_failing_orbit(eta, nu, witness):
+    """One entry of one row scaled by 3 fails the check, and the witness is
+    the (eta, mu) the orbit-by-orbit sums, read one coefficient at a time,
+    name first."""
+    jb = JackBasis(len(eta), ALPHA)
+    row = dict(jb.binomial_row(eta))
+    row[nu] *= 3
+    jb._consts["binomial", eta] = row
+    rep = check_binomial_sum_rules(jb, 3)
+    check = "orbit sum" if witness["eta"] == str(eta) else "weighted orbit sum"
+    assert rep["status"] == "fail"
+    assert rep["params"] == witness
+    assert rep["first_failure"] == {"check": check}
+
+
+def _bilinear_by_products(n, x_poly, y_poly, weight, labels, extra=0):
+    """The bilinear sum as one product of embedded copies per label."""
+    m = 2 * n + extra
+    return linear_combination(m, (
+        (weight(eta), x_poly(eta).embed(m, 0) * y_poly(eta).embed(m, n))
+        for eta in labels))
+
+
+@pytest.mark.parametrize("n, D", [(1, 4), (2, 3), (3, 2)])
+def test_bilinear_sum_matches_the_products_of_embedded_copies(n, D):
+    jb = JackBasis(n, ALPHA)
+    hb = jb.hermite()
+    labels = comb.compositions_up_to(n, D)
+
+    def weight(eta):
+        return F((-1) ** sum(eta) * (sum(eta) + 2), 3 + eta[0])
+
+    assert _bilinear_sum(n, hb.E, jb.E, weight, labels) == \
+        _bilinear_by_products(n, hb.E, jb.E, weight, labels)
+
+    # G in n + 1 variables (t^|eta| in the last one) and one variable more
+    # in the sum, as in the summation checks
+    def G(eta):
+        return hb.E(eta).embed(n + 1).mul_var(n, sum(eta))
+
+    got = _bilinear_sum(n, hb.E, G, weight, labels, extra=1)
+    assert got == _bilinear_by_products(n, hb.E, G, weight, labels, extra=1)
+    assert got.n == 2 * n + 1 and not got.is_zero
+    # G in n variables with one more in the sum: the last one stays free
+    got = _bilinear_sum(n, jb.E, jb.E, weight, labels, extra=1)
+    assert got == _bilinear_by_products(n, jb.E, jb.E, weight, labels,
+                                        extra=1)
+    assert all(e[-1] == 0 for e in got.terms)
+    with pytest.raises(ValueError):
+        _bilinear_sum(n, jb.E, G, weight, labels)
 
 
 def test_unknown_identity_rejected(jack2):

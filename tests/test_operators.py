@@ -279,6 +279,38 @@ def test_block_instance_derives_one_image_per_block_exponent(name, block):
         for e, c in K.terms.items()))
 
 
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_on_block_views_share_the_table_and_give_whole_space_images(name):
+    """A view at the same (n, alpha, a) on a block of 2n + 1 variables
+    writes into its instance's table, and an image it derives there is the
+    one the whole-space instance returns."""
+    al, a, n = F(7, 5), F(1, 2), 3
+    full = Operators(n, al, a=a)
+    on_x, on_y = full.on_block(range(n)), full.on_block(range(n, 2 * n))
+    assert on_x._images is full._images is on_y._images
+    assert (on_y.n, on_y.alpha, on_y.a, on_y.vars) == (n, al, a, (3, 4, 5))
+    f = _block_poly(n, [((2, 1, 0), F(3, 4)), ((0, 1, 2), -2),
+                        ((1, 0, 1), F(1, 3)), ((0, 0, 0), 5)])
+    g = _block_poly(n, [((1, 2, 1), F(-5, 2)), ((3, 0, 0), 1)])
+    total = 2 * n + 1
+    p = (f.embed(total, 0) * g.embed(total, n)).mul_var(2 * n, -1)
+    for idx in MEMOIZED[name]:
+        # the views derive first, then the whole space reads their images
+        got_x = getattr(on_x, name)(p, *idx)
+        got_y = getattr(on_y, name)(p, *idx)
+        derived = len(full._images)
+        f_image = getattr(full, name)(f, *idx)
+        g_image = getattr(full, name)(g, *idx)
+        assert len(full._images) == derived
+        fresh = Operators(n, al, a=a)
+        assert f_image == getattr(fresh, name)(f, *idx)
+        assert g_image == getattr(fresh, name)(g, *idx)
+        assert got_x == (f_image.embed(total, 0)
+                         * g.embed(total, n)).mul_var(2 * n, -1)
+        assert got_y == (f.embed(total, 0)
+                         * g_image.embed(total, n)).mul_var(2 * n, -1)
+
+
 def _cycle_up(ops, p):
     """s_0, s_1, ..., s_(n-2) applied in that order."""
     for i in range(ops.n - 1):
