@@ -33,13 +33,13 @@ print("\nbeta-weighted ratio identity (integer exponents a, b):")
 for eta, a, b in [((1, 0), 1, 1), ((2, 1), 2, 1), ((1, 1), 0, 2)]:
     rep = kadell_ratio_check(jb, eta, a, b, k)
     assert rep["status"] == "pass"
-    print(f"  eta={eta}, a={a}, b={b}: both sides {rep['lhs']}")
+    print(f"  eta={eta}, a={a}, b={b}: both sides {rep['values']['lhs']}")
 
 print("\nnorm relation tying the constant term to the all-ones value:")
 for eta in [(1, 0), (2, 1)]:
     rep = norm_relation_check(jb, eta, k)
     assert rep["status"] == "pass"
-    print(f"  eta={eta}: both sides {rep['lhs']}")
+    print(f"  eta={eta}: both sides {rep['values']['lhs']}")
 
 print("\npower-sum-style inner product: diagonal d'/d on the basis")
 si = SahiInner(2, F(1, k), 3)

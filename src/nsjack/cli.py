@@ -8,9 +8,9 @@ deterministic byte-for-byte for fixed flags (canonical term ordering).
 Each command imports only the layers it runs.  ``jack`` and ``eval-ones``
 load ``poly``, ``combinat``, ``operators`` and ``jack``; ``hermite``,
 ``laguerre`` and ``norm --family hermite|laguerre`` add
-``hermite_laguerre``, ``kernel`` and ``binomial`` add ``kernels``, ``norm
---family ct`` adds ``cterm`` and ``linalg``, and ``verify`` adds ``suites``
-(with all three).  When
+``hermite_laguerre``, ``kernel`` and ``binomial`` add ``kernels`` (with
+``reports``), ``norm --family ct`` adds ``cterm`` and ``linalg``, and
+``verify`` adds ``suites`` (with all of these).  When
 no bytecode cache can be written (``PYTHONDONTWRITEBYTECODE``, a read-only
 install), a cold call compiles every module it loads from source, so a
 module not loaded is compile time saved.

@@ -20,6 +20,7 @@ from . import combinat as comb
 from .jack import JackBasis
 from .linalg import solve_exact
 from .poly import SparsePoly, rising, series_binomial
+from .reports import report
 
 # the smallest degree the beta weight of kadell_ratio_check is pruned to
 KADELL_DEPTH = 4
@@ -145,13 +146,9 @@ def kadell_ratio_check(jack, eta, a, b, k):
     top = comb.rf_partition(-b, kappa, jack.alpha)
     bot = comb.rf_partition(1 + a + Fraction(n - 1) / jack.alpha, kappa, jack.alpha)
     rhs = jack.eval_ones(eta) * top / bot
-    return {
-        "identity": "kadell-ratio",
-        "n": n, "alpha": str(jack.alpha), "eta": list(eta),
-        "params": {"a": a, "b": b, "k": k},
-        "lhs": str(lhs), "rhs": str(rhs),
-        "status": "pass" if lhs == rhs else "fail",
-    }
+    return report("kadell-ratio", lhs == rhs, n, jack.alpha,
+                  {"eta": list(eta), "a": a, "b": b, "k": k},
+                  values={"lhs": str(lhs), "rhs": str(rhs)})
 
 
 def norm_relation_check(jack, eta, k):
@@ -171,12 +168,9 @@ def norm_relation_check(jack, eta, k):
     for j in range(1, n + 1):
         gamma_ratio *= rising(1 + Fraction(j - 1) / al, kappa[n - j])
     rhs = jack.eval_ones(eta) / gamma_ratio
-    return {
-        "identity": "ct-norm-relation",
-        "n": n, "alpha": str(al), "eta": list(eta), "params": {"k": k},
-        "lhs": str(lhs), "rhs": str(rhs),
-        "status": "pass" if lhs == rhs else "fail",
-    }
+    return report("ct-norm-relation", lhs == rhs, n, al,
+                  {"eta": list(eta), "k": k},
+                  values={"lhs": str(lhs), "rhs": str(rhs)})
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ are views of the basis's ``jack.ops`` (``Operators.on_block``), so they
 share its monomial images.  The substitutions on one block of variables
 (rescaling, embedding, power sums, symmetrizing) are those of ``poly``,
 and every product truncated in a block is a ``SparsePoly.mul_truncated``.
-The checks that run label by label report through one first-failing-label
-driver, and their sums of c(nu) E_nu over binomial coefficients are
-``binomial_expansion``.  A deformed family (a ``DeformedBasis``) plugs
-into the checks through:
+Every check files its report through ``reports.report``; those that run
+label by label go through ``reports.first_failing``, and their sums of
+c(nu) E_nu over binomial coefficients are ``binomial_expansion``.  A
+deformed family (a ``DeformedBasis``) plugs into the checks through:
 
 - its generating function: ``kernel_series`` with the family's E in the
   x slot.  E_eta is homogeneous, so a per-label factor 2^|eta| or
@@ -54,6 +54,7 @@ from . import combinat as comb
 from .poly import (ZERO, SparsePoly, _bring_over, _from_num, exp_truncated,
                    geometric_substitution, linear_combination, power_sum,
                    series_binomial, symmetrize)
+from .reports import first_failing, report
 
 # ---------------------------------------------------------------------------
 # blocks and labels
@@ -200,31 +201,6 @@ def binomial_expansion(jack, eta, weights, factor, E=None, raising=False):
         jack.n, ((b * factor(nu), E(nu)) for nu, b in terms if b))
 
 
-def binomial_n_independence(eta, nu, alpha, n1, n2):
-    """Check that the coefficient agrees when computed in n1 and n2 variables.
-
-    The labels are zero-padded; both counts must cover their supports.
-    """
-    from .jack import JackBasis
-
-    support = max(len([x for x in eta if x]), len([x for x in nu if x]), 1)
-    if min(n1, n2) < support:
-        raise ValueError("variable counts must cover the label supports")
-    vals = []
-    for n in (n1, n2):
-        jb = JackBasis.shared(n, alpha)
-        pe = tuple(eta) + (0,) * (n - len(eta))
-        pn = tuple(nu) + (0,) * (n - len(nu))
-        vals.append(binomial_coeff(jb, pe, pn))
-    return {
-        "identity": "binomial-n-independence",
-        "eta": list(eta), "nu": list(nu), "alpha": str(Fraction(alpha)),
-        "n_pair": [n1, n2],
-        "status": "pass" if vals[0] == vals[1] else "fail",
-        "values": [str(v) for v in vals],
-    }
-
-
 def sym_binomial(jack, kappa, sigma):
     """Symmetric binomial coefficient (kappa over sigma), read from the
     basis's row of kappa; sigma is padded with zeros to n parts, and one
@@ -247,21 +223,7 @@ def eps_eigenvalue(eta, alpha):
 # identity suite
 
 
-def _report(identity, jack, D, params, failure=None):
-    rep = {
-        "identity": identity,
-        "n": jack.n,
-        "alpha": str(jack.alpha),
-        "D": D,
-        "params": {k: str(v) for k, v in (params or {}).items()},
-        "status": "pass" if failure is None else "fail",
-    }
-    if failure is not None:
-        rep["first_failure"] = failure
-    return rep
-
-
-def _first_failure(diff, n):
+def _first_term(diff, n):
     """None if ``diff`` is zero, else its first term, located by bidegree."""
     if diff.is_zero:
         return None
@@ -270,26 +232,14 @@ def _first_failure(diff, n):
             "coefficient": str(c)}
 
 
-def _verdict(identity, jack, D, params, diff, check=None):
+def _verdict(check, jack, D, params, diff, part=None):
     """Report on lhs - rhs = ``diff``; a nonzero diff names its first term
-    (and ``check``, the part of the identity that failed)."""
-    fail = _first_failure(diff, jack.n)
-    if fail is not None and check is not None:
-        fail["check"] = check
-    return _report(identity, jack, D, params, fail)
-
-
-def _first_failing(identity, jack, D, params, labels, fails,
-                   name=lambda eta: {"eta": eta}):
-    """Report on an identity checked label by label: ``fails(label)`` is
-    None where it holds and a failure dict where it does not, and the
-    report of the first failing label adds ``name(label)`` to ``params``."""
-    for label in labels:
-        failure = fails(label)
-        if failure is not None:
-            return _report(identity, jack, D, {**params, **name(label)},
-                           failure)
-    return _report(identity, jack, D, params)
+    (and ``part``, the part of the identity that failed)."""
+    witness = _first_term(diff, jack.n)
+    if witness is not None and part is not None:
+        witness["part"] = part
+    return report(check, witness is None, jack.n, jack.alpha,
+                  {"D": D, **params}, witness)
 
 
 def check_symmetry_and_multiplication(jack, D, **_):
@@ -309,7 +259,7 @@ def check_symmetry_and_multiplication(jack, D, **_):
             lambda e: xdeg(e, n) <= D)
         if not diff.is_zero:
             return _verdict(name, jack, D, {}, diff, "dunkl multiplication")
-    return _report(name, jack, D, {})
+    return report(name, True, n, jack.alpha, {"D": D})
 
 
 def check_exp_shift(jack, D, **_):
@@ -364,10 +314,10 @@ def check_exp_expansion(jack, D, **_):
         rhs = binomial_expansion(
             jack, eta, range(w, D + 1),
             lambda nu: al ** sum(nu) / jack.d_prime_const(nu), raising=True)
-        return _first_failure(lhs - rhs, n)
+        return _first_term(lhs - rhs, n)
 
-    return _first_failing("exp-binomial-expansion", jack, D, {},
-                          _labels(n, range(D + 1)), fails)
+    return first_failing("exp-binomial-expansion", n, al,
+                         _labels(n, range(D + 1)), fails, {"D": D})
 
 
 def check_p1_action(jack, D, **_):
@@ -380,10 +330,10 @@ def check_p1_action(jack, D, **_):
         rhs = binomial_expansion(jack, eta, (sum(eta) + 1,),
                                  lambda nu: 1 / jack.d_prime_const(nu),
                                  raising=True)
-        return _first_failure(lhs - al * jack.d_prime_const(eta) * rhs, n)
+        return _first_term(lhs - al * jack.d_prime_const(eta) * rhs, n)
 
-    return _first_failing("p1-raising-action", jack, D, {},
-                          _labels(n, range(D)), fails)
+    return first_failing("p1-raising-action", n, al, _labels(n, range(D)),
+                         fails, {"D": D})
 
 
 def check_euler_actions(jack, D, **_):
@@ -398,22 +348,22 @@ def check_euler_actions(jack, D, **_):
         eps_eta = eps_eigenvalue(eta, al)
         # eigenoperator check
         if ops.d2_tilde(E) != eps_eta * E:
-            return {"check": "second-order eigenvalue"}
+            return {"part": "second-order eigenvalue"}
         # commutator identity defining the lowering companion
         d1, eu0 = ops.d1_tilde(E), ops.euler(E, 0)
         if d1 != (ops.euler(ops.d2_tilde(E), 0) - ops.d2_tilde(eu0)) / 2:
-            return {"check": "commutator identity"}
+            return {"part": "commutator identity"}
         # degree lowering by the sum of derivatives and by d1_tilde, with
         # 1 / E_nu(1^n) = d_nu / e_nu
         e_eta = jack.eval_ones(eta)
         lower = range(max(w - 1, 0), w)
         if eu0 / e_eta != binomial_expansion(
                 jack, eta, lower, lambda nu: jack.d_const(nu) / jack.e_const(nu)):
-            return {"check": "derivative lowering"}
+            return {"part": "derivative lowering"}
         if d1 / e_eta != binomial_expansion(
                 jack, eta, lower, lambda nu: (eps_eta - eps_eigenvalue(nu, al))
                 * jack.d_const(nu) / (2 * jack.e_const(nu))):
-            return {"check": "second-order lowering"}
+            return {"part": "second-order lowering"}
         # degree raising by the squared Euler operator
         if w < D:
             rhs = binomial_expansion(
@@ -422,11 +372,11 @@ def check_euler_actions(jack, D, **_):
                             - 2 * Fraction(n - 1) / al) / jack.d_prime_const(nu),
                 raising=True)
             if ops.euler(E, 2) != al / 2 * jack.d_prime_const(eta) * rhs:
-                return {"check": "squared-Euler raising"}
+                return {"part": "squared-Euler raising"}
         return None
 
-    return _first_failing("euler-actions", jack, D, {},
-                          _labels(n, range(D + 1)), fails)
+    return first_failing("euler-actions", n, al, _labels(n, range(D + 1)),
+                         fails, {"D": D})
 
 
 def check_2k1_pde(jack, D, a=None, b=None, c=None, **_):
@@ -518,14 +468,15 @@ def check_laguerre_jack_expansions(jack, D, a=Fraction(1, 2), **_):
         to_jack = binomial_expansion(jack, eta, range(w + 1),
                                      lambda nu: (-1) ** sum(nu) * ratio(nu))
         if lb.E(eta) != (-1) ** w * pref * to_jack:
-            return {"check": "laguerre in jack"}
+            return {"part": "laguerre in jack"}
         to_lag = binomial_expansion(jack, eta, range(w + 1), ratio, E=lb.E)
         if jack.E(eta) != pref * to_lag:
-            return {"check": "jack in laguerre"}
+            return {"part": "jack in laguerre"}
         return None
 
-    return _first_failing("laguerre-jack-expansion", jack, D, {"a": lb.a},
-                          _labels(n, range(D + 1)), fails)
+    return first_failing("laguerre-jack-expansion", n, jack.alpha,
+                         _labels(n, range(D + 1)), fails,
+                         {"D": D, "a": lb.a})
 
 
 def check_binomial_sum_rules(jack, D, **_):
@@ -566,17 +517,16 @@ def check_binomial_sum_rules(jack, D, **_):
         if not is_weighted:
             total = plain[eta].get(orbit, ZERO)
             holds = total == sym_binomial(jack, kappa, mu)
-            return None if holds else {"check": "orbit sum"}
+            return None if holds else {"part": "orbit sum"}
         total = weighted.get(eta, {}).get(orbit, ZERO)
         lhs = (jack.f_const(eta) / jack.e_const(eta)
                * jack.hook_norm_j(mu) * jack.J_ones(kappa)
                / jack.hook_norm_j(kappa) / jack.J_ones(mu) * total)
         holds = lhs == sym_binomial(jack, mu, kappa)
-        return None if holds else {"check": "weighted orbit sum"}
+        return None if holds else {"part": "weighted orbit sum"}
 
-    return _first_failing("binomial-sum-rules", jack, D, {}, labels(), fails,
-                          name=lambda label: {"eta": label[0],
-                                              "mu": label[1]})
+    return first_failing("binomial-sum-rules", n, jack.alpha, labels(), fails,
+                         {"D": D})
 
 
 def _summation(identity, jack, fb, D, kernel, x_scale, params):

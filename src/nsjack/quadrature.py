@@ -24,6 +24,7 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 from . import combinat as comb
 from .kernels import kernel_KA, kernel_KB
 from .poly import SparsePoly
+from .reports import report
 
 # relative tolerances: the ground states, the Laplace transforms and the
 # Gram off-diagonal share TOL
@@ -176,21 +177,20 @@ def _plain(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
-def _report(check, n, alpha, lhs, rhs, tol, a=None, D=None, extra=None):
+def _report(check, n, alpha, lhs, rhs, tol, a=None, budget=None, **params):
+    """Report on lhs against rhs to the relative tolerance ``tol``; ``a``,
+    when given, leads ``params``, and a truncation ``budget`` joins the
+    values."""
     lhs_c, rhs_c = complex(lhs), complex(rhs)
     abs_err = abs(lhs_c - rhs_c)
-    scale = max(1.0, abs(lhs_c), abs(rhs_c))
-    rel_err = abs_err / scale
-    rep = {
-        "check": check, "n": n, "alpha": str(alpha),
-        "a": None if a is None else str(a), "D": D,
-        "lhs": repr(_plain(lhs)), "rhs": repr(_plain(rhs)),
-        "abs_err": abs_err, "rel_err": rel_err, "tolerance": tol,
-        "status": "pass" if rel_err <= tol else "fail",
-    }
-    if extra:
-        rep.update(extra)
-    return rep
+    rel_err = abs_err / max(1.0, abs(lhs_c), abs(rhs_c))
+    values = {"lhs": repr(_plain(lhs)), "rhs": repr(_plain(rhs)),
+              "abs_err": abs_err, "rel_err": rel_err, "tolerance": tol}
+    if budget is not None:
+        values["truncation_budget"] = budget
+    if a is not None:
+        params = {"a": str(a), **params}
+    return report(check, rel_err <= tol, n, alpha, params, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +225,13 @@ def _check_gram(family, max_weight, inner, n0, prefix, a):
             if eta == nu:
                 want = float(family.norm_ratio(eta)) * n0
                 rep = _report(f"{prefix}-gram-diagonal", n, alpha, got, want,
-                              GRAM_DIAGONAL_TOL, a=a, extra={"eta": list(eta)})
+                              GRAM_DIAGONAL_TOL, a=a, eta=list(eta))
             else:
                 scale = n0 * sqrt(float(family.norm_ratio(eta))
                                   * float(family.norm_ratio(nu)))
                 rep = _report(f"{prefix}-gram-offdiagonal", n, alpha,
-                              got / scale, 0.0, TOL, a=a,
-                              extra={"eta": list(eta), "nu": list(nu)})
+                              got / scale, 0.0, TOL, a=a, eta=list(eta),
+                              nu=list(nu))
             out.append(rep)
     return out
 
@@ -280,9 +280,8 @@ def _check_transform(check, family, eta, D, zval, kernel, integral, inner,
     if rot is not None:
         lhs = complex(lhs)
     tol = max(1e-6, 10.0 * budget / max(1.0, abs(rhs)))
-    return _report(check, family.n, family.alpha, lhs, rhs, tol, a=a, D=D,
-                   extra={"eta": list(eta), "z": zval,
-                          "truncation_budget": budget})
+    return _report(check, family.n, family.alpha, lhs, rhs, tol, a=a,
+                   budget=budget, D=D, eta=list(eta), z=zval)
 
 
 def _gaussian_transform(check, hermite, eta, D, zval, inner, zpt, rhs,
@@ -366,7 +365,7 @@ def check_laplace_transform(laguerre, eta, which):
     rhs = (float(comb.gen_fact(aq, eta, alpha)) * ground_state_L(n, alpha, a)
            * tau ** (-n * float(aq)) * evaluator(rhs_poly)(*rhs_arg))
     return _report(f"laplace-transform-{which}", n, alpha, lhs, rhs, TOL,
-                   a=a, extra={"eta": list(eta), "tau": tau})
+                   a=a, eta=list(eta), tau=tau)
 
 
 def check_selberg_ratio(jack, eta, lam1, lam2):
@@ -422,8 +421,7 @@ def check_selberg_ratio(jack, eta, lam1, lam2):
     rhs = float(comb.e_const(eta, jack.alpha) / comb.d_const(eta, jack.alpha)
                 * top / bot)
     return _report("selberg-integral-ratio", n, alpha, lhs, rhs, SELBERG_TOL,
-                   extra={"eta": list(eta), "lam1": str(lam1),
-                          "lam2": str(lam2)})
+                   eta=list(eta), lam1=str(lam1), lam2=str(lam2))
 
 
 def check_classical_reductions():
@@ -445,7 +443,7 @@ def check_classical_reductions():
                                          rate=tau)
         rhs = gamma(a + k + 1.0) / tau ** (a + k + 1.0)
         out.append(_report("classical-laplace-monomial", 1, alpha, lhs, rhs,
-                           tol, a=a, extra={"k": k}))
+                           tol, a=a, k=k))
     # one-variable kernel transform with the exact exponential kernel
     from .jack import JackBasis
 
@@ -457,6 +455,6 @@ def check_classical_reductions():
         lhs = gaussian_weighted_integral(fn, alpha, 2 * k + 40, 1, npts=64)
         rhs = sqrt(pi) * np.exp(z * z) * z ** k
         out.append(_report("classical-gaussian-kernel-transform", 1, alpha,
-                           lhs, rhs, tol, extra={"k": k}))
+                           lhs, rhs, tol, k=k))
     return out
 

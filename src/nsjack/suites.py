@@ -1,8 +1,10 @@
 """Named verification suites shared by the CLI and the test harness.
 
-Each suite returns a list of JSON-ready report dicts with a ``status``
-field; a suite passes when every report does.  The checks are exact
-unless the report carries numeric error fields.
+Each suite returns a list of reports of the one shape ``reports.report``
+makes; a suite passes when every report does.  A check that holds item
+by item reports through ``reports.first_failing``, which names the first
+failing item.  The checks are exact unless the report's ``values`` carry
+numeric errors.
 
 Each operator identity shape is one predicate builder taking the
 operators it relates, so the type-A table and its type-B twin (B_i for
@@ -25,15 +27,11 @@ from .cterm import (SahiInner, ct_inner, ct_norm_formula, kadell_ratio_check,
 from .jack import JackBasis
 from .operators import Operators
 from .poly import SparsePoly, linear_combination, power_sum, symmetrize
+from .reports import first_failing
 
 DEFAULT_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
                   Fraction(7, 5))
 DEFAULT_A_SET = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-def _ok(check, ok, **info):
-    rep = {"check": check, "status": "pass" if ok else "fail"}
-    rep.update(info)
-    return rep
 
 
 def _monomials(n, max_deg):
@@ -41,13 +39,11 @@ def _monomials(n, max_deg):
             for e in comb.compositions(n, w)]
 
 
-def _all_hold(check, items, holds, **info):
+def _all_hold(check, items, holds, n, alpha, **params):
     """Report whether ``holds`` is true on every item; a failing report
-    names the first item where it is not as ``witness``."""
-    for item in items:
-        if not holds(item):
-            return _ok(check, False, **info, witness=repr(item))
-    return _ok(check, True, **info)
+    names the first item where it is not."""
+    return first_failing(check, n, alpha, items,
+                         lambda item: None if holds(item) else {}, params)
 
 
 def _hecke(ops, op):
@@ -209,7 +205,7 @@ def _operator_identities(ops, basis, alpha, n):
          lambda p: ops.d1_tilde(p)
          == (ops.euler(ops.d2_tilde(p), 0) - ops.d2_tilde(ops.euler(p, 0))) / 2),
     ]
-    return [_all_hold(name, basis, fn, n=n, alpha=str(al))
+    return [_all_hold(name, basis, fn, n=n, alpha=al)
             for name, fn in checks]
 
 
@@ -232,7 +228,7 @@ def _type_b_identities(ops, basis, alpha, n, a):
         ("laguerre-ladder-intertwining",
          _ladder(ops, ops.l_op, ops.psi_hat_star, ops.psi_hat)),
     ]
-    return [_all_hold(name, basis, fn, n=n, alpha=str(al), a=str(a))
+    return [_all_hold(name, basis, fn, n=n, alpha=al, a=str(a))
             for name, fn in checks]
 
 
@@ -351,7 +347,7 @@ def _jack_checks(jb, max_weight):
         ("jack-constant-recursions", constant_recursions, {}),
         ("jack-symmetric-basis", symmetric_basis, {}),
     ]
-    return [_all_hold(name, etas, holds, n=n, alpha=str(al), **extra)
+    return [_all_hold(name, etas, holds, n=n, alpha=al, **extra)
             for name, holds, extra in checks]
 
 
@@ -425,7 +421,7 @@ def _family_checks(family, fb, max_weight, eigen, raise_scale, pairing_value,
     jb = fb.jack
     n, al = fb.n, fb.alpha
     etas = comb.compositions_up_to(n, max_weight)
-    info = dict(n=n, alpha=str(al), **info)
+    info = dict(n=n, alpha=al, **info)
     # the Hamiltonian lap - scale * euler has eigenvalue -scale * |eta|,
     # scale being twice the x-degree of one native degree
     scale = 2 * (2 // fb.radius_degree)
@@ -519,12 +515,12 @@ def suite_binomials(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
             pairs = [(eta, nu) for eta in etas for w2 in range(sum(eta) + 1)
                      for nu in comb.compositions(n, w2)]
             reps.append(_all_hold("binomial-defining-expansion", etas, expands,
-                                  n=n, alpha=str(alpha)))
+                                  n=n, alpha=alpha))
             reps.append(_all_hold(
                 "binomial-n-independence", pairs,
                 lambda pair: kernels.binomial_coeff(jb, *pair)
                 == kernels.binomial_coeff(wider, pair[0] + (0,), pair[1] + (0,)),
-                n=n, alpha=str(alpha), n_pair=[n, n + 1]))
+                n=n, alpha=alpha, n_pair=[n, n + 1]))
             reps.append(kernels.check_binomial_sum_rules(jb, max_weight))
     return reps
 
@@ -566,9 +562,9 @@ def suite_ct(k_set=(1, 2), max_weight=3, max_n=3):
                 return True
 
             reps.append(_all_hold("ct-orthogonality-and-norms", etas, norms,
-                                  n=n, k=k, alpha=str(alpha)))
+                                  n=n, k=k, alpha=alpha))
             reps.append(_all_hold("ct-recursions", etas, recursions, n=n, k=k,
-                                  alpha=str(alpha)))
+                                  alpha=alpha))
             for eta in etas:
                 for a in (0, 1, 2):
                     for b in (0, 1, 2):
@@ -606,9 +602,9 @@ def suite_sahi(alphas=(Fraction(1), Fraction(2), Fraction(7, 5)), max_weight=3,
             lams = [lam for w in range(max_weight + 1)
                     for lam in comb.partitions(w, n)]
             reps.append(_all_hold("sahi-inner-basis-values", pairs, basis_value,
-                                  n=n, alpha=str(alpha)))
+                                  n=n, alpha=alpha))
             reps.append(_all_hold("sahi-pairing-proportionality", lams,
-                                  proportional, n=n, alpha=str(alpha)))
+                                  proportional, n=n, alpha=alpha))
     return reps
 
 

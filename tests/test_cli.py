@@ -118,7 +118,7 @@ def test_verify_jack_output_pinned():
                 "1", "--alpha-set", "1")
     assert r.returncode == 0, r.stderr[-300:]
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
-        "cf208c12092568459fae83113232a5c47dec3d2f372d15d5804c9260baa39447")
+        "b8080866aba0af2a1b34f6781cde69dc506e3fea1e349e4ad5a2e949fb5640ee")
 
 
 def test_verify_csv_and_out(tmp_path):
@@ -129,6 +129,15 @@ def test_verify_csv_and_out(tmp_path):
     text = out.read_text()
     assert "status" in text.splitlines()[0]
     assert "fail" not in text
+
+
+def test_verify_csv_header_is_the_report_schema():
+    """Every report has the same keys, so the columns do not depend on
+    which checks a suite runs."""
+    r = run_cli("verify", "--suite", "jack", "--max-n", "2", "--max-weight",
+                "1", "--alpha-set", "1", "--format", "csv")
+    assert r.returncode == 0, r.stderr[-300:]
+    assert r.stdout.splitlines()[0] == "alpha,check,n,params,status"
 
 
 def test_cache_dir(tmp_path):

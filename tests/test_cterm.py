@@ -51,12 +51,13 @@ def test_norm_formula_spots():
 def test_kadell_spots():
     jb = JackBasis(2, 1)
     rep = kadell_ratio_check(jb, (0, 0), 1, 1, 1)
-    assert rep["status"] == "pass" and rep["lhs"] == rep["rhs"]
+    values = rep["values"]
+    assert rep["status"] == "pass" and values["lhs"] == values["rhs"]
     rep = kadell_ratio_check(jb, (1, 0), 1, 1, 1)
     assert rep["status"] == "pass"
     # b = 0 forces both sides to vanish for a nonzero label
     rep = kadell_ratio_check(jb, (1, 0), 2, 0, 1)
-    assert rep["status"] == "pass" and rep["lhs"] == "0"
+    assert rep["status"] == "pass" and rep["values"]["lhs"] == "0"
 
 
 def test_norm_relation_spots():

@@ -8,9 +8,9 @@ import pytest
 import nsjack.combinat as comb
 from nsjack.jack import JackBasis
 from nsjack.kernels import (IDENTITY_CHECKS, _bilinear_sum, binomial_coeff,
-                            binomial_n_independence, check_binomial_sum_rules,
-                            eps_eigenvalue, hyper_0F0, kernel_KA,
-                            kernel_series, kernel_slices, sym_binomial,
+                            check_binomial_sum_rules, eps_eigenvalue,
+                            hyper_0F0, kernel_KA, kernel_series,
+                            kernel_slices, sym_binomial,
                             verify_kernel_identity)
 from nsjack.poly import SparsePoly, linear_combination
 
@@ -111,14 +111,15 @@ def test_binomial_values(jack2):
 
 
 def test_binomial_n_independence():
-    for eta, nu, n1, n2 in [((1, 1), (1, 0), 2, 3), ((2, 0), (1, 0), 2, 4),
-                            ((2, 1), (1, 1), 2, 3)]:
-        rep = binomial_n_independence(eta, nu, ALPHA, n1, n2)
-        assert rep["status"] == "pass", rep
-    rep = binomial_n_independence((1, 0), (0, 0), F(3), 2, 5)
-    assert rep["status"] == "pass"
-    with pytest.raises(ValueError):
-        binomial_n_independence((1, 1), (1, 0), ALPHA, 1, 3)
+    """The coefficient of zero-padded labels does not depend on n."""
+    def coeff(eta, nu, alpha, n):
+        pad = (0,) * (n - len(eta))
+        return binomial_coeff(JackBasis(n, alpha), eta + pad, nu + pad)
+
+    for eta, nu, alpha, n1, n2 in [
+            ((1, 1), (1, 0), ALPHA, 2, 3), ((2, 0), (1, 0), ALPHA, 2, 4),
+            ((2, 1), (1, 1), ALPHA, 2, 3), ((1, 0), (0, 0), F(3), 2, 5)]:
+        assert coeff(eta, nu, alpha, n1) == coeff(eta, nu, alpha, n2)
 
 
 def test_sym_binomial_degenerate(jack2):
@@ -173,26 +174,26 @@ def test_sum_rules_small(jack2):
     assert rep["status"] == "pass", rep
 
 
-@pytest.mark.parametrize("eta, nu, witness", [
+@pytest.mark.parametrize("eta, nu, at", [
     # the entry feeds a weighted sum of its lower label first
-    ((2, 1), (1, 0), {"eta": "(1, 0)", "mu": "(2, 1)"}),
+    ((2, 1), (1, 0), ((1, 0), (2, 1), True)),
     # the diagonal entry feeds the row's own plain sum first
-    ((1, 1), (1, 1), {"eta": "(1, 1)", "mu": "(1, 1)"}),
-    ((0, 2, 1), (0, 1, 0), {"eta": "(0, 1, 0)", "mu": "(2, 1)"}),
+    ((1, 1), (1, 1), ((1, 1), (1, 1), False)),
+    ((0, 2, 1), (0, 1, 0), ((0, 1, 0), (2, 1), True)),
 ], ids=["weighted", "plain", "n3"])
-def test_sum_rules_name_the_first_failing_orbit(eta, nu, witness):
+def test_sum_rules_name_the_first_failing_orbit(eta, nu, at):
     """One entry of one row scaled by 3 fails the check, and the witness is
-    the (eta, mu) the orbit-by-orbit sums, read one coefficient at a time,
-    name first."""
+    the (eta, mu, weighted) the orbit-by-orbit sums, read one coefficient
+    at a time, name first."""
     jb = JackBasis(len(eta), ALPHA)
     row = dict(jb.binomial_row(eta))
     row[nu] *= 3
     jb._consts["binomial", eta] = row
     rep = check_binomial_sum_rules(jb, 3)
-    check = "orbit sum" if witness["eta"] == str(eta) else "weighted orbit sum"
+    part = "weighted orbit sum" if at[2] else "orbit sum"
     assert rep["status"] == "fail"
-    assert rep["params"] == witness
-    assert rep["first_failure"] == {"check": check}
+    assert rep["params"] == {"D": 3}
+    assert rep["witness"] == {"at": repr(at), "part": part}
 
 
 def _bilinear_by_products(n, x_poly, y_poly, weight, labels, extra=0):

@@ -51,9 +51,9 @@ def test_complex_integrand_gives_complex_integral(n):
 
 @pytest.mark.parametrize("alpha", [1, 2, F(3, 2)])
 def test_ground_states_n2(alpha):
-    assert check_ground_state_H(2, alpha)["rel_err"] < 1e-12
+    assert check_ground_state_H(2, alpha)["values"]["rel_err"] < 1e-12
     for a in (0, F(1, 2), 1):
-        assert check_ground_state_L(2, alpha, a)["rel_err"] < 1e-12
+        assert check_ground_state_L(2, alpha, a)["values"]["rel_err"] < 1e-12
 
 
 def test_ground_state_formula_values():

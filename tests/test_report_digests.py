@@ -4,7 +4,8 @@ Each digest is the sha256 of the canonical JSON (sorted keys, no spaces)
 of one suite's report list, so a refactor that claims to keep every report
 byte-identical is checked here rather than by hand.  Changing a digest is
 a change to the reports: it must be deliberate and listed in CHANGES.md
-with its reason.
+with its reason.  The same runs check that every report has the key set
+of ``nsjack.reports``.
 """
 
 import hashlib
@@ -59,31 +60,31 @@ RUNS = {
 # name: (sha256, number of reports, number failing)
 DIGESTS = {
     "operators": (
-        "a606c5b2edae1e70752b2d0afcd8c1ccc6b39bbb6f69b13638bb8c3b86f73ad0",
+        "7deefe98b1b561d21ce13235b6f745191f766918c84d809573791a14618526c3",
         22, 0),
     "jack": (
-        "b155187d52d457f2b67f70ecb8ad335e896188a83505898ba5f8f1f66c0bb2bf",
+        "f1f38b49b7fef6f786a136b7a448b0be017b02b09a020cbcb190ec1e39418802",
         54, 0),
     "hermite": (
-        "f33aa6b2139693cbba6838b23b4cb6a4b32ade142a373697b44a56e0b36ef5e0",
+        "990e6d332dd2e59a8877aae63f96cdea7cc61eee62fd91cff522efbe1e9cf66a",
         30, 0),
     "laguerre": (
-        "f07b56d7e30bacd58592d3f21dac40ccf0591009cfaf7f1c487136a2056bcfaf",
+        "87db4b8a81deed3f1106094e0470f8d65b87714e6886d6313258085a573d53bf",
         108, 0),
     "kernels": (
-        "2eb792ec00316c2b211d2241ab09677b63648ef48f94d8bd2231566ae36fdbf4",
+        "2ec3cb4d2b52c826dcf34a93fe51bc3e55b5d74ac77b9652992784bcda4f1986",
         56, 0),
     "binomials": (
-        "e036534a6c04ece16281f75138b0207dd72e4786e299e6b87f2bc330792b2da3",
+        "414f09866ecdd0acbb545d58acdd95da00c724303a8746ceb0dcf69b158ee052",
         12, 0),
     "ct": (
-        "856c2e1b638ed9800a262f56f9975f5a8d81cb020e52ac54212c1203cb0c6baa",
+        "81c338d245e6af90fe459e5132d108384b39505d9577376ef2116b4d4047c603",
         608, 0),
     "sahi": (
-        "18ff869db672e33165d045223ac113586ecb886382d0a17e9a043db724b1367d",
+        "3a8442ec2c06bc39e5a65601b48f1b025fc9c94aa90f3310324f4276dfec3d0c",
         12, 0),
     "kernel-mutation-probe": (
-        "2b63f7fef202a6195619553fd73006bb752126709b51ced1bd14dde979708c65",
+        "7be708ceb7777d4978c35a0ce6d65f1a32ff6874fdcf8691ad550014fcd7030f",
         30, 29),
 }
 
@@ -100,3 +101,41 @@ def test_reports_match_their_pinned_digest(monkeypatch, name):
     reports = RUNS[name]()
     failing = sum(r["status"] != "pass" for r in reports)
     assert (report_digest(reports), len(reports), failing) == DIGESTS[name]
+
+
+BASE_KEYS = {"check", "status", "n", "alpha", "params"}
+# the checks of RUNS that compare two scalars; every numeric check does
+SCALAR_CHECKS = {"kadell-ratio", "ct-norm-relation"}
+
+
+def _schema_keys(rep, scalar):
+    """The keys a report must have: the base set, ``witness`` exactly when
+    it fails, ``values`` exactly when it compares two scalars."""
+    return (BASE_KEYS | ({"witness"} if rep["status"] == "fail" else set())
+            | ({"values"} if scalar else set()))
+
+
+def _assert_schema(reports, scalar):
+    for rep in reports:
+        assert set(rep) == _schema_keys(rep, scalar(rep)), rep
+        assert rep["status"] in ("pass", "fail")
+        assert isinstance(rep["alpha"], str)
+        assert all(isinstance(rep[k], dict) for k in
+                   ("params", "witness", "values") if k in rep)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_report_has_the_schema_keys(monkeypatch, name):
+    monkeypatch.setattr(jack, "_shared", {})
+    reports = RUNS[name]()
+    _assert_schema(reports, lambda rep: rep["check"] in SCALAR_CHECKS)
+    failing = [rep for rep in reports if rep["status"] == "fail"]
+    assert len(failing) == DIGESTS[name][2]
+    assert all(rep["witness"] for rep in failing)
+
+
+def test_numeric_reports_carry_values():
+    reports = suites.suite_numeric(alphas=(1,), a_set=(F(1, 2),),
+                                   max_weight=0, D=0)
+    assert reports
+    _assert_schema(reports, lambda rep: True)

@@ -60,7 +60,7 @@ KERNEL_PARAMS = {
 
 
 def _shape(reports):
-    return [(r["check"], r["n"], r.get("a")) for r in reports]
+    return [(r["check"], r["n"], r["params"].get("a")) for r in reports]
 
 
 def test_report_shapes_are_pinned():
@@ -120,8 +120,8 @@ def test_numeric_reports_print_plain_numbers():
                                    max_weight=1, D=2)
     assert any(r["check"].startswith("laguerre-gram") and r["n"] == 2
                for r in reports)
-    leaked = [(r["check"], r["lhs"], r["rhs"]) for r in reports
-              if "np." in r["lhs"] + r["rhs"]]
+    leaked = [(r["check"], r["values"]) for r in reports
+              if "np." in r["values"]["lhs"] + r["values"]["rhs"]]
     assert leaked == []
 
 
@@ -148,13 +148,14 @@ def test_numeric_report_order_is_pinned():
             ("laplace-transform-laguerre", n, "1", "1/2"),
             ("laplace-transform-jack", n, "1", "1/2"))]
         want += [("selberg-integral-ratio", n, "1", None)] * 6
-    assert [(r["check"], r["n"], r["alpha"], r["a"]) for r in reports] == want
+    assert [(r["check"], r["n"], r["alpha"], r["params"].get("a"))
+            for r in reports] == want
     assert len(reports) == 68
     assert all(r["status"] == "pass" for r in reports)
 
 
-def _kernel_params(name, n):
-    params = dict(KERNEL_PARAMS.get(name, {}))
+def _kernel_params(name, n, D):
+    params = {"D": D, **KERNEL_PARAMS.get(name, {})}
     if name == "2k1-pde":
         params["c"] = str(n + 2)
     return params
@@ -163,24 +164,22 @@ def _kernel_params(name, n):
 def test_kernel_and_binomial_report_shapes_are_pinned():
     reports = suites.suite_kernels(alphas=ALPHA, sizes=((2, 3), (3, 2)))
     # the summation checks run at n = 2 only, always through t-degree 4
-    want = [(name, 2, 4 if name.endswith("summation") else 3,
-             _kernel_params(name, 2)) for name in KERNELS]
-    want += [(name, 3, 2, _kernel_params(name, 3)) for name in KERNELS
+    want = [(name, 2, _kernel_params(
+        name, 2, 4 if name.endswith("summation") else 3)) for name in KERNELS]
+    want += [(name, 3, _kernel_params(name, 3, 2)) for name in KERNELS
              if not name.endswith("summation")]
-    assert [(r["identity"], r["n"], r["D"], r["params"])
-            for r in reports] == want
+    assert [(r["check"], r["n"], r["params"]) for r in reports] == want
     assert len(reports) == 28
     assert all(r["alpha"] == "7/5" and r["status"] == "pass" for r in reports)
 
     binomials = suites.suite_binomials(alphas=ALPHA, max_weight=2)
     assert binomials == [
-        row for n in (2, 3) for row in (
-            {"check": "binomial-defining-expansion", "status": "pass", "n": n,
-             "alpha": "7/5"},
-            {"check": "binomial-n-independence", "status": "pass", "n": n,
-             "alpha": "7/5", "n_pair": [n, n + 1]},
-            {"identity": "binomial-sum-rules", "n": n, "alpha": "7/5", "D": 2,
-             "params": {}, "status": "pass"})]
+        {"check": check, "status": "pass", "n": n, "alpha": "7/5",
+         "params": params}
+        for n in (2, 3) for check, params in (
+            ("binomial-defining-expansion", {}),
+            ("binomial-n-independence", {"n_pair": [n, n + 1]}),
+            ("binomial-sum-rules", {"D": 2}))]
 
 
 @pytest.mark.parametrize("cls, suite, kwargs", [
@@ -198,7 +197,8 @@ def test_failing_family_report_names_the_label(monkeypatch, cls, suite, kwargs):
     reports = suite(alphas=ALPHA, max_weight=1, max_n=2, **kwargs)
     failed = [r for r in reports if r["status"] == "fail"]
     assert failed, "a wrong E((1, 0)) must fail a check"
-    assert all(r["n"] == 2 and r["witness"] == repr((1, 0)) for r in failed)
+    assert all(r["n"] == 2 and r["witness"] == {"at": repr((1, 0))}
+               for r in failed)
     assert all("witness" not in r for r in reports if r["status"] == "pass")
 
 
@@ -250,8 +250,7 @@ def test_each_family_value_fails_exactly_the_checks_that_read_it(
     jb = JackBasis(2, ALPHA[0])
     reports += [kernels.verify_kernel_identity(identity, jb, 4)
                 for identity in ("hermite-summation", "laguerre-summation")]
-    assert {r.get("check") or r["identity"] for r in reports
-            if r["status"] == "fail"} == failing
+    assert {r["check"] for r in reports if r["status"] == "fail"} == failing
 
 
 @pytest.mark.parametrize("cls, identity", [
@@ -268,7 +267,7 @@ def test_failing_summation_names_the_first_failure(monkeypatch, cls, identity):
     monkeypatch.setattr(cls, "E", wrong)
     rep = kernels.verify_kernel_identity(identity, JackBasis(2, ALPHA[0]), 4)
     assert rep["status"] == "fail"
-    fail = rep["first_failure"]
+    fail = rep["witness"]
     assert set(fail) == {"bidegree", "exponents", "coefficient"}
     # the wrong label has weight 1, so the first wrong term carries t^1
     assert fail["exponents"][-1] == 1 and fail["coefficient"] != "0"
@@ -278,7 +277,7 @@ def test_failing_summation_names_the_first_failure(monkeypatch, cls, identity):
                                       "laguerre-summation"])
 def test_summation_runs_through_the_degree_it_is_given(identity):
     rep = kernels.verify_kernel_identity(identity, JackBasis(2, ALPHA[0]), 3)
-    assert rep["D"] == 3 and rep["status"] == "pass"
+    assert rep["params"]["D"] == 3 and rep["status"] == "pass"
 
 
 def test_kernel_suite_builds_each_family_label_once(monkeypatch):
@@ -315,7 +314,7 @@ def test_failing_ct_report_names_the_label(monkeypatch):
     reports = suites.suite_ct(k_set=(1,), max_weight=1, max_n=2)
     [failed] = [r for r in reports if r["status"] == "fail"]
     assert failed["check"] == "ct-orthogonality-and-norms"
-    assert failed["witness"] == repr((0, 1))
+    assert failed["witness"] == {"at": repr((0, 1))}
 
 
 def test_bases_are_the_only_process_wide_cache(monkeypatch):
