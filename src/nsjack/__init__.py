@@ -19,8 +19,7 @@ _EXPORTS = (
     ("combinat", ("compositions", "compositions_up_to", "eta_plus",
                   "precedes", "eta_bar", "eta_bar_vec", "d_const",
                   "d_prime_const", "e_const", "f_const", "gen_fact",
-                  "rf_partition", "hook_norm_j", "phi_map", "phi_hat_map",
-                  "si_map")),
+                  "hook_norm_j", "phi_map", "phi_hat_map", "si_map")),
     ("operators", ("Operators", "divided_difference",
                    "divide_by_difference")),
     ("jack", ("JackBasis",)),

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import rising
-
 
 # -- enumeration -----------------------------------------------------------
 
@@ -180,16 +178,6 @@ def gen_fact(c, eta, alpha):
     out = Fraction(1)
     for i, j in nodes(eta):
         out *= c + arm_co(eta, i, j) - Fraction(leg_co(eta, i, j)) / alpha
-    return out
-
-
-def rf_partition(r, kappa, alpha):
-    """[r]_kappa = prod_j (r - (j-1)/alpha) rising to kappa_j, over all rows."""
-    r = Fraction(r)
-    alpha = Fraction(alpha)
-    out = Fraction(1)
-    for j, part in enumerate(kappa):
-        out *= rising(r - Fraction(j) / alpha, part)
     return out
 
 

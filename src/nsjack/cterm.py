@@ -143,8 +143,8 @@ def kadell_ratio_check(jack, eta, a, b, k):
     P = jack._memo(("beta_weight", a, b, depth), _beta_weight, n, a, b, k, depth)
     lhs = _ct_product(jack.E(eta), P) / P.constant_term()
     kappa = comb.eta_plus(eta)
-    top = comb.rf_partition(-b, kappa, jack.alpha)
-    bot = comb.rf_partition(1 + a + Fraction(n - 1) / jack.alpha, kappa, jack.alpha)
+    top = comb.gen_fact(-b, kappa, jack.alpha)
+    bot = comb.gen_fact(1 + a + Fraction(n - 1) / jack.alpha, kappa, jack.alpha)
     rhs = jack.eval_ones(eta) * top / bot
     return report("kadell-ratio", lhs == rhs, n, jack.alpha,
                   {"eta": list(eta), "a": a, "b": b, "k": k},

@@ -13,10 +13,7 @@ never appear.
 The one reduction to canonical form, ``_from_num``, is also the only
 place that drops zero numerators, so the loops that accumulate numerators
 (sums, products, substitutions, and the operators built on them) store
-every partial sum without testing it.  Maps that send distinct terms to
-distinct terms and keep every numerator non-zero (``diff``,
-``filter_terms``, ``scale_vars``) skip that scan and only divide out the
-common factor, through ``_reduce``.
+every partial sum without testing it.
 
 A sum of many polynomials is one ``linear_combination(n, pairs)`` call,
 which merges every summand's numerators into one dict over a running
@@ -29,6 +26,7 @@ through that accumulator.  Multiplying by a power of one variable is
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd, lcm
@@ -56,13 +54,6 @@ def _from_num(n, num, den=1):
     """
     if 0 in num.values():
         num = {e: c for e, c in num.items() if c}
-    return _reduce(n, num, den)
-
-
-def _reduce(n, num, den):
-    """``_from_num`` for numerators that are already all non-zero, as a
-    one-to-one map of a canonical polynomial's terms leaves them: only the
-    common factor with ``den`` is divided out."""
     if den != 1:
         g = gcd(den, *num.values()) if num else den
         if g != 1:
@@ -76,14 +67,14 @@ def _reduce(n, num, den):
     return p
 
 
-class _Terms:
+class _Terms(Mapping):
     """Read-only view of a polynomial's coefficients as ``Fraction`` values.
 
-    It reads like a dict from exponent tuples to non-zero ``Fraction``
-    coefficients: ``len``, ``in``, iteration over exponents, ``[e]``,
-    ``get``, ``keys``, ``values``, ``items`` and ``==`` with a dict.  Each
-    value is built on access from the shared numerators, so the view costs
-    no memory of its own; ``values`` and ``items`` are one-pass iterators.
+    A ``Mapping`` from exponent tuples to non-zero ``Fraction``
+    coefficients, so ``get``, ``keys``, ``values``, ``items`` and ``==``
+    with a dict come from ``collections.abc``.  Each value is built on
+    access from the shared numerators, so the view costs no memory of its
+    own; ``in`` reads the numerators and builds no ``Fraction``.
     """
 
     __slots__ = ("_num", "_den")
@@ -104,31 +95,6 @@ class _Terms:
     def __getitem__(self, e):
         return Fraction(self._num[e], self._den)
 
-    def get(self, e, default=None):
-        c = self._num.get(e)
-        return default if c is None else Fraction(c, self._den)
-
-    def keys(self):
-        return self._num.keys()
-
-    def values(self):
-        den = self._den
-        return (Fraction(c, den) for c in self._num.values())
-
-    def items(self):
-        den = self._den
-        return ((e, Fraction(c, den)) for e, c in self._num.items())
-
-    def __eq__(self, other):
-        if isinstance(other, _Terms):
-            return self._den == other._den and self._num == other._num
-        if isinstance(other, dict):
-            return len(other) == len(self._num) and all(
-                e in self._num and self[e] == c for e, c in other.items())
-        return NotImplemented
-
-    __hash__ = None
-
     def __repr__(self):
         return repr(dict(self.items()))
 
@@ -143,7 +109,7 @@ class SparsePoly:
     coefficients; zero coefficients are dropped.  The value is held as
     ``num`` (exponents to non-zero int numerators) over ``den`` in the
     canonical form described in the module docstring; ``terms`` reads it
-    back as a read-only dict-like view of ``Fraction`` coefficients.
+    back as a read-only ``Mapping`` of ``Fraction`` coefficients.
     """
 
     __slots__ = ("n", "num", "den")
@@ -198,7 +164,7 @@ class SparsePoly:
 
     @property
     def terms(self):
-        """The coefficients as a read-only dict-like view of Fractions."""
+        """The coefficients as a read-only ``Mapping`` of Fractions."""
         return _Terms(self.num, self.den)
 
     @property
@@ -445,7 +411,7 @@ class SparsePoly:
         den = self.den * a ** -lo * b ** hi
         if den < 0:
             den, num = -den, {e: -c for e, c in num.items()}
-        return _reduce(self.n, num, den)
+        return _from_num(self.n, num, den)
 
     def embed(self, total, offset=0):
         """The same polynomial in ``total`` variables: variable i becomes
@@ -506,7 +472,7 @@ class SparsePoly:
             ne = list(e)
             ne[i] = k - 1
             out[tuple(ne)] = c * k
-        return _reduce(self.n, out, self.den)
+        return _from_num(self.n, out, self.den)
 
     def eval_exact(self, point):
         """Evaluate at a point of rationals, exactly.
@@ -533,7 +499,7 @@ class SparsePoly:
 
     def filter_terms(self, keep):
         """Sub-polynomial of the terms whose exponent vector satisfies ``keep``."""
-        return _reduce(
+        return _from_num(
             self.n, {e: c for e, c in self.num.items() if keep(e)}, self.den)
 
     # -- serialization --------------------------------------------------

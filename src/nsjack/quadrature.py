@@ -261,8 +261,12 @@ def _check_transform(check, family, eta, D, zval, kernel, integral, inner,
     ``inner`` is evaluated at the x block, or at ``rot`` times it (then
     the lhs is reported as complex).  The coarse level D sets the
     truncation budget; parity can silence the first omitted slice, so the
-    fine level sits two degrees higher.
+    fine level sits two degrees higher.  Below |eta| both truncations
+    miss eta's slice, so both integrals vanish and the budget is empty.
     """
+    if D < sum(eta):
+        raise ValueError(f"transform truncation D = {D} lies below "
+                         f"|eta| = {sum(eta)}")
     ev = evaluator(inner)
 
     def ev_inner(*xs):
@@ -413,9 +417,9 @@ def check_selberg_ratio(jack, eta, lam1, lam2):
     kappa = comb.eta_plus(tuple(eta))
     from fractions import Fraction
 
-    top = comb.rf_partition(
+    top = comb.gen_fact(
         Fraction(lam1) + Fraction(n - 1) / jack.alpha + 1, kappa, jack.alpha)
-    bot = comb.rf_partition(
+    bot = comb.gen_fact(
         Fraction(lam1) + Fraction(lam2) + 2 * Fraction(n - 1) / jack.alpha + 2,
         kappa, jack.alpha)
     rhs = float(comb.e_const(eta, jack.alpha) / comb.d_const(eta, jack.alpha)

@@ -103,8 +103,10 @@ def suite_operators(alphas=DEFAULT_ALPHAS, max_weight=5, max_n=3,
             basis = _monomials(n, max_weight)
             reps.extend(_operator_identities(ops, basis, alpha, n))
             for a in a_set:
-                opb = Operators(n, alpha, a=a)
-                reps.extend(_type_b_identities(opb, basis, alpha, n, a))
+                # a_set[0] reuses the type-A instance and its images
+                if a != a_set[0]:
+                    ops = Operators(n, alpha, a=a)
+                reps.extend(_type_b_identities(ops, basis, alpha, n, a))
     return reps
 
 

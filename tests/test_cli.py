@@ -109,6 +109,20 @@ def test_verify_suite_exit_0():
     assert reports and all(rep["status"] == "pass" for rep in reports)
 
 
+def test_verify_suite_choices_are_the_suites():
+    """``verify --suite`` keeps its own list of names, so that the other
+    commands start without loading ``suites``; it must name every suite
+    and nothing else."""
+    import argparse
+
+    from nsjack import cli, suites
+
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    [suite] = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert set(suite.choices) == set(suites.SUITES) | {"all"}
+
+
 def test_verify_jack_output_pinned():
     # the first import of suites in a fresh process, as for the
     # run_cli tests of kernel, binomial and norm --family ct

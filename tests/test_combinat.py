@@ -68,10 +68,10 @@ def test_constants_empty():
 
 def test_rf_partition():
     al = F(2)
-    # prod_j rising(r - (j-1)/alpha, kappa_j)
+    # on a partition, [r]_kappa = prod_j rising(r - (j-1)/alpha, kappa_j)
     r = F(3, 4)
-    assert comb.rf_partition(r, (2, 1), al) == (r * (r + 1)) * (r - F(1, 2))
-    assert comb.rf_partition(r, (0, 0), al) == 1
+    assert comb.gen_fact(r, (2, 1), al) == (r * (r + 1)) * (r - F(1, 2))
+    assert comb.gen_fact(r, (0, 0), al) == 1
 
 
 def test_hook_norm():

@@ -84,6 +84,20 @@ def test_transforms_small():
             assert check_laplace_transform(lb, eta, which)["status"] == "pass"
 
 
+def test_transform_truncation_below_the_label_is_rejected():
+    """Truncated below |eta|, both kernel levels miss eta and both
+    integrals vanish: no tolerance then means anything."""
+    from nsjack import suites
+
+    jb = JackBasis(2, 1)
+    hb = HermiteBasis(jb)
+    with pytest.raises(ValueError, match=r"D = 2 .*\|eta\| = 3"):
+        check_hermite_transform(hb, (2, 1), 2)
+    with pytest.raises(ValueError, match="D = 0"):
+        suites.suite_numeric(alphas=(1,), a_set=(F(1, 2),), max_weight=0,
+                             D=0)
+
+
 def test_selberg_ratio_spot():
     from nsjack.quadrature import check_selberg_ratio
 

@@ -136,6 +136,6 @@ def test_every_report_has_the_schema_keys(monkeypatch, name):
 
 def test_numeric_reports_carry_values():
     reports = suites.suite_numeric(alphas=(1,), a_set=(F(1, 2),),
-                                   max_weight=0, D=0)
+                                   max_weight=0, D=3)
     assert reports
     _assert_schema(reports, lambda rep: True)

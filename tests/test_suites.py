@@ -117,7 +117,7 @@ def test_numeric_reports_print_plain_numbers():
     """lhs/rhs read as bare Python numbers, not as numpy reprs such as
     np.float64(...); the n = 2 Laguerre Gram values are numpy scalars."""
     reports = suites.suite_numeric(alphas=(1,), a_set=(F(1, 2),),
-                                   max_weight=1, D=2)
+                                   max_weight=1, D=3)
     assert any(r["check"].startswith("laguerre-gram") and r["n"] == 2
                for r in reports)
     leaked = [(r["check"], r["values"]) for r in reports
@@ -251,6 +251,52 @@ def test_each_family_value_fails_exactly_the_checks_that_read_it(
     reports += [kernels.verify_kernel_identity(identity, jb, 4)
                 for identity in ("hermite-summation", "laguerre-summation")]
     assert {r["check"] for r in reports if r["status"] == "fail"} == failing
+
+
+def _wrong_E(monkeypatch, jb):
+    right = JackBasis.E
+
+    def wrong(self, eta):
+        p = right(self, eta)
+        return p + 1 if self is jb and tuple(eta) == (1, 0) else p
+
+    monkeypatch.setattr(JackBasis, "E", wrong)
+
+
+def _wrong_const(kind):
+    def mutate(monkeypatch, jb):
+        jb.d_const((1, 0))
+        jb._consts[kind, (1, 0)] *= F(98, 97)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (_wrong_E, set(JACK) - {"jack-constant-recursions"}),
+    (_wrong_const("d"), {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
+    (_wrong_const("d'"), {"jack-symmetric-basis"}),
+    (_wrong_const("e"), {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
+], ids=["E", "d", "d'", "e"])
+def test_each_jack_value_fails_exactly_the_checks_that_read_it(
+        monkeypatch, mutate, failing):
+    """A wrong E((1, 0)) as its readers see it (the recursion keeps the
+    right one), or the basis memo's d, d' or e of (1, 0) off by 98/97,
+    fails these reports of ``suite_jack``, each at the label (1, 0).
+
+    The documented survivors: ``jack-constant-recursions`` and
+    ``jack-ladder-constants`` read the reference constants of
+    ``combinat``, not the basis memo, so no wrong constant fails them.
+    A wrong entry written into ``_cache`` itself would also pass
+    ``jack-label-shift``: the recursion builds E((2, 1)) and E((3, 2))
+    from that entry, so both sides carry the same error.
+    """
+    from nsjack import jack
+
+    monkeypatch.setattr(jack, "_shared", {})
+    mutate(monkeypatch, JackBasis.shared(2, ALPHA[0]))
+    reports = suites.suite_jack(alphas=ALPHA, max_weight=2, max_n=2)
+    failed = [r for r in reports if r["status"] == "fail"]
+    assert {r["check"] for r in failed} == failing
+    assert all(r["witness"] == {"at": repr((1, 0))} for r in failed)
 
 
 @pytest.mark.parametrize("cls, identity", [
