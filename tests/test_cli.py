@@ -109,20 +109,6 @@ def test_verify_suite_exit_0():
     assert reports and all(rep["status"] == "pass" for rep in reports)
 
 
-def test_verify_suite_choices_are_the_suites():
-    """``verify --suite`` keeps its own list of names, so that the other
-    commands start without loading ``suites``; it must name every suite
-    and nothing else."""
-    import argparse
-
-    from nsjack import cli, suites
-
-    [sub] = [a for a in cli.build_parser()._actions
-             if isinstance(a, argparse._SubParsersAction)]
-    [suite] = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
-    assert set(suite.choices) == set(suites.SUITES) | {"all"}
-
-
 def test_verify_jack_output_pinned():
     # the first import of suites in a fresh process, as for the
     # run_cli tests of kernel, binomial and norm --family ct
@@ -222,6 +208,20 @@ def test_zero_ct_coupling_is_usage_error():
 
 def test_suite_that_checks_nothing_is_usage_error():
     _assert_usage_error("verify", "--suite", "operators", "--max-n", "1")
+
+
+def test_all_suites_where_one_checks_nothing_is_usage_error():
+    r = run_cli("verify", "--suite", "all", "--max-n", "0")
+    assert r.returncode == 2, (r.stdout[:200], r.stderr[-300:])
+    assert r.stderr == "error: suite 'operators' checks nothing at these sizes\n"
+
+
+def test_non_positive_alpha_in_the_set_is_usage_error(capsys):
+    from nsjack import cli
+
+    assert cli.main(["verify", "--suite", "numeric", "--alpha-set", "0",
+                     "--max-weight", "0"]) == 2
+    assert capsys.readouterr().err == "error: alpha must be positive\n"
 
 
 def test_empty_alpha_set_is_usage_error():

@@ -270,24 +270,34 @@ def _wrong_const(kind):
     return mutate
 
 
-@pytest.mark.parametrize("mutate, failing", [
-    (_wrong_E, set(JACK) - {"jack-constant-recursions"}),
-    (_wrong_const("d"), {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
-    (_wrong_const("d'"), {"jack-symmetric-basis"}),
-    (_wrong_const("e"), {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
-], ids=["E", "d", "d'", "e"])
+def _wrong_cache_entry(monkeypatch, jb):
+    jb._cache[1, 0] = jb.E((1, 0)) + 1
+
+
+NOT_RECURSIONS = set(JACK) - {"jack-constant-recursions"}
+
+
+@pytest.mark.parametrize("mutate, failing, at_1_0", [
+    (_wrong_E, NOT_RECURSIONS, NOT_RECURSIONS),
+    (_wrong_cache_entry, NOT_RECURSIONS, {"jack-label-shift"}),
+    (_wrong_const("d"), {"jack-evaluation-all-ones", "jack-symmetric-basis"},
+     {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
+    (_wrong_const("d'"), {"jack-symmetric-basis"}, {"jack-symmetric-basis"}),
+    (_wrong_const("e"), {"jack-evaluation-all-ones", "jack-symmetric-basis"},
+     {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
+], ids=["E", "cache", "d", "d'", "e"])
 def test_each_jack_value_fails_exactly_the_checks_that_read_it(
-        monkeypatch, mutate, failing):
+        monkeypatch, mutate, failing, at_1_0):
     """A wrong E((1, 0)) as its readers see it (the recursion keeps the
-    right one), or the basis memo's d, d' or e of (1, 0) off by 98/97,
-    fails these reports of ``suite_jack``, each at the label (1, 0).
+    right one), the same wrong value written into the basis's ``_cache``
+    (labels the recursion builds from it, such as (2, 0), inherit the
+    error), or the basis memo's d, d' or e of (1, 0) off by 98/97, fails
+    these reports of ``suite_jack``; those in ``at_1_0`` name the label
+    (1, 0).
 
     The documented survivors: ``jack-constant-recursions`` and
     ``jack-ladder-constants`` read the reference constants of
     ``combinat``, not the basis memo, so no wrong constant fails them.
-    A wrong entry written into ``_cache`` itself would also pass
-    ``jack-label-shift``: the recursion builds E((2, 1)) and E((3, 2))
-    from that entry, so both sides carry the same error.
     """
     from nsjack import jack
 
@@ -296,7 +306,8 @@ def test_each_jack_value_fails_exactly_the_checks_that_read_it(
     reports = suites.suite_jack(alphas=ALPHA, max_weight=2, max_n=2)
     failed = [r for r in reports if r["status"] == "fail"]
     assert {r["check"] for r in failed} == failing
-    assert all(r["witness"] == {"at": repr((1, 0))} for r in failed)
+    assert all(r["witness"] == {"at": repr((1, 0))}
+               for r in failed if r["check"] in at_1_0)
 
 
 @pytest.mark.parametrize("cls, identity", [
@@ -361,6 +372,58 @@ def test_failing_ct_report_names_the_label(monkeypatch):
     [failed] = [r for r in reports if r["status"] == "fail"]
     assert failed["check"] == "ct-orthogonality-and-norms"
     assert failed["witness"] == {"at": repr((0, 1))}
+
+
+def test_failing_verify_prints_one_error_line(monkeypatch, capsys):
+    """A failing ``verify`` prints its reports as a passing one does, and
+    one ``error:`` line with the count and the first failing report."""
+    import json
+
+    from nsjack import cli
+
+    right = suites.ct_norm_formula
+
+    def wrong(eta, k):
+        value = right(eta, k)
+        return value + 1 if tuple(eta) == (0, 1) else value
+
+    monkeypatch.setattr(suites, "ct_norm_formula", wrong)
+    assert cli.main(["verify", "--suite", "ct", "--max-weight", "1",
+                     "--max-n", "2"]) == 1
+    out, err = capsys.readouterr()
+    reports = suites.suite_ct(max_weight=1, max_n=2)
+    assert out == json.dumps(reports, separators=(",", ":")) + "\n"
+    assert err == ("error: 2 of 64 reports failed; first "
+                   "ct-orthogonality-and-norms at n=2, alpha=1: "
+                   'witness {"at": "(0, 1)"}\n')
+
+
+@pytest.mark.parametrize("max_n", [0, 1])
+def test_each_suite_must_check_something(max_n):
+    """'all' is rejected where one suite files nothing, though others
+    (kernels and numeric take no max_n) would file reports; operators
+    runs first and starts at n = 2."""
+    with pytest.raises(ValueError,
+                       match="^suite 'operators' checks nothing at these sizes$"):
+        suites.run_suite("all", max_n=max_n)
+
+
+def test_non_positive_alpha_is_rejected_before_any_suite_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(suites.SUITES, "operators",
+                        lambda alphas: ran.append(alphas) or [])
+    for alphas in ((F(0),), (F(1), F(-1, 2))):
+        for name in ("numeric", "all"):
+            with pytest.raises(ValueError, match="^alpha must be positive$"):
+                suites.run_suite(name, alphas=alphas, max_weight=0)
+    assert ran == []
+
+
+def test_unknown_suite_lists_the_suites():
+    with pytest.raises(ValueError) as exc:
+        suites.run_suite("nonsense")
+    assert str(exc.value) == ("unknown suite 'nonsense': choose all or one of "
+                              + ", ".join(suites.SUITES))
 
 
 def test_bases_are_the_only_process_wide_cache(monkeypatch):
