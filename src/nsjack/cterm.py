@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import combinat as comb
 from .jack import JackBasis
@@ -215,6 +216,26 @@ class SahiInner:
         self.alpha = Fraction(alpha)
         self.D = D
         self.p = power_sum_basis(n, alpha, D)
+        # monomial m = sum_eta (dual[m][eta] / den[d]) p_eta in integers over
+        # one denominator per weight d: each weight's system is solved once,
+        # for the unit vectors of its monomials
+        self._dual, self._den = {}, {}
+        for d in range(D + 1):
+            etas = [eta for eta in self.p if sum(eta) == d]
+            monos = sorted({e for eta in etas for e in self.p[eta].terms})
+            rows = [[self.p[eta].terms.get(m, Fraction(0)) for eta in etas]
+                    for m in monos]
+            try:
+                sols = [solve_exact(rows, [int(k == m) for k in monos])
+                        for m in monos]
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"p-basis failed to span degree {d} at "
+                                      f"alpha={self.alpha}") from exc
+            den = lcm(*(x.denominator for sol in sols for x in sol))
+            self._den[d] = den
+            for m, sol in zip(monos, sols):
+                self._dual[m] = {eta: x.numerator * (den // x.denominator)
+                                 for eta, x in zip(etas, sol)}
 
     def _degree(self, f):
         """The degree d of f, which must be homogeneous with d <= D and every
@@ -232,21 +253,6 @@ class SahiInner:
                              "table")
         return d
 
-    def _expand(self, f):
-        """Coefficients of f over {p_eta} of its degree, by exact solve."""
-        d = self._degree(f)
-        etas = [eta for eta in self.p if sum(eta) == d]
-        monos = sorted({e for eta in etas for e in self.p[eta].terms})
-        rows = [[self.p[eta].terms.get(m, Fraction(0)) for eta in etas]
-                for m in monos]
-        rhs = [f.terms.get(m, Fraction(0)) for m in monos]
-        try:
-            sol = solve_exact(rows, rhs)
-        except ArithmeticError as exc:
-            raise ArithmeticError(
-                f"p-basis failed to span degree {d} at alpha={self.alpha}") from exc
-        return dict(zip(etas, sol))
-
     def inner(self, f, g):
         """<f, g> = sum_nu f_nu c_nu, where f_nu are the monomial
         coefficients of f and g = sum_nu c_nu p_nu: the monomials are dual
@@ -255,6 +261,11 @@ class SahiInner:
             return Fraction(0)
         if f.total_degree() != g.total_degree():
             return Fraction(0)
-        self._degree(f)
-        gc = self._expand(g)
-        return sum((c * gc[e] for e, c in f.terms.items()), Fraction(0))
+        d = self._degree(f)
+        self._degree(g)
+        gc = {}
+        for m, c in g.num.items():
+            for eta, x in self._dual[m].items():
+                gc[eta] = gc.get(eta, 0) + c * x
+        total = sum(c * gc[e] for e, c in f.num.items())
+        return Fraction(total, f.den * g.den * self._den[d])

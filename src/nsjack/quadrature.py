@@ -4,18 +4,23 @@ Everything exact lives elsewhere; this module spot-checks (n <= 2) the
 ground-state normalizations, orthogonality under the Gaussian and
 Laguerre-type measures, the kernel transform formulas, and the Laplace
 transform evaluations.  The two families share one Gram loop and one
-kernel-transform routine; each public check passes its family's measure,
+kernel-transform routine; each public check passes its family's rule,
 ground state, kernel and names.
 
-The kink of |x_1 - x_2|^(2/alpha) is removed by a change of variables
-that splits the domain along the diagonal: rotated coordinates for the
-Gaussian weight, scaled barycentric coordinates for the Laguerre weight.
-Each one-dimensional factor then gets a classical Gauss rule that treats
-the algebraic weight exactly.
+Each measure is a rule: a tuple of node-coordinate arrays and one weight
+array that carries every scale factor, so each integral is one weighted
+sum with the integrand called once, on all the nodes.  The kink of
+|x_1 - x_2|^(2/alpha) is removed by a change of variables that splits the
+domain along the diagonal: rotated coordinates for the Gaussian weight,
+scaled barycentric coordinates for the Laguerre weight.  Each
+one-dimensional factor then gets a classical Gauss rule that treats the
+algebraic weight exactly, and the n = 2 rule is their tensor grid on both
+sides of the diagonal.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gamma, pi, sqrt
 
 import numpy as np
@@ -44,16 +49,15 @@ CLASSICAL_A = 0.5
 
 def evaluator(p):
     """Compile a sparse polynomial to a broadcasting numeric callable."""
-    exps = [np.array(e) for e in p.terms]
-    coeffs = [complex(c) if isinstance(c, complex) else float(c) for c in p.terms.values()]
+    terms = [(e, float(c)) for e, c in p.terms.items()]
 
     def f(*coords):
         total = 0.0
-        for e, c in zip(exps, coeffs):
+        for e, c in terms:
             term = c
             for x, k in zip(coords, e):
                 if k:
-                    term = term * x ** int(k)
+                    term = term * x ** k
             total = total + term
         return total
 
@@ -61,86 +65,81 @@ def evaluator(p):
 
 
 # ---------------------------------------------------------------------------
-# weighted integrals
+# rules: a tuple of node-coordinate arrays and one weight array
 
 
-def _scalar(total):
-    """A numpy sum as a Python number: complex if it is complex."""
+def integrate(rule, h):
+    """The weighted sum of h over the rule's nodes, h called once on all of
+    them: a Python float, or complex if h is complex."""
+    nodes, w = rule
+    total = np.sum(w * h(*nodes))
     return complex(total) if np.iscomplexobj(total) else float(total)
 
 
-def gaussian_weighted_integral(h, alpha, deg, n, npts=None):
-    """Integral of h against prod exp(-x_i^2) * prod |x_i - x_j|^(2/alpha)
-    over R^n, for n in {1, 2}.  ``h`` is a callable of the coordinates and
-    ``deg`` a bound on its polynomial degree (sets the rule sizes); a
-    complex integrand gives a complex value."""
+def _both_orders(x1, x2, w):
+    """A rule on the grid (x1, x2) and on its mirror image (x2, x1), with
+    the weights w on each."""
+    x1, x2, w = x1.ravel(), x2.ravel(), w.ravel()
+    return ((np.concatenate([x1, x2]), np.concatenate([x2, x1])),
+            np.concatenate([w, w]))
+
+
+def gaussian_rule(alpha, deg, n, npts=None):
+    """Rule for prod exp(-x_i^2) * prod |x_i - x_j|^(2/alpha) over R^n, for
+    n in {1, 2}; ``deg`` bounds the integrand's polynomial degree and sets
+    the rule sizes."""
     alpha = float(alpha)
     if n == 1:
-        N = npts or max(deg // 2 + 6, 12)
-        x, w = np.polynomial.hermite.hermgauss(N)
-        total, scale = np.real_if_close(np.sum(w * h(x))), 1.0
-    elif n == 2:
-        N = npts or max(deg // 2 + 8, 16)
-        xv, wv = np.polynomial.hermite.hermgauss(N)
-        s, ws = roots_genlaguerre(N, 1.0 / alpha - 0.5)
-        u = np.sqrt(s)
-        rt2 = sqrt(2.0)
-        total = 0.0
-        for vj, wvj in zip(xv, wv):
-            x1p, x2p = (vj + u) / rt2, (vj - u) / rt2
-            x1m, x2m = (vj - u) / rt2, (vj + u) / rt2
-            vals = h(x1p, x2p) + h(x1m, x2m)
-            total = total + wvj * 0.5 * np.sum(ws * vals)
-        scale = 2.0 ** (1.0 / alpha)
-    else:
+        x, w = np.polynomial.hermite.hermgauss(npts or max(deg // 2 + 6, 12))
+        return (x,), w
+    if n != 2:
         raise ValueError("gaussian quadrature implemented for n <= 2")
-    return _scalar(total) * scale
+    N = npts or max(deg // 2 + 8, 16)
+    xv, wv = np.polynomial.hermite.hermgauss(N)
+    s, ws = roots_genlaguerre(N, 1.0 / alpha - 0.5)
+    # rotated coordinates v = (x1 + x2)/sqrt 2, u = |x1 - x2|/sqrt 2: the
+    # kink u^(2/alpha) joins the generalized Laguerre weight in s = u^2
+    v, u = np.meshgrid(xv, np.sqrt(s), indexing="ij")
+    w = np.outer(wv, ws) * (0.5 * 2.0 ** (1.0 / alpha))
+    return _both_orders((v + u) / sqrt(2.0), (v - u) / sqrt(2.0), w)
+
+
+def laguerre_rule(alpha, a, deg, n, rate=1.0):
+    """Rule for prod y_i^a exp(-rate*y_i) * prod |y_i-y_j|^(2/alpha) over
+    [0, inf)^n, for n in {1, 2}, sized like ``gaussian_rule``."""
+    alpha, a, rate = float(alpha), float(a), float(rate)
+    if n == 1:
+        s, w = roots_genlaguerre(max(deg + 6, 12), a)
+        return (s / rate,), w * rate ** (-a - 1.0)
+    if n != 2:
+        raise ValueError("laguerre quadrature implemented for n <= 2")
+    N = max(deg + 10, 24)
+    gam = 2.0 * a + 2.0 / alpha + 1.0
+    s, ws = roots_genlaguerre(N, gam)
+    xj, wj = roots_jacobi(N, a, 2.0 / alpha)
+    # scaled barycentric coordinates: y1 + y2 = u, y1 - y2 = u t with t >= 0
+    u, t = np.meshgrid(s / rate, (1.0 + xj) / 2.0, indexing="ij")
+    w = (np.outer(ws, wj * ((3.0 + xj) / 2.0) ** a)
+         * (2.0 ** (-2.0 * a - 1.0) * 2.0 ** (-1.0 - a - 2.0 / alpha)
+            * rate ** (-gam - 1.0)))
+    return _both_orders(u * (1.0 + t) / 2.0, u * (1.0 - t) / 2.0, w)
+
+
+def gaussian_weighted_integral(h, alpha, deg, n, npts=None):
+    """Integral of h, a callable of the coordinates, against the measure of
+    ``gaussian_rule``.  At n = 1 a negligible imaginary part is dropped."""
+    total = integrate(gaussian_rule(alpha, deg, n, npts), h)
+    return np.real_if_close(total).item() if n == 1 else total
 
 
 def laguerre_weighted_integral(h, alpha, a, deg, n, rate=1.0):
-    """Integral of h against prod y_i^a exp(-rate*y_i) * prod |y_i-y_j|^(2/alpha)
-    over [0, inf)^n, for n in {1, 2}; a complex integrand gives a complex
-    value."""
-    alpha = float(alpha)
-    a = float(a)
-    rate = float(rate)
-    if n == 1:
-        N = max(deg + 6, 12)
-        s, w = roots_genlaguerre(N, a)
-        total = _scalar(np.sum(w * h(s / rate)))
-        scale = rate ** (-a - 1.0)
-    elif n == 2:
-        N = max(deg + 10, 24)
-        gam = 2.0 * a + 2.0 / alpha + 1.0
-        s, ws = roots_genlaguerre(N, gam)
-        u = s / rate
-        xj, wj = roots_jacobi(N, a, 2.0 / alpha)
-        t = (1.0 + xj) / 2.0
-        smooth = ((3.0 + xj) / 2.0) ** a
-        total = 0.0
-        for um, wm in zip(u, ws):
-            y1, y2 = um * (1.0 + t) / 2.0, um * (1.0 - t) / 2.0
-            vals = (h(y1, y2) + h(y2, y1)) * smooth
-            total = total + wm * np.sum(wj * vals)
-        total = total * (2.0 ** (-2.0 * a - 1.0) * 2.0 ** (-1.0 - a - 2.0 / alpha))
-        scale = rate ** (-gam - 1.0)
-    else:
-        raise ValueError("laguerre quadrature implemented for n <= 2")
-    return total * scale
+    """Integral of h against the Laguerre-type measure of ``laguerre_rule``."""
+    return integrate(laguerre_rule(alpha, a, deg, n, rate), h)
 
 
-def quad_inner_H(f, g, alpha):
-    """Gaussian-measure inner product of two polynomials (n <= 2)."""
-    p = f * g
-    return gaussian_weighted_integral(evaluator(p), alpha, p.total_degree(),
-                                      p.n)
-
-
-def quad_inner_L(f, g, alpha, a):
-    """Laguerre-measure inner product of two squared-variable polynomials."""
-    p = f * g
-    return laguerre_weighted_integral(evaluator(p), alpha, a,
-                                      p.total_degree(), p.n)
+def _one(*xs):
+    """The constant integrand 1."""
+    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +197,32 @@ def _report(check, n, alpha, lhs, rhs, tol, a=None, budget=None, **params):
 
 
 def check_ground_state_H(n, alpha):
-    one = SparsePoly.one(n)
-    got = quad_inner_H(one, one, alpha)
+    got = gaussian_weighted_integral(_one, alpha, 0, n)
     return _report("ground-state-gaussian", n, alpha, got,
                    ground_state_H(n, alpha), TOL)
 
 
 def check_ground_state_L(n, alpha, a):
-    one = SparsePoly.one(n)
-    got = quad_inner_L(one, one, alpha, a)
+    got = laguerre_weighted_integral(_one, alpha, a, 0, n)
     return _report("ground-state-laguerre", n, alpha, got,
                    ground_state_L(n, alpha, a), TOL, a=a)
 
 
-def _check_gram(family, max_weight, inner, n0, prefix, a):
-    """Numeric Gram matrix of a deformed family under ``inner`` against the
-    exact norm ratios times the ground state ``n0``: diagonal to
-    GRAM_DIAGONAL_TOL, off-diagonal to TOL (relative)."""
+def _check_gram(family, max_weight, rule, n0, prefix, a):
+    """Numeric Gram matrix of a deformed family under ``rule``, of degree
+    2 * max_weight, against the exact norm ratios times the ground state
+    ``n0``: diagonal to GRAM_DIAGONAL_TOL, off-diagonal to TOL (relative).
+    Each polynomial is evaluated once at the nodes; each entry is a
+    weighted dot product of two value arrays."""
     jack = family.jack
     n, alpha = jack.n, jack.alpha
+    nodes, w = rule
     etas = comb.compositions_up_to(n, max_weight)
+    vals = [evaluator(family.E(eta))(*nodes) for eta in etas]
     out = []
     for i, eta in enumerate(etas):
-        for nu in etas[i:]:
-            got = inner(family.E(eta), family.E(nu))
+        for j, nu in enumerate(etas[i:], i):
+            got = float(np.sum(w * vals[i] * vals[j]))
             if eta == nu:
                 want = float(family.norm_ratio(eta)) * n0
                 rep = _report(f"{prefix}-gram-diagonal", n, alpha, got, want,
@@ -240,7 +241,7 @@ def check_gram_H(hermite, max_weight):
     """Gram check of the Gaussian family."""
     n, alpha = hermite.n, hermite.alpha
     return _check_gram(hermite, max_weight,
-                       lambda f, g: quad_inner_H(f, g, alpha),
+                       gaussian_rule(alpha, 2 * max_weight, n),
                        ground_state_H(n, alpha), "gaussian", None)
 
 
@@ -248,7 +249,7 @@ def check_gram_L(laguerre, max_weight):
     """Gram check of the Laguerre-type family."""
     n, alpha, a = laguerre.n, laguerre.alpha, laguerre.a
     return _check_gram(laguerre, max_weight,
-                       lambda f, g: quad_inner_L(f, g, alpha, a),
+                       laguerre_rule(alpha, a, 2 * max_weight, n),
                        ground_state_L(n, alpha, a), "laguerre", a)
 
 
@@ -383,40 +384,25 @@ def check_selberg_ratio(jack, eta, lam1, lam2):
     if lam2 != int(lam2) or lam2 < 0:
         raise ValueError("lam2 must be a non-negative integer")
     lam1f, lam2f, alf = float(lam1), float(lam2), float(alpha)
-    ev = evaluator(jack.E(tuple(eta)))
-
     if n == 1:
         x, w = roots_jacobi(SELBERG_NPTS, lam2f, lam1f)
-        t = (1.0 + x) / 2.0
-        num = float(np.sum(w * ev(t)))
-        den = float(np.sum(w))
+        rule = ((1.0 + x) / 2.0,), w
     elif n == 2:
         # fold to t1 > t2 and substitute t2 = t1 * s: both axes get
         # Jacobi weights, the leftover (1 - t1 s)^lam2 is polynomial
         xo, wo = roots_jacobi(SELBERG_NPTS, lam2f,
                               2.0 * lam1f + 2.0 / alf + 1.0)
-        t1 = (1.0 + xo) / 2.0
         xi, wi = roots_jacobi(SELBERG_NPTS, 2.0 / alf, lam1f)
-        s = (1.0 + xi) / 2.0
-
-        def fold(f):
-            total = 0.0
-            for t1v, wv in zip(t1, wo):
-                inner = (1.0 - t1v * s) ** lam2f * (
-                    f(np.full_like(s, t1v), t1v * s)
-                    + f(t1v * s, np.full_like(s, t1v)))
-                total += wv * np.sum(wi * inner)
-            return total
-
-        num = fold(lambda u, v: ev(u, v))
-        den = fold(lambda u, v: np.ones_like(u))
+        t1, s = np.meshgrid((1.0 + xo) / 2.0, (1.0 + xi) / 2.0,
+                            indexing="ij")
+        rule = _both_orders(t1, t1 * s,
+                            np.outer(wo, wi) * (1.0 - t1 * s) ** lam2f)
     else:
         raise ValueError("implemented for n <= 2")
-
+    num = integrate(rule, evaluator(jack.E(tuple(eta))))
+    den = integrate(rule, _one)
     lhs = num / den
     kappa = comb.eta_plus(tuple(eta))
-    from fractions import Fraction
-
     top = comb.gen_fact(
         Fraction(lam1) + Fraction(n - 1) / jack.alpha + 1, kappa, jack.alpha)
     bot = comb.gen_fact(
@@ -432,11 +418,10 @@ def check_classical_reductions():
     """n = 1 sanity layer: the machinery reduces to textbook values."""
     alpha, a, tol = CLASSICAL_ALPHA, CLASSICAL_A, CLASSICAL_TOL
     out = []
-    one = SparsePoly.one(1)
-    got = quad_inner_H(one, one, alpha)
+    got = gaussian_weighted_integral(_one, alpha, 0, 1)
     out.append(_report("classical-gaussian-total-mass", 1, alpha, got,
                        sqrt(pi), tol))
-    got = quad_inner_L(one, one, alpha, a)
+    got = laguerre_weighted_integral(_one, alpha, a, 0, 1)
     out.append(_report("classical-laguerre-total-mass", 1, alpha, got,
                        gamma(a + 1.0), tol, a=a))
     # one-variable Laplace transform of x^a x^k against its gamma value

@@ -98,6 +98,20 @@ def test_sahi_inner_rejects_monomials_outside_the_table():
         si.inner(x0 * x0 + SparsePoly.variable(2, 1), x0 * x0)
 
 
+def test_sahi_cell_solves_each_weight_once(monkeypatch):
+    """One n = 3, weight <= 3 cell solves one system per monomial of each
+    weight, 1 + 3 + 6 + 10 = 20, and none per inner product."""
+    from nsjack import cterm, suites
+
+    calls = []
+    solve = cterm.solve_exact
+    monkeypatch.setattr(cterm, "solve_exact",
+                        lambda *args: calls.append(1) or solve(*args))
+    reports = suites._sahi_checks(JackBasis(3, F(7, 5)), 3)
+    assert [r["status"] for r in reports] == ["pass", "pass"]
+    assert len(calls) <= 20
+
+
 def test_pairing_proportional_to_sahi():
     alpha = F(2)
     jb = JackBasis(2, alpha)

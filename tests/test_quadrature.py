@@ -7,7 +7,6 @@ import pytest
 
 from nsjack.hermite_laguerre import HermiteBasis, LaguerreBasis
 from nsjack.jack import JackBasis
-from nsjack.poly import SparsePoly
 from nsjack.quadrature import (check_classical_reductions, check_gram_H,
                                check_gram_L, check_ground_state_H,
                                check_ground_state_L, check_hermite_transform,
@@ -15,15 +14,47 @@ from nsjack.quadrature import (check_classical_reductions, check_gram_H,
                                check_laguerre_transform,
                                check_laplace_transform, evaluator,
                                gaussian_weighted_integral, ground_state_H,
-                               ground_state_L, laguerre_weighted_integral,
-                               quad_inner_H, quad_inner_L)
+                               ground_state_L, laguerre_weighted_integral)
+
+
+def one(*xs):
+    return 1.0
 
 
 def test_classical_values():
-    assert abs(quad_inner_H(SparsePoly.one(1), SparsePoly.one(1), 1)
-               - sqrt(pi)) < 1e-12
-    assert abs(quad_inner_L(SparsePoly.one(1), SparsePoly.one(1), 1, F(1, 2))
+    assert abs(gaussian_weighted_integral(one, 1, 0, 1) - sqrt(pi)) < 1e-12
+    assert abs(laguerre_weighted_integral(one, 1, F(1, 2), 0, 1)
                - gamma(1.5)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_integrand_is_called_once_on_all_nodes(n):
+    calls = []
+
+    def h(*xs):
+        calls.append(len(xs))
+        return xs[0] ** 0
+
+    gaussian_weighted_integral(h, F(3, 2), 6, n)
+    laguerre_weighted_integral(h, F(3, 2), F(1, 2), 6, n)
+    assert calls == [n, n]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [1, 2, F(7, 5), F(1, 3)])
+def test_first_moments_are_the_harmonic_constants(n, alpha):
+    """The mean of p_2 under the Gaussian measure is the Hermite gamma,
+    n/2 + n(n-1)/(2 alpha); the mean of p_1 under the Laguerre-type measure
+    is the Laguerre gamma, n(a+1) + n(n-1)/alpha."""
+    jb = JackBasis(n, alpha)
+    p2 = lambda *xs: sum(x * x for x in xs)
+    mean = (gaussian_weighted_integral(p2, alpha, 2, n)
+            / gaussian_weighted_integral(one, alpha, 0, n))
+    assert mean == pytest.approx(float(jb.hermite().gamma), rel=1e-12)
+    for a in (0, F(1, 2)):
+        mean = (laguerre_weighted_integral(lambda *ys: sum(ys), alpha, a, 1, n)
+                / laguerre_weighted_integral(one, alpha, a, 0, n))
+        assert mean == pytest.approx(float(jb.laguerre(a).gamma), rel=1e-12)
 
 
 def test_classical_reduction_reports():
