@@ -17,9 +17,8 @@ from importlib import import_module as _import_module
 _EXPORTS = (
     ("poly", ("SparsePoly", "symmetrize", "series_binomial", "rising")),
     ("combinat", ("compositions", "compositions_up_to", "eta_plus",
-                  "precedes", "eta_bar", "eta_bar_vec", "d_const",
-                  "d_prime_const", "e_const", "f_const", "gen_fact",
-                  "hook_norm_j", "phi_map", "phi_hat_map", "si_map")),
+                  "precedes", "eta_bar", "eta_bar_vec", "phi_map",
+                  "phi_hat_map", "si_map")),
     ("operators", ("Operators", "divided_difference",
                    "divide_by_difference")),
     ("jack", ("JackBasis",)),

@@ -144,8 +144,8 @@ def kadell_ratio_check(jack, eta, a, b, k):
     P = jack._memo(("beta_weight", a, b, depth), _beta_weight, n, a, b, k, depth)
     lhs = _ct_product(jack.E(eta), P) / P.constant_term()
     kappa = comb.eta_plus(eta)
-    top = comb.gen_fact(-b, kappa, jack.alpha)
-    bot = comb.gen_fact(1 + a + Fraction(n - 1) / jack.alpha, kappa, jack.alpha)
+    top = jack.gen_fact(-b, kappa)
+    bot = jack.gen_fact(a + jack.q, kappa)
     rhs = jack.eval_ones(eta) * top / bot
     return report("kadell-ratio", lhs == rhs, n, jack.alpha,
                   {"eta": list(eta), "a": a, "b": b, "k": k},
@@ -163,7 +163,7 @@ def norm_relation_check(jack, eta, k):
     E = jack.E(eta)
     norm_eta = ct_inner(E, E, k)
     norm_0 = ct_inner(SparsePoly.one(n), SparsePoly.one(n), k)
-    lhs = al ** sum(eta) / comb.d_prime_const(eta, al) * norm_eta / norm_0
+    lhs = al ** sum(eta) / jack.d_prime_const(eta) * norm_eta / norm_0
     kappa = comb.eta_plus(eta)
     gamma_ratio = Fraction(1)
     for j in range(1, n + 1):

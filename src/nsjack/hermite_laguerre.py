@@ -206,8 +206,9 @@ class LaguerreBasis(DeformedBasis):
 
     @property
     def shifted_a(self):
-        """The combination a + 1 + (n-1)/alpha entering every formula."""
-        return self.a + 1 + Fraction(self.n - 1) / self.alpha
+        """The combination a + q = a + 1 + (n-1)/alpha entering every
+        formula."""
+        return self.a + self.jack.q
 
     def norm_ratio(self, eta):
         """Norm divided by the ground-state normalization; the weight

@@ -57,6 +57,9 @@ class JackBasis:
             raise ValueError("alpha must be positive")
         self.n = n
         self.alpha = alpha
+        # the paper's q = 1 + (n - 1)/alpha, which shifts the Laguerre
+        # parameter and the beta-integral exponents
+        self.q = 1 + Fraction(n - 1) / alpha
         self.ops = Operators(n, alpha)
         self._cache = {(0,) * n: SparsePoly.one(n)}
         self._top = 0
@@ -185,8 +188,9 @@ class JackBasis:
     # integer over q (over s p for [c]_eta with c = r/s), so each constant
     # is an integer product over one power, made a Fraction once and kept
     # in the memo under (kind, label) or (kind, c, label); the binomial
-    # rows below live there too.  The ``combinat`` functions of the same
-    # names are the reference.
+    # rows below live there too.  These are the only copies in the
+    # package: every norm, kernel weight, binomial formula and check reads
+    # them here, from the diagram statistics of ``combinat``.
 
     def _node_products(self, kind, eta):
         """d, d' and e of a label from one pass over its nodes: all three

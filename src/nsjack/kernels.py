@@ -154,8 +154,7 @@ def kernel_KA(jack, D):
 
 def kernel_KB(jack, a, D):
     a = Fraction(a)
-    q = 1 + Fraction(jack.n - 1) / jack.alpha
-    return jack._memo(("K_B", a, D), kernel_series, jack, (), (a + q,), D)
+    return jack._memo(("K_B", a, D), kernel_series, jack, (), (a + jack.q,), D)
 
 
 def hyper_0F0(jack, D):
@@ -421,7 +420,7 @@ def _geometric_gf(identity, jack, a, c, D, params):
     n = jack.n
     lb = jack.laguerre(a)
     aq = lb.shifted_a
-    cq = Fraction(c) + 1 + Fraction(n - 1) / jack.alpha
+    cq = Fraction(c) + jack.q
     K = (kernel_KA(jack, D) if cq == aq
          else kernel_series(jack, (cq,), (aq,), D))
     ys = range(n, 2 * n)

@@ -367,7 +367,7 @@ def check_laplace_transform(laguerre, eta, which):
         raise ValueError("which must be 'laguerre' or 'jack'")
     lhs = laguerre_weighted_integral(evaluator(inner), alpha, a,
                                      inner.total_degree(), n, rate=tau)
-    rhs = (float(comb.gen_fact(aq, eta, alpha)) * ground_state_L(n, alpha, a)
+    rhs = (float(jack.gen_fact(aq, eta)) * ground_state_L(n, alpha, a)
            * tau ** (-n * float(aq)) * evaluator(rhs_poly)(*rhs_arg))
     return _report(f"laplace-transform-{which}", n, alpha, lhs, rhs, TOL,
                    a=a, eta=list(eta), tau=tau)
@@ -403,13 +403,9 @@ def check_selberg_ratio(jack, eta, lam1, lam2):
     den = integrate(rule, _one)
     lhs = num / den
     kappa = comb.eta_plus(tuple(eta))
-    top = comb.gen_fact(
-        Fraction(lam1) + Fraction(n - 1) / jack.alpha + 1, kappa, jack.alpha)
-    bot = comb.gen_fact(
-        Fraction(lam1) + Fraction(lam2) + 2 * Fraction(n - 1) / jack.alpha + 2,
-        kappa, jack.alpha)
-    rhs = float(comb.e_const(eta, jack.alpha) / comb.d_const(eta, jack.alpha)
-                * top / bot)
+    top = jack.gen_fact(Fraction(lam1) + jack.q, kappa)
+    bot = jack.gen_fact(Fraction(lam1) + Fraction(lam2) + 2 * jack.q, kappa)
+    rhs = float(jack.eval_ones(eta) * top / bot)
     return _report("selberg-integral-ratio", n, alpha, lhs, rhs, SELBERG_TOL,
                    eta=list(eta), lam1=str(lam1), lam2=str(lam2))
 

@@ -288,60 +288,64 @@ def _jack_checks(jb, max_weight):
         if eta[-1] == 0:
             return low.is_zero
         down = comb.phi_hat_map(eta)
-        c = comb.d_prime_const(eta, al) / comb.d_prime_const(down, al) / al
+        c = jb.d_prime_const(eta) / jb.d_prime_const(down) / al
         return low == c * jb.E(down)
 
     def constant_recursions(eta):
         """Recursions of the constants along the ladder and transpositions."""
         up = comb.phi_map(eta)
         bar1 = comb.eta_bar(eta, 0, al)
-        if comb.d_const(up, al) / comb.d_const(eta, al) != bar1 + al + n:
+        if jb.d_const(up) / jb.d_const(eta) != bar1 + al + n:
             return False
-        if comb.e_const(up, al) / comb.e_const(eta, al) != bar1 + al + n:
+        if jb.e_const(up) / jb.e_const(eta) != bar1 + al + n:
             return False
-        if comb.d_prime_const(up, al) / comb.d_prime_const(eta, al) != bar1 + al + n - 1:
+        if jb.d_prime_const(up) / jb.d_prime_const(eta) != bar1 + al + n - 1:
             return False
         if comb.eta_bar_vec(up, al) != tuple(
                 list(comb.eta_bar_vec(eta, al)[1:]) + [bar1 + al]):
             return False
         if eta[-1] >= 1:
             down = comb.phi_hat_map(eta)
-            if (comb.d_prime_const(eta, al) / comb.d_prime_const(down, al)
+            if (jb.d_prime_const(eta) / jb.d_prime_const(down)
                     != comb.eta_bar(eta, n - 1, al) + n - 1):
                 return False
         for i in range(n - 1):
             if eta[i] > eta[i + 1]:
                 gap = comb.delta_gap(eta, i, al)
                 sw = comb.si_map(eta, i)
-                if comb.e_const(sw, al) != comb.e_const(eta, al):
+                if jb.e_const(sw) != jb.e_const(eta):
                     return False
-                if comb.d_const(sw, al) / comb.d_const(eta, al) != (gap + 1) / gap:
+                if jb.d_const(sw) / jb.d_const(eta) != (gap + 1) / gap:
                     return False
-                if comb.d_prime_const(sw, al) / comb.d_prime_const(eta, al) != gap / (gap - 1):
+                if jb.d_prime_const(sw) / jb.d_prime_const(eta) != gap / (gap - 1):
                     return False
         # generalized factorial recursions at a generic parameter
         c = Fraction(5, 3)
-        if comb.gen_fact(c, comb.si_map(eta, 0) if n > 1 else eta, al) != comb.gen_fact(c, eta, al):
+        if jb.gen_fact(c, comb.si_map(eta, 0) if n > 1 else eta) != jb.gen_fact(c, eta):
             return False
-        if comb.gen_fact(c, up, al) / comb.gen_fact(c, eta, al) != c + bar1 / al:
+        if jb.gen_fact(c, up) / jb.gen_fact(c, eta) != c + bar1 / al:
             return False
         if eta[-1] >= 1:
             down = comb.phi_hat_map(eta)
-            if (comb.gen_fact(c, eta, al) / comb.gen_fact(c, down, al)
+            if (jb.gen_fact(c, eta) / jb.gen_fact(c, down)
                     != c - 1 + comb.eta_bar(eta, n - 1, al) / al):
                 return False
-        return comb.e_const(eta, al) == al ** sum(eta) * comb.gen_fact(
-            Fraction(n) / al + 1, eta, al)
+        return jb.e_const(eta) == al ** sum(eta) * jb.gen_fact(n / al + 1, eta)
 
     def symmetric_basis(eta):
         """Sym E_eta against J; a partition label of weight <= 4 also
-        checks J itself."""
+        checks J itself against Stanley's normalization: J_kappa(1^n) =
+        alpha^|kappa| [n/alpha]_kappa, and for |kappa| <= n the
+        coefficient of x_1 ... x_|kappa| is |kappa|!."""
         kappa = comb.eta_plus(eta)
-        if eta == kappa and sum(eta) <= 4:
+        w = sum(eta)
+        if eta == kappa and w <= 4:
             J = jb.J(kappa)
             if symmetrize(J) != factorial(n) * J:
                 return False
-            if J.coeff(kappa) != comb.hook_norm_j(kappa, al) / comb.d_prime_const(kappa, al):
+            if J.eval_exact([1] * n) != al ** w * jb.gen_fact(n / al, kappa):
+                return False
+            if w <= n and J.coeff((1,) * w + (0,) * (n - w)) != factorial(w):
                 return False
         return symmetrize(jb.E(eta)) == jb.a_sym_const(eta) * jb.J(kappa)
 
@@ -376,17 +380,17 @@ def suite_hermite(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3):
 
 
 def _hermite_pairing_value(hb, eta):
-    al = hb.alpha
-    return (comb.d_prime_const(eta, al) * comb.e_const(eta, al)
-            / comb.d_const(eta, al) / al ** sum(eta))
+    jb = hb.jack
+    return (jb.d_prime_const(eta) * jb.e_const(eta) / jb.d_const(eta)
+            / hb.alpha ** sum(eta))
 
 
 def _hermite_norm_step(hb, eta):
     """Raising multiplies the norm ratio by d'(phi eta) / (2 alpha d'(eta))."""
-    al = hb.alpha
+    jb = hb.jack
     up = comb.phi_map(eta)
     return (hb.norm_ratio(up) / hb.norm_ratio(eta)
-            == comb.d_prime_const(up, al) / (2 * al * comb.d_prime_const(eta, al)))
+            == jb.d_prime_const(up) / (2 * hb.alpha * jb.d_prime_const(eta)))
 
 
 def suite_laguerre(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3,
@@ -401,10 +405,10 @@ def suite_laguerre(alphas=DEFAULT_ALPHAS, max_weight=4, max_n=3,
 
 
 def _laguerre_pairing_value(lb, eta):
-    al = lb.alpha
-    return (Fraction(4) ** sum(eta) * comb.gen_fact(lb.shifted_a, eta, al)
-            * comb.d_prime_const(eta, al) * comb.e_const(eta, al)
-            / comb.d_const(eta, al) / al ** sum(eta))
+    jb = lb.jack
+    return (Fraction(4) ** sum(eta) * jb.gen_fact(lb.shifted_a, eta)
+            * jb.d_prime_const(eta) * jb.e_const(eta) / jb.d_const(eta)
+            / lb.alpha ** sum(eta))
 
 
 def _laguerre_at_origin(lb, eta):
@@ -594,7 +598,7 @@ def _sahi_checks(jb, max_weight):
 
     def basis_value(pair):
         eta, nu = pair
-        want = (comb.d_prime_const(eta, alpha) / comb.d_const(eta, alpha)
+        want = (jb.d_prime_const(eta) / jb.d_const(eta)
                 if eta == nu else Fraction(0))
         return si.inner(jb.E(eta), jb.E(nu)) == want
 
@@ -603,7 +607,7 @@ def _sahi_checks(jb, max_weight):
         orbit = sorted(set(permutations(lam_pad)))
         f = jb.E(orbit[0]) + 2 * jb.E(orbit[-1])
         g = jb.E(orbit[len(orbit) // 2]) - 3 * jb.E(orbit[0])
-        fac = comb.gen_fact(Fraction(n) / alpha + 1, lam_pad, alpha)
+        fac = jb.gen_fact(n / alpha + 1, lam_pad)
         return hb.pairing(f, g) == fac * si.inner(f, g)
 
     lams = [lam for w in range(max_weight + 1) for lam in comb.partitions(w, n)]

@@ -7,6 +7,7 @@ verdict per criterion.
 
 from fractions import Fraction as F
 
+import label_reference as ref
 import nsjack.combinat as comb
 from nsjack.cterm import (SahiInner, ct_inner, ct_norm_formula,
                           kadell_ratio_check, norm_relation_check)
@@ -121,8 +122,8 @@ def test_criterion_06_raising_lowering():
                     ok &= low.is_zero
                 else:
                     down = comb.phi_hat_map(eta)
-                    c = (comb.d_prime_const(eta, alpha)
-                         / comb.d_prime_const(down, alpha) / alpha)
+                    c = (ref.d_prime_const(eta, alpha)
+                         / ref.d_prime_const(down, alpha) / alpha)
                     ok &= low == c * jb.E(down)
                 ok &= hb.raise_op(eta) == 2 * hb.E(up)
                 lowh = hb.lower_op(eta)
@@ -155,9 +156,9 @@ def test_criterion_07_pairings():
                 group = list(comb.compositions(n, w))
                 for eta in group:
                     row = hb.pairing_row(jb.E(eta))
-                    want_diag = (comb.d_prime_const(eta, alpha)
-                                 * comb.e_const(eta, alpha)
-                                 / comb.d_const(eta, alpha) / alpha ** w)
+                    want_diag = (ref.d_prime_const(eta, alpha)
+                                 * ref.e_const(eta, alpha)
+                                 / ref.d_const(eta, alpha) / alpha ** w)
                     for nu in group:
                         got = sum((c * row[e]
                                    for e, c in jb.E(nu).terms.items()), F(0))
@@ -165,7 +166,7 @@ def test_criterion_07_pairings():
                     for lb in lbs:
                         rowl = lb.pairing_row(jb.E(eta))
                         aq = lb.shifted_a
-                        want = (F(4) ** w * comb.gen_fact(aq, eta, alpha)
+                        want = (F(4) ** w * ref.gen_fact(aq, eta, alpha)
                                 * want_diag)
                         for nu in group:
                             got = sum((c * rowl[e]
@@ -186,7 +187,7 @@ def test_criterion_07_pairings():
                     orbit = sorted(set(permutations(lam_pad)))
                     f = jb.E(orbit[0]) + 2 * jb.E(orbit[-1])
                     g = jb.E(orbit[len(orbit) // 2]) - 3 * jb.E(orbit[0])
-                    fac = comb.gen_fact(F(n) / alpha + 1, lam_pad, alpha)
+                    fac = ref.gen_fact(F(n) / alpha + 1, lam_pad, alpha)
                     ok &= hb.pairing(f, g) == fac * si.inner(f, g)
     _verdict(7, ok, "operator pairings: diagonal values, off-diagonal "
                     "zeros, power-sum proportionality, exact")

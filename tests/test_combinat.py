@@ -1,10 +1,15 @@
-"""Compositions, orderings, node statistics and the derived constants."""
+"""Compositions, orderings, node statistics, and hand-computed values of
+the label constants the basis derives from them."""
 
 from fractions import Fraction as F
 
 import pytest
 
 import nsjack.combinat as comb
+from nsjack.jack import JackBasis
+
+LABEL_CONSTANTS = ("d_const", "d_prime_const", "e_const", "f_const",
+                   "gen_fact", "hook_norm_j")
 
 
 def test_eta_plus():
@@ -54,31 +59,44 @@ def test_node_statistics_against_hand_counts(eta):
 
 def test_constants_single_node():
     al = F(7, 5)
-    assert comb.d_prime_const((1, 0), al) == al
-    assert comb.d_const((1, 0), al) == al + 1
-    assert comb.e_const((1, 0), al) == al + 2
-    assert comb.gen_fact(F(5, 3), (1, 0), al) == F(5, 3)
+    jb = JackBasis(2, al)
+    assert jb.d_prime_const((1, 0)) == al
+    assert jb.d_const((1, 0)) == al + 1
+    assert jb.e_const((1, 0)) == al + 2
+    assert jb.gen_fact(F(5, 3), (1, 0)) == F(5, 3)
 
 
 def test_constants_empty():
-    for fn in (comb.d_const, comb.d_prime_const, comb.e_const):
-        assert fn((0, 0, 0), F(1, 2)) == 1
-    assert comb.gen_fact(F(9), (0, 0), 3) == 1
+    jb = JackBasis(3, F(1, 2))
+    for fn in (jb.d_const, jb.d_prime_const, jb.e_const):
+        assert fn((0, 0, 0)) == 1
+    assert JackBasis(2, 3).gen_fact(F(9), (0, 0)) == 1
 
 
 def test_rf_partition():
-    al = F(2)
+    jb = JackBasis(2, F(2))
     # on a partition, [r]_kappa = prod_j rising(r - (j-1)/alpha, kappa_j)
     r = F(3, 4)
-    assert comb.gen_fact(r, (2, 1), al) == (r * (r + 1)) * (r - F(1, 2))
-    assert comb.gen_fact(r, (0, 0), al) == 1
+    assert jb.gen_fact(r, (2, 1)) == (r * (r + 1)) * (r - F(1, 2))
+    assert jb.gen_fact(r, (0, 0)) == 1
 
 
 def test_hook_norm():
     al = F(7, 5)
-    assert comb.hook_norm_j((1,), al) == al
-    assert comb.hook_norm_j((), al) == 1
-    assert comb.hook_norm_j((1, 1), al) == 2 * al * (al + 1)
+    jb = JackBasis(2, al)
+    assert jb.hook_norm_j((1,)) == al
+    assert jb.hook_norm_j(()) == 1
+    assert jb.hook_norm_j((1, 1)) == 2 * al * (al + 1)
+
+
+def test_label_constants_live_only_in_the_basis():
+    import nsjack
+
+    for name in LABEL_CONSTANTS:
+        assert not hasattr(comb, name), name
+        assert hasattr(JackBasis, name), name
+    with pytest.raises(AttributeError):
+        nsjack.d_const
 
 
 def test_maps():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import label_reference as ref
 import nsjack.combinat as comb
 from nsjack.cterm import (SahiInner, ct_inner, ct_norm_formula,
                           interaction_weight, kadell_ratio_check,
@@ -82,7 +83,7 @@ def test_sahi_inner_on_basis():
             if sum(eta) != sum(nu):
                 continue
             got = si.inner(jb.E(eta), jb.E(nu))
-            want = (comb.d_prime_const(eta, alpha) / comb.d_const(eta, alpha)
+            want = (ref.d_prime_const(eta, alpha) / ref.d_const(eta, alpha)
                     if eta == nu else 0)
             assert got == want
 
@@ -120,7 +121,7 @@ def test_pairing_proportional_to_sahi():
     lam = (1, 0)
     f = jb.E((1, 0))
     g = jb.E((0, 1))
-    fac = comb.gen_fact(F(2) / alpha + 1, lam, alpha)
+    fac = ref.gen_fact(F(2) / alpha + 1, lam, alpha)
     assert hb.pairing(f, g) == fac * si.inner(f, g)
     assert hb.pairing(f, f) == fac * si.inner(f, f)
 

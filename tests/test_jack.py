@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import label_reference as ref
 import nsjack.combinat as comb
 from nsjack.jack import JackBasis
 from nsjack.poly import SparsePoly, linear_combination, symmetrize
@@ -190,35 +191,35 @@ def test_constant_recursions_wide_range(alpha):
         for eta in comb.compositions_up_to(n, 6):
             up = comb.phi_map(eta)
             bar1 = comb.eta_bar(eta, 0, alpha)
-            assert comb.d_const(up, alpha) / comb.d_const(eta, alpha) \
+            assert ref.d_const(up, alpha) / ref.d_const(eta, alpha) \
                 == bar1 + alpha + n
-            assert comb.e_const(up, alpha) / comb.e_const(eta, alpha) \
+            assert ref.e_const(up, alpha) / ref.e_const(eta, alpha) \
                 == bar1 + alpha + n
-            assert (comb.d_prime_const(up, alpha)
-                    / comb.d_prime_const(eta, alpha)) == bar1 + alpha + n - 1
+            assert (ref.d_prime_const(up, alpha)
+                    / ref.d_prime_const(eta, alpha)) == bar1 + alpha + n - 1
             assert comb.eta_bar_vec(up, alpha) == tuple(
                 list(comb.eta_bar_vec(eta, alpha)[1:]) + [bar1 + alpha])
-            assert (comb.gen_fact(c, up, alpha) / comb.gen_fact(c, eta, alpha)
+            assert (ref.gen_fact(c, up, alpha) / ref.gen_fact(c, eta, alpha)
                     == c + bar1 / alpha)
-            assert comb.e_const(eta, alpha) == alpha ** sum(eta) \
-                * comb.gen_fact(F(n) / alpha + 1, eta, alpha)
+            assert ref.e_const(eta, alpha) == alpha ** sum(eta) \
+                * ref.gen_fact(F(n) / alpha + 1, eta, alpha)
             if eta[-1] >= 1:
                 down = comb.phi_hat_map(eta)
                 barn = comb.eta_bar(eta, n - 1, alpha)
-                assert (comb.d_prime_const(eta, alpha)
-                        / comb.d_prime_const(down, alpha)) == barn + n - 1
-                assert (comb.gen_fact(c, eta, alpha)
-                        / comb.gen_fact(c, down, alpha)) == c - 1 + barn / alpha
+                assert (ref.d_prime_const(eta, alpha)
+                        / ref.d_prime_const(down, alpha)) == barn + n - 1
+                assert (ref.gen_fact(c, eta, alpha)
+                        / ref.gen_fact(c, down, alpha)) == c - 1 + barn / alpha
             for i in range(n - 1):
                 sw = comb.si_map(eta, i)
-                assert comb.gen_fact(c, sw, alpha) == comb.gen_fact(c, eta, alpha)
+                assert ref.gen_fact(c, sw, alpha) == ref.gen_fact(c, eta, alpha)
                 if eta[i] > eta[i + 1]:
                     gap = comb.delta_gap(eta, i, alpha)
-                    assert comb.e_const(sw, alpha) == comb.e_const(eta, alpha)
-                    assert (comb.d_const(sw, alpha) / comb.d_const(eta, alpha)
+                    assert ref.e_const(sw, alpha) == ref.e_const(eta, alpha)
+                    assert (ref.d_const(sw, alpha) / ref.d_const(eta, alpha)
                             == (gap + 1) / gap)
-                    assert (comb.d_prime_const(sw, alpha)
-                            / comb.d_prime_const(eta, alpha)) == gap / (gap - 1)
+                    assert (ref.d_prime_const(sw, alpha)
+                            / ref.d_prime_const(eta, alpha)) == gap / (gap - 1)
 
 
 def test_eigenvector_check_four_variables():
@@ -344,19 +345,19 @@ def _memo_values(jb, n, max_weight=5):
 
 
 def _reference(key, alpha, n):
-    """The value of a memo key from the combinat functions; J(1^n) is
+    """The value of a memo key from the reference products; J(1^n) is
     checked against alpha^|kappa| [n/alpha]_kappa."""
     kind, eta = key[0], key[-1]
     return {
-        "d": lambda: comb.d_const(eta, alpha),
-        "d'": lambda: comb.d_prime_const(eta, alpha),
-        "e": lambda: comb.e_const(eta, alpha),
-        "f": lambda: comb.f_const(eta, alpha),
-        "gen_fact": lambda: comb.gen_fact(key[1], eta, alpha),
-        "j": lambda: comb.hook_norm_j(eta, alpha),
-        "J_ones": lambda: alpha ** sum(eta) * comb.gen_fact(
+        "d": lambda: ref.d_const(eta, alpha),
+        "d'": lambda: ref.d_prime_const(eta, alpha),
+        "e": lambda: ref.e_const(eta, alpha),
+        "f": lambda: ref.f_const(eta, alpha),
+        "gen_fact": lambda: ref.gen_fact(key[1], eta, alpha),
+        "j": lambda: ref.hook_norm_j(eta, alpha),
+        "J_ones": lambda: alpha ** sum(eta) * ref.gen_fact(
             F(n) / alpha, eta, alpha),
-        "ones": lambda: comb.e_const(eta, alpha) / comb.d_const(eta, alpha),
+        "ones": lambda: ref.e_const(eta, alpha) / ref.d_const(eta, alpha),
     }[kind]()
 
 
@@ -365,7 +366,7 @@ LABEL_CONSTANT_KINDS = {"d", "d'", "e", "gen_fact", "j", "J_ones"}
 
 
 @pytest.mark.parametrize("alpha", MEMO_ALPHAS)
-def test_label_constants_match_combinat(alpha):
+def test_label_constants_match_reference(alpha):
     for n in range(1, 5):
         jb = JackBasis(n, alpha)
         for key, value in _memo_values(jb, n).items():

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import label_reference as ref
 import nsjack.combinat as comb
 from nsjack.jack import JackBasis
 from nsjack.kernels import (IDENTITY_CHECKS, _bilinear_sum, binomial_coeff,
@@ -39,8 +40,8 @@ def test_kernel_weight_one_slice(jack2):
     slice1 = kernel_slices(K, 2, 1)[1]
     want = SparsePoly.zero(4)
     for eta in [(1, 0), (0, 1)]:
-        coeff = ALPHA * comb.d_const(eta, ALPHA) / (
-            comb.d_prime_const(eta, ALPHA) * comb.e_const(eta, ALPHA))
+        coeff = ALPHA * ref.d_const(eta, ALPHA) / (
+            ref.d_prime_const(eta, ALPHA) * ref.e_const(eta, ALPHA))
         E = jack2.E(eta)
         want = want + coeff * E.embed(4, 0) * E.embed(4, 2)
     assert slice1 == want

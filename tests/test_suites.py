@@ -263,10 +263,14 @@ def _wrong_E(monkeypatch, jb):
     monkeypatch.setattr(JackBasis, "E", wrong)
 
 
-def _wrong_const(kind):
+def _wrong_const(*key):
+    """The basis memo's entry ``key`` off by the factor 98/97; the label
+    constants at the mutated labels are filled in first."""
     def mutate(monkeypatch, jb):
         jb.d_const((1, 0))
-        jb._consts[kind, (1, 0)] *= F(98, 97)
+        jb.hook_norm_j((1,))
+        jb.gen_fact(LAGUERRE_SHIFT, (1, 0))
+        jb._consts[key] *= F(98, 97)
     return mutate
 
 
@@ -274,30 +278,38 @@ def _wrong_cache_entry(monkeypatch, jb):
     jb._cache[1, 0] = jb.E((1, 0)) + 1
 
 
+# [a + q] at a = 1/2, n = 2, alpha = 7/5: the shifted Laguerre parameter
+LAGUERRE_SHIFT = F(1, 2) + 1 + 1 / ALPHA[0]
 NOT_RECURSIONS = set(JACK) - {"jack-constant-recursions"}
+READ_D_OR_E = {"jack-constant-recursions", "jack-evaluation-all-ones",
+               "jack-symmetric-basis"}
+READ_D_PRIME = {"jack-constant-recursions", "jack-ladder-constants",
+                "jack-symmetric-basis"}
 
 
-@pytest.mark.parametrize("mutate, failing, at_1_0", [
-    (_wrong_E, NOT_RECURSIONS, NOT_RECURSIONS),
-    (_wrong_cache_entry, NOT_RECURSIONS, {"jack-label-shift"}),
-    (_wrong_const("d"), {"jack-evaluation-all-ones", "jack-symmetric-basis"},
-     {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
-    (_wrong_const("d'"), {"jack-symmetric-basis"}, {"jack-symmetric-basis"}),
-    (_wrong_const("e"), {"jack-evaluation-all-ones", "jack-symmetric-basis"},
-     {"jack-evaluation-all-ones", "jack-symmetric-basis"}),
-], ids=["E", "cache", "d", "d'", "e"])
+@pytest.mark.parametrize("mutate, failing, at", [
+    (_wrong_E, NOT_RECURSIONS, dict.fromkeys(NOT_RECURSIONS, (1, 0))),
+    (_wrong_cache_entry, NOT_RECURSIONS, {"jack-label-shift": (1, 0)}),
+    (_wrong_const("d", (1, 0)), READ_D_OR_E, dict.fromkeys(READ_D_OR_E, (1, 0))),
+    (_wrong_const("d'", (1, 0)), READ_D_PRIME,
+     {**dict.fromkeys(READ_D_PRIME, (1, 0)), "jack-ladder-constants": (0, 2)}),
+    (_wrong_const("e", (1, 0)), READ_D_OR_E, dict.fromkeys(READ_D_OR_E, (1, 0))),
+    (_wrong_const("j", (1,)), {"jack-symmetric-basis"},
+     {"jack-symmetric-basis": (1, 0)}),
+], ids=["E", "cache", "d", "d'", "e", "j"])
 def test_each_jack_value_fails_exactly_the_checks_that_read_it(
-        monkeypatch, mutate, failing, at_1_0):
+        monkeypatch, mutate, failing, at):
     """A wrong E((1, 0)) as its readers see it (the recursion keeps the
     right one), the same wrong value written into the basis's ``_cache``
     (labels the recursion builds from it, such as (2, 0), inherit the
-    error), or the basis memo's d, d' or e of (1, 0) off by 98/97, fails
-    these reports of ``suite_jack``; those in ``at_1_0`` name the label
-    (1, 0).
+    error), or the basis memo's d, d' or e of (1, 0) or j of (1,) off by
+    98/97, fails these reports of ``suite_jack``; those in ``at`` name the
+    label given there.  A wrong d' fails ``jack-ladder-constants`` at
+    (0, 2), the first label lowered onto (1, 0).
 
-    The documented survivors: ``jack-constant-recursions`` and
-    ``jack-ladder-constants`` read the reference constants of
-    ``combinat``, not the basis memo, so no wrong constant fails them.
+    There are no survivors: every check reads the constants of the basis
+    memo, and ``jack-symmetric-basis`` checks J, which is built from j and
+    d', against Stanley's normalization, which reads neither.
     """
     from nsjack import jack
 
@@ -306,8 +318,40 @@ def test_each_jack_value_fails_exactly_the_checks_that_read_it(
     reports = suites.suite_jack(alphas=ALPHA, max_weight=2, max_n=2)
     failed = [r for r in reports if r["status"] == "fail"]
     assert {r["check"] for r in failed} == failing
-    assert all(r["witness"] == {"at": repr((1, 0))}
-               for r in failed if r["check"] in at_1_0)
+    assert all(r["witness"] == {"at": repr(at[r["check"]])}
+               for r in failed if r["check"] in at)
+
+
+@pytest.mark.parametrize("key, failing", [
+    (("d", (1, 0)), {"hermite-ladder", "hermite-pairing-values",
+                     "laguerre-pairing-values", "laguerre-value-at-origin",
+                     "sahi-inner-basis-values"}),
+    (("d'", (1, 0)), {"hermite-ladder", "hermite-pairing-values",
+                      "laguerre-ladder", "laguerre-pairing-values",
+                      "sahi-inner-basis-values"}),
+    (("e", (1, 0)), {"hermite-ladder", "hermite-pairing-values",
+                     "laguerre-pairing-values", "laguerre-value-at-origin"}),
+    (("gen_fact", LAGUERRE_SHIFT, (1, 0)),
+     {"laguerre-ladder", "laguerre-pairing-values",
+      "laguerre-value-at-origin"}),
+], ids=["d", "d'", "e", "[a+q]"])
+def test_each_label_constant_fails_exactly_the_family_checks_that_read_it(
+        monkeypatch, key, failing):
+    """The basis memo's d, d' or e of (1, 0), or [a + q]_(1, 0) at a = 1/2,
+    off by 98/97 fails these reports of ``suite_hermite``,
+    ``suite_laguerre`` and ``suite_sahi``: the family values and the
+    closed forms they are checked against read the same memo, so each
+    pairing-values check compares the pairing, which reads no constant,
+    with a wrong diagonal."""
+    from nsjack import jack
+
+    monkeypatch.setattr(jack, "_shared", {})
+    _wrong_const(*key)(monkeypatch, JackBasis.shared(2, ALPHA[0]))
+    reports = (suites.suite_hermite(alphas=ALPHA, max_weight=2, max_n=2)
+               + suites.suite_laguerre(alphas=ALPHA, max_weight=2, max_n=2,
+                                       a_set=(F(1, 2),))
+               + suites.suite_sahi(alphas=ALPHA, max_weight=2, max_n=2))
+    assert {r["check"] for r in reports if r["status"] == "fail"} == failing
 
 
 @pytest.mark.parametrize("cls, identity", [
