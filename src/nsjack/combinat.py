@@ -95,12 +95,22 @@ def order_key(eta):
 # -- spectral vector -------------------------------------------------------
 
 
+def _rank(eta, i):
+    """The integer k in eta_bar_i = alpha eta_i - k: the parts before i at
+    least eta_i, and the parts after i above it."""
+    e = eta[i]
+    return sum(x >= e for x in eta[:i]) + sum(x > e for x in eta[i + 1:])
+
+
 def eta_bar(eta, i, alpha):
-    """i-th entry (0-based) of the spectral vector of eta."""
+    """i-th entry (0-based) of the spectral vector of eta.
+
+    With alpha = p/q this is (p eta_i - q k)/q: counted in integers, made
+    a Fraction once.
+    """
     alpha = Fraction(alpha)
-    before = sum(1 for k in range(i) if eta[k] >= eta[i])
-    after = sum(1 for k in range(i + 1, len(eta)) if eta[k] > eta[i])
-    return alpha * eta[i] - before - after
+    q = alpha.denominator
+    return Fraction(alpha.numerator * eta[i] - q * _rank(eta, i), q)
 
 
 def eta_bar_vec(eta, alpha):

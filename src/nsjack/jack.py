@@ -5,7 +5,10 @@ recursion.  ``JackBasis.E`` keeps the label it was asked for and, of the
 labels its chain passes through, only those no heavier than the heaviest
 label asked for before, so a single long chain does not pin every
 intermediate in memory (a chain wholly below an earlier, heavier request
-is still kept whole).  An independent oracle recovers the same
+is still kept whole).  Every kept E_eta takes its exponent tuples from one
+table per basis, ``JackBasis._exps``, so an exponent shared by many kept
+polynomials (and by the sums built from them) is one tuple object, not
+one per polynomial.  An independent oracle recovers the same
 polynomials from the joint Cherednik eigenproblem on monomials, by
 back-substitution over the labels below, where the operators are triangular.
 The basis owns everything derived at its (n, alpha) and keeps it in one
@@ -27,7 +30,7 @@ from operator import index, neg
 
 from . import combinat as comb
 from .operators import Operators
-from .poly import SparsePoly, _bring_over, linear_combination
+from .poly import SparsePoly, _bring_over, _raw, linear_combination
 
 
 _shared = {}
@@ -62,6 +65,9 @@ class JackBasis:
         self.q = 1 + Fraction(n - 1) / alpha
         self.ops = Operators(n, alpha)
         self._cache = {(0,) * n: SparsePoly.one(n)}
+        # each exponent of a kept E_eta, mapped to the one tuple object
+        # that every kept polynomial uses as its key
+        self._exps = {}
         self._top = 0
         self._consts = {}
 
@@ -101,6 +107,10 @@ class JackBasis:
         long chain above everything asked so far keeps only its result.
         A chain lying wholly below an earlier, heavier request is still
         kept whole: ``E((0,0,199))`` after ``E((0,0,200))``.
+
+        A kept polynomial takes its keys from the exponent table ``_exps``
+        (see ``_keep``); the steps themselves make fresh tuples, which die
+        with the labels that are not kept.
         """
         eta = self._label(eta)
         cache = self._cache
@@ -131,10 +141,19 @@ class JackBasis:
             else:
                 gap = comb.delta_gap(source, i, self.alpha)
                 poly = poly.swap_add(i, i + 1, -1 / gap)
-            if sum(label) <= top:
-                cache[label] = poly
-        cache[eta] = poly
+            if label is eta or sum(label) <= top:
+                poly = self._keep(label, poly)
         self._top = max(top, sum(eta))
+        return poly
+
+    def _keep(self, label, poly):
+        """Store ``poly`` as E_label, its keys taken from the exponent
+        table: an exponent met before is replaced by the tuple kept for
+        it, a new one is entered as itself."""
+        intern = self._exps.setdefault
+        poly = _raw(self.n, {intern(e, e): v for e, v in poly.num.items()},
+                    poly.den)
+        self._cache[label] = poly
         return poly
 
     # -- independent oracle ------------------------------------------------

@@ -374,13 +374,12 @@ class SparsePoly:
         cut = lo + k % (hi - lo)
         if cut == lo:
             return self.mul_var(hi - 1, power)
-        if power:
-            last = cut - 1
-            num = {e[:lo] + e[cut:hi] + e[lo:last] + (e[last] + power,) + e[hi:]: c
-                   for e, c in self.num.items()}
-        else:
-            num = {e[:lo] + e[cut:hi] + e[lo:cut] + e[hi:]: c
-                   for e, c in self.num.items()}
+        if not power:  # hi - lo >= 2 here, so n >= 2
+            return self._reorder([*range(lo), *range(cut, hi),
+                                  *range(lo, cut), *range(hi, self.n)])
+        last = cut - 1
+        num = {e[:lo] + e[cut:hi] + e[lo:last] + (e[last] + power,) + e[hi:]: c
+               for e, c in self.num.items()}
         return _raw(self.n, num, self.den)
 
     def permute_vars(self, sigma):

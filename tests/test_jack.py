@@ -1,5 +1,6 @@
 """Jack basis: recursion vs oracle, evaluations, symmetric basis."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -295,6 +296,26 @@ def test_long_chain_keeps_only_its_result():
     counts, peak_kb = out.split("\n")[:2]
     assert counts == "7260 2"
     assert int(peak_kb) < 60 * 1024
+
+
+def test_kept_labels_share_one_exponent_table():
+    """Every kept E_eta takes its keys from the basis's exponent table, so
+    an exponent that many of them hold is one tuple object."""
+    jb = JackBasis(4, F(7, 5))
+    labels = list(comb.compositions_up_to(4, 4))
+    random.Random(30).shuffle(labels)
+    for eta in labels:
+        jb.E(eta)
+    keys = [e for p in jb._cache.values() for e in p.num]
+    assert len(keys) > len(set(keys))
+    assert len({id(e) for e in keys}) == len(set(keys))
+
+
+def test_long_chain_adds_only_its_result_to_the_table():
+    jb = JackBasis(3, 1)
+    top = jb.E((0, 0, 120))
+    assert len(jb._exps) == len(top.num) == 7260
+    assert all(jb._exps[e] is e for e in top.num)
 
 
 def test_labels_after_a_long_chain_match_a_fresh_basis():
