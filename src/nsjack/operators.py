@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .poly import SparsePoly, _from_num, linear_combination
+from .poly import _from_num, _raw, linear_combination
 
 
 def _linear(formula):
@@ -35,16 +35,18 @@ def _linear(formula):
     The operator acts on the instance's block of variables and commutes
     with multiplication by monomials in the others (Laurent ones too), so
     the image of x^e depends only on the block exponents b = e[lo:hi].  It
-    is computed once per instance, keyed by (operator name, index
-    arguments, b), and kept as a (numerators, denominator) pair whose
-    exponents are the block's, so one image serves every ambient variable
-    count; a call then brings the images it needs over one common
-    denominator and merges them on integers, writing e[:lo] + f + e[hi:]
-    for each image exponent f.  When the block is the whole ambient space,
-    b is e itself, the derived image is stored as it is, and the merge
-    writes f unchanged: slicing and concatenating there cost the
-    whole-space workloads a few per cent of their run time.  The name keeps
-    operators with equal arguments apart (``cherednik`` and
+    is computed once per instance, by applying ``formula`` to the monomial
+    with block exponents b and 0 elsewhere, built directly in canonical
+    form (no ``SparsePoly`` validation, no ``Fraction``); it is keyed by
+    (operator name, index arguments, b), and kept as a (numerators,
+    denominator) pair whose exponents are the block's, so one image serves
+    every ambient variable count; a call then brings the images it needs
+    over one common denominator and merges them on integers, writing
+    e[:lo] + f + e[hi:] for each image exponent f.  When the block is the
+    whole ambient space, b is e itself, the derived image is stored as it
+    is, and the merge writes f unchanged: slicing and concatenating there
+    cost the whole-space workloads a few per cent of their run time.  The
+    name keeps operators with equal arguments apart (``cherednik`` and
     ``cherednik_direct`` never share images).
     """
     name = formula.__name__
@@ -61,7 +63,7 @@ def _linear(formula):
             img = images.get(key)
             if img is None:
                 x_b = (0,) * lo + b + (0,) * (n - hi)
-                q = formula(self, SparsePoly.monomial(n, x_b), *idx)
+                q = formula(self, _raw(n, {x_b: 1}, 1), *idx)
                 num = q.num
                 if not whole:
                     num = {f[lo:hi]: v for f, v in num.items()}

@@ -11,12 +11,14 @@ of ``nsjack.reports``.
 import hashlib
 import json
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
 from nsjack import jack, kernels, suites
 from nsjack.jack import JackBasis
-from nsjack.poly import SparsePoly
+from nsjack.operators import Operators, _linear
+from nsjack.poly import SparsePoly, linear_combination
 
 ALPHAS = (F(1), F(7, 5))
 
@@ -43,6 +45,55 @@ def _mutation_probe_reports():
     return reports
 
 
+@_linear
+def _dunkl_without_last_exchange(self, p, i):
+    """T_i with the exchange term of its last k != i dropped."""
+    last = max(k for k in range(self.n) if k != i)
+    return linear_combination(p.n, chain(
+        ((1, p.diff(self.vars[i])),),
+        ((1 / self.alpha, self.dd(p, i, k))
+         for k in range(self.n) if k not in (i, last))))
+
+
+@_linear
+def _cherednik_with_last_swap_negated(self, p, i):
+    """xi_i with the sign of s_ik flipped for its last k > i."""
+    return linear_combination(p.n, chain(
+        ((self.alpha, self._x(self.dunkl(p, i), i)), (1 - self.n, p)),
+        ((-1 if k == self.n - 1 else 1, self.swap(p, i, k))
+         for k in range(i + 1, self.n))))
+
+
+@_linear
+def _b_op_with_a_plus_two(self, p, i):
+    """B_i with (a+2) T_i where (a+1) T_i belongs."""
+    ti = self.dunkl(p, i)
+    return linear_combination(p.n, chain(
+        ((1, self._x(self.dunkl(ti, i), i)), (self.a + 2, ti)),
+        ((1 / self.alpha, self.swap(ti, i, k))
+         for k in range(self.n) if k != i)))
+
+
+OPERATOR_MUTATIONS = {"dunkl": _dunkl_without_last_exchange,
+                      "cherednik": _cherednik_with_last_swap_negated,
+                      "b_op": _b_op_with_a_plus_two}
+
+
+def _operator_mutation_runs():
+    """The operator suite under each wrong operator in turn, restoring the
+    right one after each: one report list per mutation."""
+    runs = []
+    for name, wrong in OPERATOR_MUTATIONS.items():
+        right = getattr(Operators, name)
+        setattr(Operators, name, wrong)
+        try:
+            runs.append(suites.suite_operators(
+                alphas=(F(7, 5),), max_weight=2, max_n=3, a_set=(F(1, 2),)))
+        finally:
+            setattr(Operators, name, right)
+    return runs
+
+
 RUNS = {
     "operators": lambda: suites.suite_operators(
         alphas=(F(7, 5),), max_weight=2, max_n=2, a_set=(F(1, 2),)),
@@ -55,6 +106,8 @@ RUNS = {
     "ct": suites.suite_ct,
     "sahi": suites.suite_sahi,
     "kernel-mutation-probe": _mutation_probe_reports,
+    "operator-mutation-probe": lambda: [
+        rep for run in _operator_mutation_runs() for rep in run],
 }
 
 # name: (sha256, number of reports, number failing)
@@ -86,6 +139,9 @@ DIGESTS = {
     "kernel-mutation-probe": (
         "7be708ceb7777d4978c35a0ce6d65f1a32ff6874fdcf8691ad550014fcd7030f",
         30, 29),
+    "operator-mutation-probe": (
+        "eab3083ba0d369cfb4c269591aa8eb6c6443f587034eca9060d15dfb997d76c4",
+        132, 64),
 }
 
 
@@ -132,6 +188,22 @@ def test_every_report_has_the_schema_keys(monkeypatch, name):
     failing = [rep for rep in reports if rep["status"] == "fail"]
     assert len(failing) == DIGESTS[name][2]
     assert all(rep["witness"] for rep in failing)
+
+
+def test_each_operator_mutation_is_seen_where_it_can_be(monkeypatch):
+    """The wrong T_i and xi_i each fail some report.  B_i with (a+2) T_i
+    is the right B_i at a + 1, and every type-B identity of the operator
+    suite holds at every a, so that mutation passes here; the Laguerre
+    label suite, which reads a through the eigenvalues, fails it."""
+    failing = [sum(rep["status"] != "pass" for rep in run)
+               for run in _operator_mutation_runs()]
+    assert dict(zip(OPERATOR_MUTATIONS, failing)) == {
+        "dunkl": 36, "cherednik": 28, "b_op": 0}
+    monkeypatch.setattr(jack, "_shared", {})
+    monkeypatch.setattr(Operators, "b_op", _b_op_with_a_plus_two)
+    reports = suites.suite_laguerre(alphas=(F(7, 5),), max_weight=2,
+                                    max_n=2, a_set=(F(1, 2),))
+    assert any(rep["status"] != "pass" for rep in reports)
 
 
 def test_numeric_reports_carry_values():

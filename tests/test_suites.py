@@ -113,6 +113,36 @@ def test_each_operator_fails_exactly_the_checks_that_read_it(
     assert {r["check"] for r in reports if r["status"] == "fail"} == failing
 
 
+def test_passing_operator_identities_evaluate_once(monkeypatch):
+    """Each passing identity runs its predicate once, on the tagged basis
+    sum, and not once per monomial."""
+    calls = []
+    holds_on_basis = suites._holds_on_basis
+
+    def counted(check, basis, tagged, holds, **info):
+        calls.append(0)
+        mine = len(calls) - 1
+
+        def holds_counted(p):
+            calls[mine] += 1
+            return holds(p)
+        return holds_on_basis(check, basis, tagged, holds_counted, **info)
+
+    monkeypatch.setattr(suites, "_holds_on_basis", counted)
+    reports = suites.suite_operators(alphas=ALPHA, max_weight=2, max_n=3)
+    assert all(r["status"] == "pass" for r in reports)
+    assert calls == [1] * len(reports) == [1] * 76
+
+
+def test_a_predicate_that_is_not_linear_cannot_pass():
+    """A predicate false on the tagged sum but true on every monomial is
+    not linear; it raises rather than filing a pass."""
+    basis = suites._monomials(2, 2)
+    with pytest.raises(ArithmeticError, match="not linear"):
+        suites._holds_on_basis("one-term", basis, suites._tagged(basis, 2),
+                               lambda p: len(p.num) < 2, n=2, alpha=ALPHA[0])
+
+
 def test_numeric_reports_print_plain_numbers():
     """lhs/rhs read as bare Python numbers, not as numpy reprs such as
     np.float64(...); the n = 2 Laguerre Gram values are numpy scalars."""
