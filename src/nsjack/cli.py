@@ -16,6 +16,12 @@ no bytecode cache can be written (``PYTHONDONTWRITEBYTECODE``, a read-only
 install), a cold call compiles every module it loads from source, so a
 module not loaded is compile time saved.
 
+Under ``NSJACK_CACHE_DIR``, ``jack``, ``hermite`` and ``laguerre`` keep
+one file per label, written atomically (a temporary file, then
+``os.replace``), so a hit opens only its own file and a writer needs no
+lock.  A missing or corrupt file is a miss; old one-table-per-(kind, n,
+alpha, a) files are never opened.
+
 A negative rational may follow ``--a``, ``--b``, ``--c`` or ``--alpha`` as
 its own argument (``--a -1/2``), the same as ``--a=-1/2``.
 """
@@ -23,7 +29,6 @@ its own argument (``--a -1/2``), the same as ``--a=-1/2``.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import os
 import re
@@ -93,81 +98,50 @@ def _emit(payload, fmt, out):
         print(text)
 
 
-def _cache_path(kind, n, alpha, a=None):
+def _cache_path(kind, n, alpha, eta, a=None):
+    """The cache file of one label, named from (kind, n, alpha, a) and a
+    fixed-length digest of ``str(eta)``, so it stays short at any n."""
     root = os.environ.get("NSJACK_CACHE_DIR")
     if not root:
         return None
+    import hashlib
+
     os.makedirs(root, exist_ok=True)
     tag = f"{kind}_n{n}_alpha{str(alpha).replace('/', 'over')}"
     if a is not None:
         tag += f"_a{str(a).replace('/', 'over')}"
-    return os.path.join(root, tag + ".json")
+    digest = hashlib.blake2b(str(eta).encode(), digest_size=16).hexdigest()
+    return os.path.join(root, f"{tag}_{digest}.json")
 
 
-def _read_cache(path):
-    """The table in a cache file; a missing, unreadable or corrupt file
-    reads as empty, so it costs a recomputation, never a failed run."""
+def _read_entry(path, n):
+    """The polynomial in a cache file, or None (a miss) unless the file
+    holds one in n variables, exactly as ``to_json_dict`` writes it."""
     try:
         with open(path) as fh:
-            table = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-    return table if isinstance(table, dict) else {}
+            entry = json.load(fh)
+        poly = SparsePoly.from_json_dict(entry)
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    return poly if poly.n == n and poly.to_json_dict() == entry else None
 
 
-def _write_cache(path, key, value):
-    """Add one entry to the cache file and replace the file in one step.
-
-    A writer holds an exclusive ``flock`` on the cache directory while it
-    re-reads the table, merges its entry and moves the new file into place,
-    so concurrent writers keep each other's entries.  Readers take no lock:
-    they see the old table or the new one, never a partial write.  The lock
-    is on the directory, not on a lock file, so the directory holds only
-    the tables.
-    """
-    lock = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        table = _read_cache(path)
-        table[key] = value
+def _with_cache(path, eta, compute):
+    """The polynomial of label ``eta``, read from its cache file ``path``
+    if one is given; a miss computes it and writes the file."""
+    if path is None:
+        return compute()
+    poly = _read_entry(path, len(eta))
+    if poly is None:
+        poly = compute()
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                json.dump(table, fh)
+                json.dump(poly.to_json_dict(), fh)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    finally:
-        os.close(lock)
-
-
-def _decode(entry, n):
-    """The polynomial in a cache entry, or None unless the entry is one in
-    n variables, exactly as ``to_json_dict`` writes it."""
-    try:
-        poly = SparsePoly.from_json_dict(entry)
-        if poly.n == n and poly.to_json_dict() == entry:
-            return poly
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        pass
-    return None
-
-
-def _with_cache(path, eta, compute):
-    """The polynomial of label ``eta``, looked up under ``str(eta)`` in an
-    optional JSON cache file.
-
-    Like a corrupt file, an entry that does not decode to a polynomial in
-    len(eta) variables only costs a recomputation, which is written back.
-    """
-    if path is None:
-        return compute()
-    key = str(eta)
-    poly = _decode(_read_cache(path).get(key), len(eta))
-    if poly is None:
-        poly = compute()
-        _write_cache(path, key, poly.to_json_dict())
     return poly
 
 
@@ -286,7 +260,7 @@ def _dispatch(args):
         a = parse_fraction(args.a) if kind == "laguerre" else None
         family = {"jack": lambda: jb, "hermite": jb.hermite,
                   "laguerre": lambda: jb.laguerre(a)}[kind]
-        poly = _with_cache(_cache_path(kind, n, alpha, a), eta,
+        poly = _with_cache(_cache_path(kind, n, alpha, eta, a), eta,
                            lambda: family().E(eta))
         if kind == "laguerre" and args.x_squared:
             poly = poly.scale_exponents(2)

@@ -258,6 +258,15 @@ def _operator_identities(ops, basis, tagged, alpha, n):
 def _type_b_identities(ops, basis, tagged, alpha, n, a):
     """The type-B twins: B_i for T_i, l_i for h_i, psi-hat for phi-hat."""
     al = Fraction(alpha)
+    # the Laguerre harmonic constant n (a + q), q = 1 + (n - 1)/alpha: the
+    # sl_2 relation of Delta_B with p_1 reads the value of a
+    gamma = n * (Fraction(a) + 1 + (n - 1) / al)
+
+    def p1_commutator(p):
+        p1 = power_sum(p.n, 1, range(n))
+        return (ops.laplacian_B(p1 * p) - p1 * ops.laplacian_B(p)
+                == 8 * ops.euler(p, 1) + 4 * gamma * p)
+
     checks = [
         ("b-commutativity", _commute(ops, ops.b_op)),
         ("l-commutativity", _commute(ops, ops.l_op)),
@@ -269,7 +278,7 @@ def _type_b_identities(ops, basis, tagged, alpha, n, a):
          lambda p: all(
              ops.cherednik(ops.laplacian_B(p), i) - ops.laplacian_B(ops.cherednik(p, i))
              == -4 * al * ops.b_op(p, i)
-             for i in range(n))),
+             for i in range(n)) and p1_commutator(p)),
         ("b-lowering-intertwining", _lowers(ops, ops.cherednik, ops.psi_hat)),
         ("laguerre-ladder-intertwining",
          _ladder(ops, ops.l_op, ops.psi_hat_star, ops.psi_hat)),

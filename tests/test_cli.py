@@ -256,8 +256,8 @@ def test_ct_norm_accepts_matching_or_omitted_alpha():
 
 
 def assert_corrupt_cache_is_a_miss(tmp_path, eta, corrupt_text):
-    """After the cache file is overwritten with ``corrupt_text``, the label
-    is recomputed, printed as without a cache, and written back."""
+    """After the label's cache file is overwritten with ``corrupt_text``,
+    the label is recomputed, printed as without a cache, and written back."""
     args = ("jack", "--eta", ",".join(map(str, eta)), "--alpha", "1/2")
     uncached = run_cli(*args)
     env = {"NSJACK_CACHE_DIR": str(tmp_path)}
@@ -267,9 +267,8 @@ def assert_corrupt_cache_is_a_miss(tmp_path, eta, corrupt_text):
     r = run_cli(*args, env=env)
     assert r.returncode == 0, r.stderr[-300:]
     assert r.stdout == first.stdout == uncached.stdout
-    # the file was rewritten as a valid table holding the entry
-    table = json.loads(cache_file.read_text())
-    assert table == {str(eta): json.loads(uncached.stdout)}
+    # the file was rewritten as the label's entry
+    assert json.loads(cache_file.read_text()) == json.loads(uncached.stdout)
     assert list(tmp_path.iterdir()) == [cache_file]
 
 
@@ -284,8 +283,20 @@ def test_corrupt_cache_file_is_a_miss(tmp_path):
     {"n": 3, "terms": [[[1, 0, 0], "1", "1"]]},
 ], ids=["bad-terms", "not-a-dict", "wrong-n"])
 def test_corrupt_cache_entry_is_a_miss(tmp_path, entry):
-    assert_corrupt_cache_is_a_miss(tmp_path, (1, 0),
-                                   json.dumps({"(1, 0)": entry}))
+    assert_corrupt_cache_is_a_miss(tmp_path, (1, 0), json.dumps(entry))
+
+
+def test_old_table_file_is_never_opened(tmp_path):
+    """A table of the older one-file-per-(kind, n, alpha) layout, here with
+    a wrong entry, is left as it is; the label reads as a miss."""
+    table = tmp_path / "jack_n2_alpha1.json"
+    table.write_text(json.dumps({"(1, 0)": {"n": 2, "terms": []}}))
+    before = table.read_bytes()
+    r = run_cli("jack", "--eta", "1,0", env={"NSJACK_CACHE_DIR": str(tmp_path)})
+    assert r.returncode == 0, r.stderr[-300:]
+    assert r.stdout == run_cli("jack", "--eta", "1,0").stdout
+    assert table.read_bytes() == before
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_cache_writes_leave_no_temp_files(tmp_path):
@@ -294,8 +305,10 @@ def test_cache_writes_leave_no_temp_files(tmp_path):
         assert run_cli("jack", "--eta", eta, env=env).returncode == 0
     assert run_cli("hermite", "--eta", "1,0", env=env).returncode == 0
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["hermite_n2_alpha1.json", "jack_n2_alpha1.json"]
-    assert len(json.loads((tmp_path / "jack_n2_alpha1.json").read_text())) == 3
+    assert len(names) == 4
+    assert [name.split("_")[0] for name in names] == ["hermite"] + ["jack"] * 3
+    assert all(name.endswith(".json") and ".tmp" not in name
+               for name in names)
 
 
 def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -332,16 +345,16 @@ def test_concurrent_cache_writers_leave_a_valid_file(tmp_path):
     env = dict(os.environ, NSJACK_CACHE_DIR=str(tmp_path))
     etas = ("1,0,0", "0,1,0", "0,0,1", "1,1,0", "2,0,1", "0,2,1")
     procs = [subprocess.Popen([sys.executable, "-m", "nsjack.cli", "jack",
-                               "--eta", eta], env=env,
+                               "--eta", eta], env=env, text=True,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
              for eta in etas]
+    outputs = []
     for p in procs:
-        p.communicate(timeout=120)
+        out, _ = p.communicate(timeout=120)
         assert p.returncode == 0
-    [cache_file] = list(tmp_path.iterdir())
-    table = json.loads(cache_file.read_text())
-    assert table and set(table) <= {str(tuple(map(int, e.split(","))))
-                                    for e in etas}
+        outputs.append(json.loads(out))
+    entries = [json.loads(f.read_text()) for f in tmp_path.iterdir()]
+    assert sorted(map(json.dumps, entries)) == sorted(map(json.dumps, outputs))
 
 
 _WRITER = """
@@ -349,41 +362,96 @@ import os, sys, time
 from nsjack import cli
 from nsjack.poly import SparsePoly
 
-path, key, ready, count = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+index, ready, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
 
 
 def compute():
-    # a barrier: every writer has read the table before any of them writes
-    open(os.path.join(ready, key), "w").close()
+    # a barrier: every writer has read the entry before any of them writes
+    open(os.path.join(ready, index), "w").close()
     deadline = time.monotonic() + 60
     while len(os.listdir(ready)) < count and time.monotonic() < deadline:
         time.sleep(0.01)
     return SparsePoly.variable(2, 0)
 
 
-cli._with_cache(path, key, compute)
+cli._with_cache(cli._cache_path("jack", 2, 1, (1, 0)), (1, 0), compute)
 """
 
 
 def test_concurrent_cache_writers_keep_every_entry(tmp_path):
-    """Four writers read the same empty table, then each adds its own key;
-    merging under the directory lock must keep all four."""
+    """Four writers miss the same label, then each writes it; they write
+    the same bytes, so one valid entry is left and no temporary file."""
     import os
 
     cache, ready = tmp_path / "cache", tmp_path / "ready"
     cache.mkdir()
     ready.mkdir()
-    path = cache / "jack_n2_alpha1.json"
-    keys = [f"k{i}" for i in range(4)]
-    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path), key,
-                               str(ready), str(len(keys))],
-                              env=dict(os.environ), stderr=subprocess.PIPE)
-             for key in keys]
+    writers = 4
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(i),
+                               str(ready), str(writers)],
+                              env=dict(os.environ,
+                                       NSJACK_CACHE_DIR=str(cache)),
+                              stderr=subprocess.PIPE)
+             for i in range(writers)]
     for p in procs:
         _, err = p.communicate(timeout=120)
         assert p.returncode == 0, err[-300:]
-    assert sorted(json.loads(path.read_text())) == keys
-    assert list(cache.iterdir()) == [path]
+    assert len(list(ready.iterdir())) == writers
+    [path] = list(cache.iterdir())
+    assert path.name.endswith(".json")
+    assert json.loads(path.read_text()) == {"n": 2,
+                                            "terms": [[[1, 0], "1", "1"]]}
+
+
+def _computes_nothing(self, eta):
+    raise AssertionError("a hit computes nothing")
+
+
+def test_cache_hit_opens_only_its_own_file(tmp_path, monkeypatch, capsys):
+    import builtins
+    import os
+
+    from nsjack import cli
+    from nsjack.jack import JackBasis
+
+    monkeypatch.setenv("NSJACK_CACHE_DIR", str(tmp_path))
+    for eta in ("2,0,1", "1,0,0", "0,1,0", "1,1,1"):
+        assert cli.main(["jack", "--eta", eta]) == 0
+    written = capsys.readouterr().out.splitlines()[0]
+    own = cli._cache_path("jack", 3, 1, (2, 0, 1))
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(JackBasis, "E", _computes_nothing)
+    assert cli.main(["jack", "--eta", "2,0,1"]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out.splitlines() == [written]
+    assert len(list(tmp_path.iterdir())) == 4
+    assert opened == [own]
+
+
+def test_long_label_is_cached_under_a_short_name(tmp_path, monkeypatch,
+                                                 capsys):
+    """At n = 130 a readable label would pass the usual 255-byte limit on
+    a file name; the digest keeps the name short."""
+    from nsjack import cli
+    from nsjack.jack import JackBasis
+
+    eta = ",".join(["0"] * 129 + ["1"])
+    monkeypatch.setenv("NSJACK_CACHE_DIR", str(tmp_path))
+    assert cli.main(["jack", "--eta", eta, "--alpha", "7/5"]) == 0
+    written = capsys.readouterr().out
+    [cache_file] = list(tmp_path.iterdir())
+    assert len(cache_file.name) < 100
+
+    monkeypatch.setattr(JackBasis, "E", _computes_nothing)
+    assert cli.main(["jack", "--eta", eta, "--alpha", "7/5"]) == 0
+    assert capsys.readouterr().out == written
 
 
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])

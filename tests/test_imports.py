@@ -35,6 +35,13 @@ def test_cli_import_loads_no_lazy_layer():
     assert _loaded_after("import nsjack.cli", LAZY) == ""
 
 
+def test_cli_import_loads_neither_fcntl_nor_hashlib():
+    """``fcntl`` is missing on some platforms, and ``hashlib`` is loaded
+    only when a command names a file under ``NSJACK_CACHE_DIR``, so a cold
+    start pays for neither."""
+    assert _loaded_after("import nsjack.cli", ("fcntl", "hashlib")) == ""
+
+
 def _loaded_by_command(*argv):
     """LAZY and HEAVY modules loaded by one ``cli.main`` call, run as the
     first thing a fresh process does."""
