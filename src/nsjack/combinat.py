@@ -18,14 +18,28 @@ from fractions import Fraction
 def compositions(n, weight):
     """All n-tuples of non-negative integers with the given sum.
 
-    Deterministic order: descending lexicographic.
+    Deterministic order: descending lexicographic.  Iterative, so any n
+    works: the successor moves one unit from the rightmost positive part
+    before the last to the part after it, which also takes the last part.
     """
     if n == 1:
         yield (weight,)
         return
-    for first in range(weight, -1, -1):
-        for rest in compositions(n - 1, weight - first):
-            yield (first,) + rest
+    if weight < 0:
+        return
+    parts = [weight] + [0] * (n - 1)
+    last = n - 1
+    while True:
+        yield tuple(parts)
+        i = last - 1
+        while i >= 0 and not parts[i]:
+            i -= 1
+        if i < 0:
+            return
+        parts[i] -= 1
+        tail = parts[last]
+        parts[last] = 0
+        parts[i + 1] = tail + 1
 
 
 def compositions_up_to(n, max_weight):

@@ -1,16 +1,25 @@
 """Construction of the non-symmetric Jack basis and its symmetrization.
 
 The basis polynomials E_eta are built by the raising/transposition
-recursion.  ``JackBasis.E`` keeps the label it was asked for and, of the
-labels its chain passes through, only those no heavier than the heaviest
-label asked for before, so a single long chain does not pin every
-intermediate in memory (a chain wholly below an earlier, heavier request
-is still kept whole).  Every kept E_eta takes its exponent tuples from one
-table per basis, ``JackBasis._exps``, so an exponent shared by many kept
-polynomials (and by the sums built from them) is one tuple object, not
-one per polynomial.  An independent oracle recovers the same
-polynomials from the joint Cherednik eigenproblem on monomials, by
-back-substitution over the labels below, where the operators are triangular.
+recursion, which starts from a cached label or from a single-part label
+(m, 0, ..., 0), m >= 1.  That label is built in one pass from the
+generating function of ``JackBasis.E``'s docstring: with beta = 1/alpha,
+
+    E_(m,0,...,0) = m!/(1+beta)_m  sum over |mu| = m of
+                    (1+beta)_mu_0/mu_0!  prod_(i>=1) (beta)_mu_i/mu_i!  x^mu,
+
+so E_(0,...,0,m+1) costs one formula pass and one raising step instead of
+about n m recursion steps.  ``JackBasis.E`` keeps the label it was asked
+for and, of the labels its chain passes through, only those no heavier
+than the heaviest label asked for before, so a single long chain does not
+pin every intermediate in memory (a chain wholly below an earlier,
+heavier request is still kept whole).  Every kept E_eta takes its
+exponent tuples from one table per basis, ``JackBasis._exps``, so an
+exponent shared by many kept polynomials (and by the sums built from
+them) is one tuple object, not one per polynomial.  An independent
+oracle recovers the same polynomials from the joint Cherednik
+eigenproblem on monomials, by back-substitution over the labels below,
+where the operators are triangular.
 The basis owns everything derived at its (n, alpha) and keeps it in one
 memo, ``JackBasis._memo``: the label constants (d, d', e, f, the
 generalized factorials, the hook norm j_kappa and J_kappa(1^n)), the
@@ -30,7 +39,8 @@ from operator import index, neg
 
 from . import combinat as comb
 from .operators import Operators
-from .poly import SparsePoly, _bring_over, _raw, linear_combination
+from .poly import (SparsePoly, _bring_over, _from_num, _raw,
+                   linear_combination)
 
 
 _shared = {}
@@ -100,6 +110,24 @@ class JackBasis:
         raising map is one rotation of the exponents (``Operators.phi``),
         and the transposition step s_i E - E/gap is one ``swap_add``.
 
+        The walk down the chain ends at a cached label or at a
+        single-part label (m, 0, ..., 0), m >= 1, which ``_single_part``
+        builds in one pass as the t^m coefficient G_m of
+
+            G = u_0 prod_j u_j^beta,  u_j = (1 - x_j t)^(-1),  beta = 1/alpha,
+
+        times m!/(1+beta)_m.  Proof: xi_0 = alpha x_0 d/dx_0
+        + sum_(k>0) x_k (1 - s_0k)/(x_0 - x_k), and (1 - s_0k) G =
+        t (x_0 - x_k) u_k G, so a direct computation gives
+        xi_0 G = G ((alpha+1) x_0 t u_0 + sum_(k>0) x_k t u_k)
+        = alpha t dG/dt, and xi_0 G_m = alpha m G_m.  Among the
+        compositions nu of m only (m, 0, ..., 0) has nu_bar_0 = alpha m:
+        alpha (m - nu_0) = -#{j > 0 : nu_j > nu_0} forces nu_0 = m.  The
+        E_nu of weight m are an eigenbasis of xi_0, so G_m is
+        E_(m,0,...,0) times its x_0^m coefficient (1+beta)_m/m!.  Every
+        other label keeps the recursion, which tests check this formula
+        against.
+
         The requested label is always kept in ``_cache``.  A label passed
         on the way is kept only if its weight is at most ``_top``, the
         heaviest weight asked for before this call, so a family built
@@ -119,11 +147,15 @@ class JackBasis:
             return got
         # Each label is built from one strictly smaller label.  Walk down
         # that chain to a cached label (at the latest the constant, cached
-        # from the start), then build back up, so long chains need no
-        # recursion.
+        # from the start) or a single-part label, then build back up, so
+        # long chains need no recursion.
         chain = []
         label = eta
         while label not in cache:
+            if label[0] == sum(label):
+                # (m, 0, ..., 0): built in one pass, from no source
+                chain.append((label, None, None))
+                break
             if label[-1] >= 1:
                 # undo the raising map: label = phi(lowered)
                 source, i = comb.phi_hat_map(label), None
@@ -134,9 +166,11 @@ class JackBasis:
             chain.append((label, source, i))
             label = source
         top = self._top
-        poly = cache[label]
+        poly = cache.get(label)
         for label, source, i in reversed(chain):
-            if i is None:
+            if source is None:
+                poly = self._single_part(label[0])
+            elif i is None:
                 poly = self.ops.phi(poly)
             else:
                 gap = comb.delta_gap(source, i, self.alpha)
@@ -155,6 +189,30 @@ class JackBasis:
                     poly.den)
         self._cache[label] = poly
         return poly
+
+    def _single_part(self, m):
+        """E_(m,0,...,0) from its generating function (see ``E``), not kept.
+
+        With alpha = p/q, p^j (beta)_j = a_j = prod_(r<j) (q + r p) and
+        p^j (1+beta)_j = b_j = prod_(r<j) (q + (r+1) p), so the numerator
+        of x^mu is the integer (m!/prod mu_i!) b_(mu_0) prod_(i>=1) a_(mu_i)
+        over the one denominator b_m.
+        """
+        p, q = self.alpha.numerator, self.alpha.denominator
+        a, b = [1], [1]
+        for r in range(m):
+            a.append(a[-1] * (q + r * p))
+            b.append(b[-1] * (q + (r + 1) * p))
+        fact = [factorial(j) for j in range(m + 1)]
+        num = {}
+        for mu in comb.compositions(self.n, m):
+            c, d = b[mu[0]], fact[mu[0]]
+            for part in mu[1:]:
+                if part:
+                    c *= a[part]
+                    d *= fact[part]
+            num[mu] = fact[m] * c // d
+        return _from_num(self.n, num, b[m])
 
     # -- independent oracle ------------------------------------------------
 
@@ -395,6 +453,15 @@ class JackBasis:
 
     # -- generalized binomial coefficients -------------------------------------
 
+    def E_shifted(self, eta):
+        """E_eta(1 + z), kept in the memo next to the binomial row of eta,
+        which is its expansion in the E basis."""
+        eta = tuple(eta)
+        return self._memo(("shifted", eta), self._E_shifted, eta)
+
+    def _E_shifted(self, eta):
+        return self.E(eta).shift_by_one()
+
     def binomial_row(self, eta):
         """The coefficients of E_eta(1+z)/E_eta(1^n) over the
         E_nu(z)/E_nu(1^n), as {nu: coefficient}."""
@@ -402,7 +469,7 @@ class JackBasis:
         return self._memo(("binomial", eta), self._binomial_row, eta)
 
     def _binomial_row(self, eta):
-        coeffs = self.expand_in_E(self.E(eta).shift_by_one())
+        coeffs = self.expand_in_E(self.E_shifted(eta))
         e_top = self.eval_ones(eta)
         return {nu: c * self.eval_ones(nu) / e_top for nu, c in coeffs.items()}
 

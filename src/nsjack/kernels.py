@@ -513,16 +513,21 @@ def check_binomial_sum_rules(jack, D, **_):
         eta, mu, is_weighted = label
         kappa = comb.eta_plus(eta)
         orbit = tuple(mu) + (0,) * (n - len(mu))
+        # a wrong E_eta can leave a J_kappa whose E expansion differs across
+        # an orbit; the symmetric row then raises, and the row read fails
+        top, low = (orbit, kappa) if is_weighted else (kappa, orbit)
+        try:
+            rhs = sym_binomial(jack, top, low)
+        except ArithmeticError as exc:
+            return {"part": str(exc), "kappa": list(top)}
         if not is_weighted:
-            total = plain[eta].get(orbit, ZERO)
-            holds = total == sym_binomial(jack, kappa, mu)
+            holds = plain[eta].get(orbit, ZERO) == rhs
             return None if holds else {"part": "orbit sum"}
         total = weighted.get(eta, {}).get(orbit, ZERO)
         lhs = (jack.f_const(eta) / jack.e_const(eta)
                * jack.hook_norm_j(mu) * jack.J_ones(kappa)
                / jack.hook_norm_j(kappa) / jack.J_ones(mu) * total)
-        holds = lhs == sym_binomial(jack, mu, kappa)
-        return None if holds else {"part": "weighted orbit sum"}
+        return None if lhs == rhs else {"part": "weighted orbit sum"}
 
     return first_failing("binomial-sum-rules", n, jack.alpha, labels(), fails,
                          {"D": D})

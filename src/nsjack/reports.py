@@ -9,10 +9,11 @@ exactly these keys:
   ``eta``, ...), ``{}`` when nothing more; a ``Fraction`` is written as
   its string;
 - ``witness``, on a failing report only: ``at`` names the first item that
-  failed, ``part`` the part of the check that failed, and a kernel
+  failed and ``part`` the part of the check that failed; a kernel
   difference adds its first term (``bidegree``, ``exponents``,
-  ``coefficient``).  The witness of a check that compares two scalars is
-  empty: its values show the two sides;
+  ``coefficient``), and a symmetric binomial row that cannot be built
+  adds its partition (``kappa``).  The witness of a check that compares
+  two scalars is empty: its values show the two sides;
 - ``values``, on the checks that compare two scalars only: ``lhs`` and
   ``rhs``, and for a numeric check its errors and tolerance.
 """

@@ -562,7 +562,7 @@ def _binomial_checks(jb, max_weight):
 
     def expands(eta):
         e_eta = jb.eval_ones(eta)
-        return jb.E(eta).shift_by_one() == kernels.binomial_expansion(
+        return jb.E_shifted(eta) == kernels.binomial_expansion(
             jb, eta, range(sum(eta) + 1), lambda nu: e_eta / jb.eval_ones(nu))
 
     def independent(pair):

@@ -116,6 +116,30 @@ def test_composition_enumeration():
     assert list(comb.partitions(4, 2)) == [(4,), (3, 1), (2, 2)]
 
 
+def _compositions_by_first_part(n, weight):
+    """The recursive definition: first part from weight down to 0, each
+    followed by the compositions of the rest in n - 1 parts."""
+    if n == 1:
+        yield (weight,)
+        return
+    for first in range(weight, -1, -1):
+        for rest in _compositions_by_first_part(n - 1, weight - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_compositions_follow_the_recursive_order(n):
+    for weight in range(7):
+        assert (list(comb.compositions(n, weight))
+                == list(_compositions_by_first_part(n, weight)))
+
+
+def test_compositions_of_many_parts_need_no_recursion():
+    got = list(comb.compositions(1100, 1))
+    assert len(got) == 1100
+    assert got[0] == (1,) + (0,) * 1099 and got[-1] == (0,) * 1099 + (1,)
+
+
 def test_order_key_refines_precedes():
     etas = list(comb.compositions(3, 4))
     for nu in etas:

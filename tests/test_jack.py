@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 import label_reference as ref
 import nsjack.combinat as comb
+from nsjack import jack
 from nsjack.jack import JackBasis
 from nsjack.poly import SparsePoly, linear_combination, symmetrize
 from nsjack.suites import suite_jack
@@ -233,6 +235,104 @@ def test_eigenvector_check_four_variables():
                 assert jb.ops.cherednik(E, i) == comb.eta_bar(eta, i, alpha) * E
 
 
+SINGLE_PART_ALPHAS = (F(1), F(7, 5), F(1, 3), F(9, 2))
+
+
+def _single_part_reference(n, alpha, m, first=1):
+    """(m!/(1+beta)_m) sum over |mu| = m of (first+beta)_mu_0/mu_0!
+    prod_(i>=1) (beta)_mu_i/mu_i! x^mu, in Fractions straight from the
+    generating function; first = 1 gives E_(m,0,...,0)."""
+    beta = 1 / alpha
+
+    def rising(x, j):
+        out = F(1)
+        for r in range(j):
+            out *= x + r
+        return out
+
+    terms = {}
+    for mu in comb.compositions(n, m):
+        c = rising(first + beta, mu[0]) / factorial(mu[0])
+        for part in mu[1:]:
+            c *= rising(beta, part) / factorial(part)
+        terms[mu] = factorial(m) / rising(1 + beta, m) * c
+    return SparsePoly(n, terms)
+
+
+@pytest.mark.parametrize("alpha", SINGLE_PART_ALPHAS)
+def test_transposition_steps_land_on_the_single_part_formula(alpha):
+    """The recursion's way to E_(m,0,...,0): raise E_(m-1,0,...,0) to
+    E_(0,...,0,m), then n - 1 transposition steps move the part to the
+    front; it must end on the one-pass formula."""
+    for n in range(1, 7):
+        jb = JackBasis(n, alpha)
+        for m in range(1, (4 if n == 6 else 6) + 1):
+            poly = jb.ops.phi(jb._single_part(m - 1))
+            label = (0,) * (n - 1) + (m,)
+            for i in range(n - 2, -1, -1):
+                gap = comb.delta_gap(label, i, alpha)
+                poly = poly.swap_add(i, i + 1, -1 / gap)
+                label = comb.si_map(label, i)
+            assert poly == jb._single_part(m), (n, m)
+            assert poly == _single_part_reference(n, alpha, m), (n, m)
+
+
+@pytest.mark.parametrize("alpha", SINGLE_PART_ALPHAS)
+def test_oracle_matches_the_single_part_formula(alpha):
+    for n in range(1, 5):
+        jb = JackBasis(n, alpha)
+        for m in range(1, 5):
+            eta = (m,) + (0,) * (n - 1)
+            assert jb.E_oracle(eta) == jb.E(eta) == jb._single_part(m), eta
+
+
+@pytest.mark.parametrize("alpha", SINGLE_PART_ALPHAS)
+def test_single_part_labels_satisfy_every_eigen_equation(alpha):
+    """The proof in ``JackBasis.E`` uses xi_0 only; every xi_i must hold."""
+    for n in range(1, 5):
+        jb = JackBasis(n, alpha)
+        for m in range(1, 6):
+            eta = (m,) + (0,) * (n - 1)
+            E = jb.E(eta)
+            for i in range(n):
+                assert (jb.ops.cherednik(E, i)
+                        == comb.eta_bar(eta, i, alpha) * E), (eta, i)
+
+
+def test_single_part_label_at_a_thousand_variables():
+    n = 1100
+    jb = JackBasis(n, 1)
+    E = jb.E((1,) + (0,) * (n - 1))
+    others = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(1, n)]
+    # beta/(1+beta) = 1/2 at alpha = 1
+    assert E == SparsePoly(n, {(1,) + (0,) * (n - 1): 1,
+                               **{e: F(1, 2) for e in others}})
+
+
+def test_single_part_mutation_fails_the_jack_suite(monkeypatch):
+    """beta in place of 1 + beta in the x_0 factor."""
+    monkeypatch.setattr(jack, "_shared", {})
+    monkeypatch.setattr(
+        JackBasis, "_single_part",
+        lambda self, m: _single_part_reference(self.n, self.alpha, m, first=0))
+    reports = suite_jack(alphas=(F(7, 5),), max_weight=2, max_n=2)
+    failing = {r["check"] for r in reports if r["status"] == "fail"}
+    assert {"jack-oracle-equivalence",
+            "jack-eigen-triangular-positive"} <= failing
+
+
+def test_binomial_row_keeps_its_shifted_polynomial(monkeypatch):
+    jb = JackBasis(2, F(7, 5))
+    want = jb.E((1, 2)).shift_by_one()
+    jb.binomial_row((1, 2))
+
+    def no_shift(*args, **kwargs):
+        raise AssertionError("E_eta(1 + z) shifted again")
+
+    monkeypatch.setattr(SparsePoly, "shift_by_one", no_shift)
+    assert jb.E_shifted((1, 2)) == want
+
+
 def _python(code):
     """stdout of ``code`` run in a fresh interpreter that imports this nsjack."""
     import os
@@ -252,41 +352,53 @@ def _python(code):
 
 
 def test_long_lowering_chain_needs_no_recursion():
-    """E((0, 0, 60)) sits 180 labels above the constant; building it must
-    not depend on the interpreter's recursion limit."""
+    """E((0, 60, 60)) sits 238 labels above the constant (no single-part
+    label on the way); building it must not depend on the interpreter's
+    recursion limit."""
     out = _python("import sys\n"
                   "from nsjack.jack import JackBasis\n"
                   "sys.setrecursionlimit(150)\n"
-                  "print(len(JackBasis(3, 1).E((0, 0, 60)).terms))\n")
+                  "print(len(JackBasis(3, 1).E((0, 60, 60)).terms))\n")
     assert out.strip() == "1830"
 
 
 def test_work_list_fills_the_cache_bottom_up():
     jb = JackBasis(3, F(7, 5))
     top = jb.E((0, 0, 2))
-    # the chain is built from the constant up, but its labels are heavier
-    # than anything asked for before, so only the requested label is kept
+    # the chain of (0, 0, 2) stops at the single-part label (1, 0, 0), built
+    # in one pass; both are heavier than anything asked for before, so only
+    # the requested label is kept
     assert list(jb._cache) == [(0, 0, 0), (0, 0, 2)]
     assert jb.E((0, 0, 2)) is top
     assert jb.ops.phi(jb.E((1, 0, 0))) == top
-    # now below the heaviest request, the chain of (1, 0, 0) is kept
-    assert list(jb._cache) == [(0, 0, 0), (0, 0, 2), (0, 0, 1), (0, 1, 0),
-                               (1, 0, 0)]
+    assert list(jb._cache) == [(0, 0, 0), (0, 0, 2), (1, 0, 0)]
+    # now below the heaviest request, the chain of (0, 1, 1) is kept, built
+    # from the constant up
+    jb.E((0, 1, 1))
+    assert list(jb._cache)[3:] == [(0, 0, 1), (0, 1, 1)]
     # a second label reuses the cached part of its chain
     jb.E((0, 2, 0))
     assert list(jb._cache)[-1] == (0, 2, 0) and len(jb._cache) == 6
 
 
+def test_chain_below_the_top_keeps_its_single_part_start():
+    jb = JackBasis(3, F(7, 5))
+    jb.E((0, 0, 3))
+    jb.E((0, 2, 0))
+    assert list(jb._cache) == [(0, 0, 0), (0, 0, 3), (1, 0, 0), (0, 0, 2),
+                               (0, 2, 0)]
+
+
 def test_long_chain_keeps_only_its_result():
-    """E((0, 0, 120)) passes 359 labels; keeping them all peaked at about
-    120 MB.  The child reports its own peak: not RUSAGE_CHILDREN, which
+    """E((0, 120, 120)) passes 477 labels on its way up from the constant;
+    keeping 359 labels of that size peaked at about 120 MB.  The child reports its own peak: not RUSAGE_CHILDREN, which
     the children of other tests would raise, and on Linux not its
     ru_maxrss either, which keeps the peak of the process it was forked
     from across the exec; VmHWM starts afresh with the new image."""
     out = _python("import resource\n"
                   "from nsjack.jack import JackBasis\n"
                   "jb = JackBasis(3, 1)\n"
-                  "print(len(jb.E((0, 0, 120)).terms), len(jb._cache))\n"
+                  "print(len(jb.E((0, 120, 120)).terms), len(jb._cache))\n"
                   "try:\n"
                   "    with open('/proc/self/status') as f:\n"
                   "        print(next(int(line.split()[1]) for line in f\n"

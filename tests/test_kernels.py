@@ -300,3 +300,18 @@ def test_mutation_probe_fails_every_check_but_one_cancellation():
             if rep["status"] != "fail":
                 survivors.append((mutation.__name__, name))
     assert survivors == [("_wrong_d", "laguerre-jack-expansion")]
+
+
+def test_inconsistent_symmetric_row_is_a_failing_report():
+    """A wrong E((2, 0)) reaches E((0, 3)) = phi E((2, 0)) but not the
+    single-part E((3, 0)), so J_(3) has an E expansion that differs across
+    its orbit and its symmetric row raises; the sum-rule check files that
+    as a failure naming the partition instead of raising."""
+    jb = JackBasis(2, ALPHA)
+    _wrong_E(jb)
+    with pytest.raises(ArithmeticError, match="inconsistent across an orbit"):
+        jb.sym_binomial_row((3,))
+    rep = check_binomial_sum_rules(jb, 4)
+    assert rep["status"] == "fail"
+    assert rep["witness"] == {"at": "((0, 0), (3,), True)", "kappa": [3, 0],
+                              "part": "J expansion inconsistent across an orbit"}

@@ -137,7 +137,7 @@ DIGESTS = {
         "3a8442ec2c06bc39e5a65601b48f1b025fc9c94aa90f3310324f4276dfec3d0c",
         12, 0),
     "kernel-mutation-probe": (
-        "7be708ceb7777d4978c35a0ce6d65f1a32ff6874fdcf8691ad550014fcd7030f",
+        "91d7fa8e0ca6ee2f747c455003d19182adbc54ab9c7dc29727bafcbe3fa7752a",
         30, 29),
     "operator-mutation-probe": (
         "857d12917c9509fca67c8464f77df87ce1f672258404e48880d14ce9e2026ff9",
